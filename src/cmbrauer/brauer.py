@@ -144,7 +144,7 @@ def brauer_order_bound_nonmaximal(
         raise ValueError(f"need f >= 1 and m_prime >= 0, got {(f, m_prime)}")
     FundamentalDiscriminant(delta_k)
     flags.check_two_torsion_consistency(f, delta_k)
-    v = _ord(ell, f) if f > 1 else 0
+    v = _ord(ell, f)
     if flags.K_in_k:
         return ell ** (2 * (m_prime + v))
     if ell == 2 and flags.two_torsion_rational:

@@ -3,8 +3,10 @@ envelopes on stdout.
 
 Serialization is canonical: keys sorted, every integer rendered as a decimal
 string (values routinely exceed 64 bits), byte-identical across runs.  Exit
-codes: 0 success, 2 input validation, 64 unknown subcommand, 70 internal
-assertion failure.
+codes: 0 success; 2 input validation, a help request (its error message is
+the help text) or an --output file that cannot be written; 64 unknown
+subcommand; 70 internal failure: a violated internal identity, or a valid
+result that cannot be rendered.  Each subcommand is one entry of ``TABLE``.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import bounds as bounds_mod
 from . import cm_census
@@ -34,47 +37,6 @@ from .quadratic import (
     enumerate_fields_by_class_number,
 )
 
-_STATIC_PROVENANCE = (
-    "quadratic:class_number_order",
-    "quadratic:class_number_field",
-    "quadratic:enumerate_fields_by_class_number",
-    "quadratic:reduced_forms",
-    "minkowski:minkowski_M",
-    "minkowski:algebraic_brauer_bound",
-    "cm_census:conductor_bound",
-    "cm_census:conductor_bound_over_degree",
-    "cm_census:cm_count_total",
-    "cm_census:cm_count_per_field",
-    "cm_census:singular_k3_bound",
-    "lattices:disc_identities",
-    "lattices:parse_lattice",
-    "brauer:brauer_shape_maximal",
-    "brauer:divisibility_bound",
-    "brauer:uniform_bound_EE",
-    "grossencharakter:estimate_m",
-    "grossencharakter:count_points_ap",
-    "towers:all",
-)
-
-PROVENANCE_IDS = frozenset(_STATIC_PROVENANCE) \
-    | {f"bounds:{k}" for k in bounds_mod.FORMULAS} \
-    | {f"towers:{k}" for k in bounds_mod.field_tower_constants()}
-
-COMMANDS = (
-    "classnum",
-    "fields-by-h",
-    "minkowski",
-    "conductor-bound",
-    "cm-count",
-    "k3-census",
-    "lattice",
-    "brauer-shape",
-    "divisibility",
-    "mell-estimate",
-    "bound",
-    "constants",
-)
-
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_UNKNOWN_COMMAND = 64
@@ -85,10 +47,17 @@ class _CliError(Exception):
     pass
 
 
+class _InternalError(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
-    # argparse exits on its own; route everything through _CliError instead
+    # argparse prints and exits on its own; route errors and help through _CliError instead
     def error(self, message):
         raise _CliError(message)
+
+    def print_help(self, file=None):
+        raise _CliError(self.format_help())
 
 
 def _canonical_payload(x):
@@ -131,79 +100,6 @@ def _format_table(envelope: dict) -> str:
     return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows)
 
 
-def _build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--format", choices=("json", "table"), default="json")
-    common.add_argument("--output", metavar="PATH", default=None)
-
-    p = _Parser(prog="cmbrauer", description=__doc__.splitlines()[0])
-    sub = p.add_subparsers(dest="command", metavar="|".join(COMMANDS))
-
-    sp = sub.add_parser("classnum", parents=[common], help="class number of an imaginary quadratic order")
-    sp.add_argument("--disc", type=int, required=True, help="fundamental discriminant Delta_K")
-    sp.add_argument("--conductor", type=int, default=1)
-
-    sp = sub.add_parser("fields-by-h", parents=[common], help="fields with class number at most h")
-    sp.add_argument("--h", type=int, required=True)
-    sp.add_argument("--disc-bound", type=int, required=True, help="search |Delta_K| up to this bound")
-
-    sp = sub.add_parser("minkowski", parents=[common], help="Minkowski constant M(n)")
-    sp.add_argument("--n", type=int, required=True)
-
-    sp = sub.add_parser("conductor-bound", parents=[common], help="largest conductor at a ring class degree")
-    sp.add_argument("--degree", type=int, required=True)
-    sp.add_argument("--delta-k", type=int, default=None)
-
-    sp = sub.add_parser("cm-count", parents=[common], help="CM j-invariant census over degree-d fields")
-    sp.add_argument("--degree", type=int, required=True)
-    sp.add_argument("--disc-bound", type=int, default=200)
-
-    sp = sub.add_parser("k3-census", parents=[common], help="singular K3 class count bounds")
-    sp.add_argument("--degree", type=int, required=True)
-    sp.add_argument("--field-count", type=int, default=None)
-    sp.add_argument("--refined-disc-bound", type=int, default=None)
-
-    sp = sub.add_parser("lattice", parents=[common], help="CM lattice discriminants, both directions")
-    sp.add_argument("--delta-k", type=int, default=None)
-    sp.add_argument("--f1", type=int, default=None)
-    sp.add_argument("--f2", type=int, default=None)
-    sp.add_argument("--kind", choices=("abelian", "kummer"), default=None)
-    sp.add_argument("--rank", type=int, default=None)
-    sp.add_argument("--disc", type=int, default=None)
-
-    sp = sub.add_parser("brauer-shape", parents=[common], help="transcendental Brauer group, maximal order")
-    sp.add_argument("--ell", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--k-in-k", action="store_true", help="the CM field lies in the base field")
-    sp.add_argument("--two-torsion-rational", action="store_true")
-
-    sp = sub.add_parser("divisibility", parents=[common], help="divisibility bound for Br(E x E)")
-    sp.add_argument("--conductor", type=int, required=True)
-    sp.add_argument("--degree", type=int, required=True)
-    sp.add_argument("--delta-k", type=int, required=True)
-
-    sp = sub.add_parser("mell-estimate", parents=[common], help="sampled upper bound on m_ell(E)")
-    sp.add_argument("--a4", type=int, required=True)
-    sp.add_argument("--a6", type=int, required=True)
-    sp.add_argument("--cm-disc", type=int, required=True)
-    sp.add_argument("--ell", type=int, required=True)
-    sp.add_argument("--budget", type=int, required=True, help="sample good primes up to this bound")
-
-    sp = sub.add_parser("bound", parents=[common], help="evaluate a registered uniform bound")
-    sp.add_argument("--id", required=True, choices=sorted(bounds_mod.FORMULAS))
-    sp.add_argument("--set", action="append", default=[], metavar="NAME=VALUE",
-                    help="formula input; integers, or true/false for flags")
-    sp.add_argument("--eps", default=None, help="rounding precision, e.g. 1e-6")
-    sp.add_argument("--assume-grh", action="store_true")
-    sp.add_argument("--cross-check-intro", action="store_true",
-                    help="with --id uncond_lattice: attach the specialized-lattice cross check")
-
-    sp = sub.add_parser("constants", parents=[common], help="exact descent-degree constants")
-    sp.add_argument("--name", default=None, choices=sorted(bounds_mod.field_tower_constants()))
-
-    return p
-
-
 def _parse_set_args(pairs: list[str]) -> dict:
     inputs = {}
     for item in pairs:
@@ -220,133 +116,124 @@ def _parse_set_args(pairs: list[str]) -> dict:
     return inputs
 
 
-def _cmd_classnum(ns):
-    order = Order(FundamentalDiscriminant(ns.disc), ns.conductor)
-    h = class_number_order(order)
-    inputs = {"disc": ns.disc, "conductor": ns.conductor}
-    result = {"h": h, "order_discriminant": order.discriminant}
-    return inputs, result, "quadratic:class_number_order", False
+class _Answer(NamedTuple):
+    """A run's answer with another provenance than the entry's first id, a
+    conditional flag, or an echo other than the parsed arguments."""
+
+    result: dict
+    provenance: str
+    conditional: bool = False
+    inputs: dict | None = None
 
 
-def _cmd_fields_by_h(ns):
-    search = enumerate_fields_by_class_number(ns.h, ns.disc_bound)
-    inputs = {"h": ns.h, "disc_bound": ns.disc_bound}
-    result = {
+class _Command(NamedTuple):
+    """``run`` takes the parsed arguments as keywords and returns the result,
+    which carries ``provenance[0]``, or an _Answer.  It looks library
+    functions up in this module's globals at call time."""
+
+    help: str
+    args: dict[str, dict]
+    provenance: tuple[str, ...]
+    run: Callable
+
+
+def _classnum(disc, conductor):
+    order = Order(FundamentalDiscriminant(disc), conductor)
+    return {"h": class_number_order(order), "order_discriminant": order.discriminant}
+
+
+def _fields_by_h(h, disc_bound):
+    search = enumerate_fields_by_class_number(h, disc_bound)
+    return {
         "discriminants": [f.value for f in search.fields],
         "count": len(search.fields),
         "certified_complete": search.certified_complete,
     }
-    return inputs, result, "quadratic:enumerate_fields_by_class_number", False
 
 
-def _cmd_minkowski(ns):
-    m = minkowski_M(ns.n)
-    inputs = {"n": ns.n}
-    result = {"value": m.value, "factorization": {str(p): e for p, e in m.factorization}}
-    return inputs, result, "minkowski:minkowski_M", False
+def _minkowski(n):
+    m = minkowski_M(n)
+    return {"value": m.value, "factorization": {str(p): e for p, e in m.factorization}}
 
 
-def _cmd_conductor_bound(ns):
-    if ns.delta_k is None:
-        inputs = {"degree": ns.degree}
-        result = {"bound": cm_census.conductor_bound_over_degree(ns.degree)}
-        return inputs, result, "cm_census:conductor_bound_over_degree", False
-    rep = cm_census.conductor_bound(FundamentalDiscriminant(ns.delta_k), ns.degree)
-    inputs = {"degree": ns.degree, "delta_k": ns.delta_k}
-    result = {"bound": rep.bound, "case": rep.case_label}
-    return inputs, result, "cm_census:conductor_bound", False
+def _conductor_bound(degree, delta_k):
+    if delta_k is None:
+        return _Answer({"bound": cm_census.conductor_bound_over_degree(degree)},
+                       "cm_census:conductor_bound_over_degree")
+    rep = cm_census.conductor_bound(FundamentalDiscriminant(delta_k), degree)
+    return _Answer({"bound": rep.bound, "case": rep.case_label}, "cm_census:conductor_bound")
 
 
-def _cmd_cm_count(ns):
-    rep = cm_census.cm_count_total(ns.degree, ns.disc_bound)
-    inputs = {"degree": ns.degree, "disc_bound": ns.disc_bound}
-    result = {
+def _cm_count(degree, disc_bound):
+    rep = cm_census.cm_count_total(degree, disc_bound)
+    return {
         "total": rep.total,
         "certified_complete": rep.certified_complete,
         "cube_bound": rep.cube_bound,
         "per_field": {str(dk): c for dk, c in rep.per_field_counts},
     }
-    return inputs, result, "cm_census:cm_count_total", False
 
 
-def _cmd_k3_census(ns):
-    if ns.field_count is None and ns.refined_disc_bound is None:
+def _k3_census(degree, field_count, refined_disc_bound):
+    if field_count is None and refined_disc_bound is None:
         raise _CliError("k3-census needs --field-count or --refined-disc-bound")
-    inputs = {"degree": ns.degree}
     result = {}
-    if ns.field_count is not None:
-        inputs["field_count"] = ns.field_count
-        result["log_bound"] = cm_census.singular_k3_bound(ns.degree, ns.field_count)
-        result["strong_bound"] = cm_census.singular_k3_strong_bound(ns.degree, ns.field_count)
-    if ns.refined_disc_bound is not None:
-        inputs["refined_disc_bound"] = ns.refined_disc_bound
-        result["refined_sum"] = cm_census.singular_k3_refined_sum(ns.degree, ns.refined_disc_bound)
-    return inputs, result, "cm_census:singular_k3_bound", False
+    if field_count is not None:
+        result["log_bound"] = cm_census.singular_k3_bound(degree, field_count)
+        result["strong_bound"] = cm_census.singular_k3_strong_bound(degree, field_count)
+    if refined_disc_bound is not None:
+        result["refined_sum"] = cm_census.singular_k3_refined_sum(degree, refined_disc_bound)
+    return result
 
 
-def _cmd_lattice(ns):
-    compose = ns.delta_k is not None or ns.f1 is not None or ns.f2 is not None
-    parse = ns.kind is not None or ns.rank is not None or ns.disc is not None
+def _lattice(delta_k, f1, f2, kind, rank, disc):
+    compose = delta_k is not None or f1 is not None or f2 is not None
+    parse = kind is not None or rank is not None or disc is not None
     if compose == parse:
         raise _CliError("lattice takes either --delta-k/--f1/--f2 or --kind/--rank/--disc")
     if compose:
-        if None in (ns.delta_k, ns.f1, ns.f2):
+        if None in (delta_k, f1, f2):
             raise _CliError("compose direction needs --delta-k, --f1 and --f2")
-        pair = CMPair(FundamentalDiscriminant(ns.delta_k), ns.f1, ns.f2)
-        inputs = {"delta_k": ns.delta_k, "f1": ns.f1, "f2": ns.f2}
+        pair = CMPair(FundamentalDiscriminant(delta_k), f1, f2)
         result = {
             "conductor_lcm": pair.conductor_lcm,
             "disc_hom": disc_hom(pair),
             "disc_ns_product": disc_ns_product(pair),
             "disc_ns_kummer": disc_ns_kummer(pair),
         }
-        return inputs, result, "lattices:disc_identities", False
-    if None in (ns.kind, ns.rank, ns.disc):
+        return _Answer(result, "lattices:disc_identities")
+    if None in (kind, rank, disc):
         raise _CliError("parse direction needs --kind, --rank and --disc")
-    data = parse_lattice(LatticeDescriptor(rank=ns.rank, disc=ns.disc), ns.kind)
-    inputs = {"kind": ns.kind, "rank": ns.rank, "disc": ns.disc}
-    result = {"delta_k": data.field.value, "conductor_lcm": data.conductor_lcm}
-    return inputs, result, "lattices:parse_lattice", False
+    data = parse_lattice(LatticeDescriptor(rank=rank, disc=disc), kind)
+    return _Answer({"delta_k": data.field.value, "conductor_lcm": data.conductor_lcm},
+                   "lattices:parse_lattice")
 
 
-def _cmd_brauer_shape(ns):
-    flags = GaloisFlags(K_in_k=ns.k_in_k, two_torsion_rational=ns.two_torsion_rational)
-    shape = brauer_shape_maximal(ns.ell, ns.m, flags)
-    inputs = {"ell": ns.ell, "m": ns.m, "k_in_k": ns.k_in_k,
-              "two_torsion_rational": ns.two_torsion_rational}
-    result = {"cyclic_factors": list(shape.cyclic_factors), "order": shape.order}
-    return inputs, result, "brauer:brauer_shape_maximal", False
+def _brauer_shape(ell, m, k_in_k, two_torsion_rational):
+    flags = GaloisFlags(K_in_k=k_in_k, two_torsion_rational=two_torsion_rational)
+    shape = brauer_shape_maximal(ell, m, flags)
+    return {"cyclic_factors": list(shape.cyclic_factors), "order": shape.order}
 
 
-def _cmd_divisibility(ns):
-    value = divisibility_bound(ns.conductor, ns.degree, ns.delta_k)
-    inputs = {"conductor": ns.conductor, "degree": ns.degree, "delta_k": ns.delta_k}
-    return inputs, {"bound": value}, "brauer:divisibility_bound", False
+def _mell_estimate(a4, a6, cm_disc, ell, budget):
+    est = estimate_m(CurveOverQ(a4, a6, cm_disc), ell, budget)
+    return {"m_hat": est.m_hat, "samples_used": est.samples_used, "is_upper_bound": True}
 
 
-def _cmd_mell_estimate(ns):
-    curve = CurveOverQ(ns.a4, ns.a6, ns.cm_disc)
-    est = estimate_m(curve, ns.ell, ns.budget)
-    inputs = {"a4": ns.a4, "a6": ns.a6, "cm_disc": ns.cm_disc,
-              "ell": ns.ell, "budget": ns.budget}
-    result = {"m_hat": est.m_hat, "samples_used": est.samples_used, "is_upper_bound": True}
-    return inputs, result, "grossencharakter:estimate_m", False
-
-
-def _cmd_bound(ns):
-    inputs = _parse_set_args(ns.set)
-    eps = Fraction(ns.eps) if ns.eps is not None else None
-    if ns.cross_check_intro:
-        if ns.id != "uncond_lattice":
+def _bound(bound_id, settings, eps, assume_grh, cross_check_intro):
+    inputs = _parse_set_args(settings)
+    echo = dict(inputs)
+    if eps is not None:
+        eps = Fraction(eps)
+        echo["eps"] = str(eps)
+    if cross_check_intro:
+        if bound_id != "uncond_lattice":
             raise _CliError("--cross-check-intro applies to --id uncond_lattice only")
         if set(inputs) != {"disc_lambda", "d"}:
             raise _CliError("--cross-check-intro needs exactly --set disc_lambda=... --set d=...")
         report = bounds_mod.compose_intro_bound(inputs["disc_lambda"], inputs["d"], eps=eps)
     else:
-        report = bounds_mod.eval_bound(ns.id, inputs, eps=eps, assume_grh=ns.assume_grh)
-    echo = dict(inputs)
-    if ns.eps is not None:
-        echo["eps"] = str(eps)
+        report = bounds_mod.eval_bound(bound_id, inputs, eps=eps, assume_grh=assume_grh)
     result = {
         "integer_bound": report.integer_bound,
         "exact_symbolic": report.exact_symbolic,
@@ -354,38 +241,97 @@ def _cmd_bound(ns):
     }
     if report.cross_check is not None:
         result["cross_check"] = report.cross_check
-    return echo, result, report.provenance, report.conditional
+    return _Answer(result, report.provenance, report.conditional, echo)
 
 
-def _cmd_constants(ns):
+def _constants(name):
     table = bounds_mod.field_tower_constants()
-    if ns.name is not None:
-        entry = table[ns.name]
-        inputs = {"name": ns.name}
-        result = {"value": entry.value, "description": entry.description}
-        return inputs, result, entry.provenance, False
-    result = {name: {"value": e.value, "description": e.description} for name, e in table.items()}
-    return {}, result, "towers:all", False
+    if name is None:
+        result = {n: {"value": e.value, "description": e.description} for n, e in table.items()}
+        return _Answer(result, "towers:all")
+    entry = table[name]
+    return _Answer({"value": entry.value, "description": entry.description}, entry.provenance)
 
 
-_HANDLERS = {
-    "classnum": _cmd_classnum,
-    "fields-by-h": _cmd_fields_by_h,
-    "minkowski": _cmd_minkowski,
-    "conductor-bound": _cmd_conductor_bound,
-    "cm-count": _cmd_cm_count,
-    "k3-census": _cmd_k3_census,
-    "lattice": _cmd_lattice,
-    "brauer-shape": _cmd_brauer_shape,
-    "divisibility": _cmd_divisibility,
-    "mell-estimate": _cmd_mell_estimate,
-    "bound": _cmd_bound,
-    "constants": _cmd_constants,
+_REQUIRED_INT = {"type": int, "required": True}
+_TOWERS = bounds_mod.field_tower_constants()
+
+TABLE: dict[str, _Command] = {
+    "classnum": _Command(
+        "class number of an imaginary quadratic order",
+        {"--disc": {**_REQUIRED_INT, "help": "fundamental discriminant Delta_K"},
+         "--conductor": {"type": int, "default": 1}},
+        ("quadratic:class_number_order",), _classnum),
+    "fields-by-h": _Command(
+        "fields with class number at most h",
+        {"--h": _REQUIRED_INT,
+         "--disc-bound": {**_REQUIRED_INT, "help": "search |Delta_K| up to this bound"}},
+        ("quadratic:enumerate_fields_by_class_number",), _fields_by_h),
+    "minkowski": _Command(
+        "Minkowski constant M(n)", {"--n": _REQUIRED_INT},
+        ("minkowski:minkowski_M",), _minkowski),
+    "conductor-bound": _Command(
+        "largest conductor at a ring class degree",
+        {"--degree": _REQUIRED_INT, "--delta-k": {"type": int}},
+        ("cm_census:conductor_bound", "cm_census:conductor_bound_over_degree"), _conductor_bound),
+    "cm-count": _Command(
+        "CM j-invariant census over degree-d fields",
+        {"--degree": _REQUIRED_INT, "--disc-bound": {"type": int, "default": 200}},
+        ("cm_census:cm_count_total",), _cm_count),
+    "k3-census": _Command(
+        "singular K3 class count bounds",
+        {"--degree": _REQUIRED_INT, "--field-count": {"type": int}, "--refined-disc-bound": {"type": int}},
+        ("cm_census:singular_k3_bound",), _k3_census),
+    "lattice": _Command(
+        "CM lattice discriminants, both directions",
+        {"--delta-k": {"type": int}, "--f1": {"type": int}, "--f2": {"type": int},
+         "--kind": {"choices": ("abelian", "kummer")}, "--rank": {"type": int}, "--disc": {"type": int}},
+        ("lattices:disc_identities", "lattices:parse_lattice"), _lattice),
+    "brauer-shape": _Command(
+        "transcendental Brauer group, maximal order",
+        {"--ell": _REQUIRED_INT, "--m": _REQUIRED_INT,
+         "--k-in-k": {"action": "store_true", "help": "the CM field lies in the base field"},
+         "--two-torsion-rational": {"action": "store_true"}},
+        ("brauer:brauer_shape_maximal",), _brauer_shape),
+    "divisibility": _Command(
+        "divisibility bound for Br(E x E)",
+        {"--conductor": _REQUIRED_INT, "--degree": _REQUIRED_INT, "--delta-k": _REQUIRED_INT},
+        ("brauer:divisibility_bound",),
+        lambda conductor, degree, delta_k: {"bound": divisibility_bound(conductor, degree, delta_k)}),
+    "mell-estimate": _Command(
+        "sampled upper bound on m_ell(E)",
+        {"--a4": _REQUIRED_INT, "--a6": _REQUIRED_INT, "--cm-disc": _REQUIRED_INT, "--ell": _REQUIRED_INT,
+         "--budget": {**_REQUIRED_INT, "help": "sample good primes up to this bound"}},
+        ("grossencharakter:estimate_m",), _mell_estimate),
+    "bound": _Command(
+        "evaluate a registered uniform bound",
+        {"--id": {"dest": "bound_id", "required": True, "choices": sorted(bounds_mod.FORMULAS)},
+         "--set": {"dest": "settings", "action": "append", "default": [], "metavar": "NAME=VALUE",
+                   "help": "formula input; integers, or true/false for flags"},
+         "--eps": {"help": "rounding precision, e.g. 1e-6"},
+         "--assume-grh": {"action": "store_true"},
+         "--cross-check-intro": {"action": "store_true",
+                                 "help": "with --id uncond_lattice: attach the specialized-lattice cross check"}},
+        tuple(f"bounds:{k}" for k in bounds_mod.FORMULAS), _bound),
+    "constants": _Command(
+        "exact descent-degree constants", {"--name": {"choices": sorted(_TOWERS)}},
+        ("towers:all", *(e.provenance for e in _TOWERS.values())), _constants),
 }
 
+COMMANDS = tuple(TABLE)
+PROVENANCE_IDS = frozenset(pid for spec in TABLE.values() for pid in spec.provenance)
 
-def _emit(text: str, ns=None) -> None:
-    sys.stdout.write(text + "\n")
+
+def _build_parser(command: str) -> _Parser:
+    """The top-level parser with the one subparser that ``command`` needs."""
+    p = _Parser(prog="cmbrauer", description=__doc__.splitlines()[0])
+    sub = p.add_subparsers(dest="command", metavar="|".join(COMMANDS))
+    sp = sub.add_parser(command, help=TABLE[command].help)
+    sp.add_argument("--format", choices=("json", "table"), default="json")
+    sp.add_argument("--output", metavar="PATH", default=None)
+    for flag, kwargs in TABLE[command].args.items():
+        sp.add_argument(flag, **kwargs)
+    return p
 
 
 def _emit_error(command, exc, code: int) -> int:
@@ -399,35 +345,40 @@ def main(argv=None) -> int:
     command = next((a for a in argv if not a.startswith("-")), None)
     if command is None:
         return _emit_error(None, _CliError(f"missing subcommand; expected one of {', '.join(COMMANDS)}"), EXIT_USAGE)
-    if command not in COMMANDS:
+    if command not in TABLE:
         return _emit_error(command, _CliError(f"unknown subcommand {command!r}"), EXIT_UNKNOWN_COMMAND)
-    parser = _build_parser()
+    spec = TABLE[command]
     try:
-        ns = parser.parse_args(argv)
-        inputs, result, provenance, conditional = _HANDLERS[command](ns)
-    except _CliError as e:
+        ns = _build_parser(command).parse_args(argv)
+        args = {k: v for k, v in vars(ns).items() if k not in ("command", "format", "output")}
+        answer = spec.run(**args)
+        if not isinstance(answer, _Answer):
+            answer = _Answer(answer, spec.provenance[0])
+        if answer.provenance not in spec.provenance:
+            raise _InternalError(f"{command} emitted undeclared provenance {answer.provenance!r}")
+        envelope = {
+            "command": command,
+            "inputs": {k: v for k, v in args.items() if v is not None} if answer.inputs is None else answer.inputs,
+            "result": answer.result,
+            "provenance": answer.provenance,
+            "conditional": answer.conditional,
+        }
+        try:
+            canonical = _serialize(envelope)
+            text = _format_table(_canonical_payload(envelope)) if ns.format == "table" else canonical
+        except (ValueError, TypeError) as e:
+            # the input was valid, so a result that cannot be rendered is not a usage error
+            raise _InternalError(f"cannot render the result: {e}") from e
+        if ns.output:
+            with open(ns.output, "w", encoding="utf-8") as fh:
+                fh.write(canonical + "\n")
+    except (_CliError, ValueError, KeyError, OSError) as e:
+        # OSError comes from the --output sink
         return _emit_error(command, e, EXIT_USAGE)
-    except (ValueError, KeyError) as e:
-        return _emit_error(command, e, EXIT_USAGE)
-    except AssertionError as e:
-        # includes IntegralityError: a violated internal identity, not bad input
+    except (AssertionError, _InternalError) as e:
+        # AssertionError includes IntegralityError: a violated internal identity, not bad input
         return _emit_error(command, e, EXIT_INTERNAL)
-    assert provenance in PROVENANCE_IDS, provenance
-    envelope = {
-        "command": command,
-        "inputs": inputs,
-        "result": result,
-        "provenance": provenance,
-        "conditional": conditional,
-    }
-    canonical = _serialize(envelope)
-    if ns.output:
-        with open(ns.output, "w", encoding="utf-8") as fh:
-            fh.write(canonical + "\n")
-    if ns.format == "table":
-        _emit(_format_table(_canonical_payload(envelope)))
-    else:
-        _emit(canonical)
+    sys.stdout.write(text + "\n")
     return EXIT_OK
 
 

@@ -12,6 +12,7 @@ from typing import NamedTuple
 
 from sympy import isprime, primerange
 
+from .brauer import _ord
 from .quadratic import FundamentalDiscriminant
 
 _POINT_COUNT_CAP = 10 ** 6
@@ -136,12 +137,7 @@ def estimate_m(curve: CurveOverQ, ell: int, prime_budget: int) -> MEstimate:
         a_q = count_points_ap(curve, q)
         if a_q == 0:
             continue
-        psi = psi_from_ap(a_q, q, curve.cm_disc)
-        v = 0
-        y = psi.y
-        while y % ell == 0:
-            y //= ell
-            v += 1
+        v = _ord(ell, psi_from_ap(a_q, q, curve.cm_disc).y)
         samples += 1
         if best is None or v < best:
             best = v

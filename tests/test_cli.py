@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from cmbrauer import cli
+from cmbrauer.bounds import field_tower_constants
 from cmbrauer.quadratic import IntegralityError
 
 
@@ -178,6 +179,13 @@ def test_exit_codes(capsys):
     assert run_cli(["bound", "--id", "isog_pair", "--set", "junk"], capsys)[0] == 2
     code, env = run_json(["frobnicate"], capsys)
     assert code == 64 and "unknown subcommand" in env["error"]["message"]
+    # a help request is an error envelope carrying that parser's help text
+    for args in (["classnum", "--help"], ["-h", "classnum"], ["classnum", "--disc", "-4", "--he"]):
+        code, env = run_json(args, capsys)
+        assert code == 2 and env["error"]["message"].startswith("usage: cmbrauer"), args
+    # a valid result past the int-to-str digit limit is an internal failure, not bad input
+    code, env = run_json(["minkowski", "--n", "3000"], capsys)
+    assert code == 70 and "cannot render" in env["error"]["message"]
 
 
 def test_internal_assertion_exits_70(capsys, monkeypatch):
@@ -224,6 +232,9 @@ def test_output_sink(tmp_path, capsys):
     assert "{" not in table
     assert "classnum" in table
     assert sink2.read_text() == out
+    # a sink that cannot be written is an error envelope, not a traceback
+    code, env = run_json(["classnum", "--disc", "-8", "--output", str(tmp_path / "no" / "x.json")], capsys)
+    assert code == 2 and env["error"]["type"] == "FileNotFoundError"
 
 
 def test_table_format(capsys):
@@ -253,7 +264,53 @@ def test_error_payload_is_canonical(capsys):
 
 def test_commands_registry():
     assert len(cli.COMMANDS) == 12
-    assert set(cli._HANDLERS) == set(cli.COMMANDS)
+    assert len(set(cli.COMMANDS)) == len(cli.COMMANDS) == len(cli.TABLE)
+    assert set(cli.TABLE) == set(cli.COMMANDS)
     for pid in cli.PROVENANCE_IDS:
         area, _, name = pid.partition(":")
         assert area and name
+
+
+_BOUND_SAMPLE_INPUTS = {
+    "uncond_lattice": "disc_lambda=64 d=1",
+    "lattice_k_isog": "disc_lambda=64 L_deg=2 delta_k=-4",
+    "ab_lattice": "disc_lambda=-16 L_deg=2 delta_k=-4",
+    "ab_GRH": "L_deg=2",
+    "kummer_GRH": "L_deg=2",
+    "singular_cover_GRH": "d=1",
+    "isog_pair": "f1=1 f2=1 delta_k=-4 M_deg=2",
+    "isog_pair_GRH": "M_over_k_deg=1 k_deg=2",
+    "nonisog_GRH": "compositum_deg=1 d=1",
+    "kummer_nonisog_GRH": "d=1",
+    "isogeny_degree": "f1=1 delta_k=-4",
+    "isogeny_degree_GRH": "d=1",
+    "faltings_GRH": "d=1",
+    "isogeny_brauer_multiplier": "d=2 g=2 rho=1",
+}
+
+
+def test_every_provenance_id_is_emitted(capsys):
+    samples = [
+        ["classnum", "--disc", "-7"],
+        ["fields-by-h", "--h", "1", "--disc-bound", "50"],
+        ["minkowski", "--n", "4"],
+        ["conductor-bound", "--degree", "3"],
+        ["conductor-bound", "--degree", "2", "--delta-k", "-4"],
+        ["cm-count", "--degree", "1"],
+        ["k3-census", "--degree", "1", "--field-count", "9"],
+        ["lattice", "--delta-k", "-4", "--f1", "1", "--f2", "2"],
+        ["lattice", "--kind", "abelian", "--rank", "4", "--disc", "-16"],
+        ["brauer-shape", "--ell", "3", "--m", "2"],
+        ["divisibility", "--conductor", "2", "--degree", "1", "--delta-k", "-4"],
+        ["mell-estimate", "--a4", "-1", "--a6", "0", "--cm-disc", "-4", "--ell", "2", "--budget", "10"],
+        ["constants"],
+        *(["constants", "--name", name] for name in field_tower_constants()),
+        *(["bound", "--id", bound_id, "--assume-grh", *(a for kv in sets.split() for a in ("--set", kv))]
+          for bound_id, sets in _BOUND_SAMPLE_INPUTS.items()),
+    ]
+    emitted = set()
+    for args in samples:
+        code, env = run_json(args, capsys)
+        assert code == 0, (args, env)
+        emitted.add(env["provenance"])
+    assert emitted == cli.PROVENANCE_IDS
