@@ -5,11 +5,10 @@ the non-maximal case, and the divisibility / uniform bounds they feed."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod
+from math import log, log2, prod
 
-from sympy import isprime, primerange
-
-from .quadratic import FundamentalDiscriminant, unit_index, kronecker_symbol
+from .primes import isprime, primerange
+from .quadratic import FundamentalDiscriminant, InternalCheckError, unit_index, kronecker_symbol
 
 
 def _ord(ell: int, n: int) -> int:
@@ -46,27 +45,50 @@ class BrauerShape:
     def __post_init__(self):
         per_prime: dict[int, int] = {}
         for q in self.cyclic_factors:
-            assert q >= 2
+            if q < 2:
+                raise InternalCheckError(f"cyclic factor {q} of {self.cyclic_factors} is trivial")
             base = _prime_power_base(q)
             per_prime[base] = per_prime.get(base, 0) + 1
-        # rank at most 2 at every prime
-        assert all(v <= 2 for v in per_prime.values()), self.cyclic_factors
+        if any(v > 2 for v in per_prime.values()):
+            raise InternalCheckError(f"{self.cyclic_factors} has rank above 2 at some prime")
 
     @property
     def order(self) -> int:
         return prod(self.cyclic_factors)
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1 and k >= 2: Newton's iteration, which falls
+    monotonically to the root from any start above it."""
+    x = log2(n) / k
+    shift = max(int(x) - 50, 0)
+    r = int(2.0 ** (x - shift))
+    # the float estimate errs by less than (x + 2) * 2^-50 relative: start past that
+    r = (r + (r * (int(x) + 2) >> 50) + 1) << shift
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
 def _prime_power_base(q: int) -> int:
-    for p in primerange(2, q + 1):
+    """p for q = p^e >= 2.  A prime below 2^16 that divides q is the only
+    candidate.  Otherwise every prime factor of q exceeds 2^16, so e < log2(q)/16:
+    exact k-th roots for the primes k below that bound reach a base that is no
+    perfect power, and one primality test of that base decides."""
+    for p in primerange(2, min(q, 1 << 16) + 1):
         if q % p == 0:
-            qq = q
-            while qq % p == 0:
-                qq //= p
-            if qq != 1:
-                raise AssertionError(f"{q} is not a prime power")
-            return p
-    raise AssertionError(f"{q} is not a prime power")
+            base = p if p ** round(log(q, p)) == q else q
+            break
+    else:
+        base = q
+        for k in primerange(2, q.bit_length() // 16 + 1):
+            while (root := _iroot(base, k)) ** k == base:
+                base = root
+    if not isprime(base):
+        raise InternalCheckError(f"{q} is not a prime power")
+    return base
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from sympy import divisors
-
 from .minkowski import minkowski_M
+from .primes import divisors
 from .quadratic import (
     FundamentalDiscriminant,
     Order,

@@ -10,9 +10,8 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import NamedTuple
 
-from sympy import isprime, primerange
-
 from .brauer import _ord
+from .primes import isprime, primerange
 from .quadratic import FundamentalDiscriminant
 
 _POINT_COUNT_CAP = 10 ** 6

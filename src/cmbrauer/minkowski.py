@@ -6,7 +6,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 
-from sympy import primerange
+from .primes import primerange
+from .quadratic import InternalCheckError
 
 
 @dataclass(frozen=True)
@@ -16,7 +17,8 @@ class MinkowskiConstant:
     factorization: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        assert self.value == prod(p ** e for p, e in self.factorization)
+        if self.value != prod(p ** e for p, e in self.factorization):
+            raise InternalCheckError(f"M({self.n}) differs from the product over its factorization")
 
 
 @lru_cache(maxsize=None)
@@ -30,7 +32,9 @@ def minkowski_M(n: int) -> MinkowskiConstant:
         while q <= n:
             e += n // q
             q *= p
-        assert e >= 1  # p <= n+1 guarantees at least the i=0 term
+        if e < 1:
+            # p <= n+1 guarantees at least the i=0 term, so the prime list is wrong
+            raise InternalCheckError(f"prime {p} > {n + 1} in the range for M({n})")
         factorization.append((p, e))
     value = prod(p ** e for p, e in factorization)
     return MinkowskiConstant(n, value, tuple(factorization))

@@ -1,0 +1,164 @@
+"""Primes and factorizations for the integers this package meets.
+
+A byte sieve answers every question below 2^16.  Above it, ``isprime`` is
+Miller-Rabin with the first 13 prime bases, which is deterministic for
+n < PSI_13 (Sorenson & Webster, Math. Comp. 86 (2017)); ``primerange`` sieves
+segment by segment; ``factorint`` trial-divides by the table primes and splits
+what is left with Pollard-Brent rho (Brent, BIT 20 (1980)).  Only integers at
+or above PSI_13 are handed to sympy, which is imported then and not before.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_left
+from collections.abc import Iterator
+from itertools import compress, count
+from math import gcd, isqrt, prod
+from operator import index
+
+_TABLE = 1 << 16
+_SEGMENT = 1 << 16
+PSI_13 = 3317044064679887385961981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _sieve(n: int) -> bytearray:
+    flags = bytearray([1]) * n
+    flags[:2] = b"\0\0"
+    for p in range(2, isqrt(n - 1) + 1):
+        if flags[p]:
+            flags[p * p::p] = bytes((n - 1 - p * p) // p + 1)
+    return flags
+
+
+_IS_PRIME = _sieve(_TABLE)
+_PRIMES = (2, *compress(range(3, _TABLE, 2), _IS_PRIME[3::2]))
+_BASES_PRODUCT = prod(_BASES)
+
+
+def _miller_rabin(n: int) -> bool:
+    # odd n < PSI_13 prime to every base (isprime tests that first)
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def isprime(n: int) -> bool:
+    """Whether the integer n is prime; False for n < 2."""
+    n = index(n)
+    if n < _TABLE:
+        return n > 1 and _IS_PRIME[n] == 1
+    if n >= PSI_13:
+        from sympy import isprime as sympy_isprime
+
+        return bool(sympy_isprime(n))
+    return gcd(n, _BASES_PRODUCT) == 1 and _miller_rabin(n)
+
+
+def primerange(a: int, b: int) -> Iterator[int]:
+    """The primes p with a <= p < b, in ascending order.  Past the table the
+    range is sieved in segments with base primes up to the square root of the
+    segment's end, so memory stays O(sqrt(b) + segment) however large b is."""
+    a, b = max(index(a), 2), index(b)
+    if a < _TABLE:
+        yield from _PRIMES[bisect_left(_PRIMES, a):bisect_left(_PRIMES, b)]
+        a = _TABLE
+    base = _PRIMES
+    while a < b:
+        hi = min(b, a + _SEGMENT)
+        root = isqrt(hi - 1)
+        if base[-1] < root:
+            # extend the base primes by doubling, never past what b needs
+            base += tuple(primerange(base[-1] + 1, min(2 * root, isqrt(b - 1)) + 1))
+        flags = bytearray([1]) * (hi - a)
+        for p in base:
+            if p > root:
+                break
+            start = max(p * p, -(-a // p) * p) - a
+            if start < hi - a:
+                flags[start::p] = bytes((hi - a - 1 - start) // p + 1)
+        yield from compress(range(a, hi), flags)
+        a = hi
+
+
+def _brent(n: int) -> int:
+    """A proper factor of the odd composite n by Pollard-Brent rho."""
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            # the batch overshot: replay it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _split(n: int, factors: dict[int, int]) -> None:
+    """Add the factorization of n > 1, which has no prime factor in the table."""
+    if n >= PSI_13:
+        from sympy import factorint as sympy_factorint
+
+        for p, e in sympy_factorint(n).items():
+            factors[p] = factors.get(p, 0) + e
+    elif isprime(n):
+        factors[n] = factors.get(n, 0) + 1
+    else:
+        d = _brent(n)
+        _split(d, factors)
+        _split(n // d, factors)
+
+
+def factorint(n: int) -> dict[int, int]:
+    """The prime factorization of n >= 1 as {p: e}, keys ascending."""
+    n = index(n)
+    if n < 1:
+        raise ValueError(f"factorint needs a positive integer, got {n}")
+    factors: dict[int, int] = {}
+    for p in _PRIMES:
+        if p * p > n:
+            if n > 1:
+                factors[n] = 1
+            return factors
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            factors[p] = e
+    if n > 1:
+        _split(n, factors)
+    return dict(sorted(factors.items()))
+
+
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n >= 1, ascending."""
+    divs = [1]
+    for p, e in factorint(n).items():
+        divs = [d * p ** k for d in divs for k in range(e + 1)]
+    return sorted(divs)

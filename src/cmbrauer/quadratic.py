@@ -12,10 +12,15 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-from sympy import factorint, isprime
+from .primes import factorint, isprime
 
 
-class IntegralityError(AssertionError):
+class InternalCheckError(AssertionError):
+    """A violated internal identity: a bug, not bad input.  Raised explicitly,
+    so the check also runs under python -O."""
+
+
+class IntegralityError(InternalCheckError):
     """The class-number formula produced a non-integer. Indicates a bug."""
 
 
@@ -111,9 +116,9 @@ def fundamental_discriminant(n: int) -> tuple[FundamentalDiscriminant, int]:
     else:
         dk = 4 * d0
     f2, rem = divmod(n, dk)
-    assert rem == 0 and f2 > 0
-    f = isqrt(f2)
-    assert f * f == f2, (n, dk, f2)
+    f = isqrt(max(f2, 0))
+    if rem or f < 1 or f * f != f2:
+        raise InternalCheckError(f"{n} is not f^2 times {dk}: the factorization of {-n} is wrong")
     return FundamentalDiscriminant(dk), f
 
 

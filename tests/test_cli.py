@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -252,6 +253,46 @@ def test_byte_identical_across_processes():
     assert runs[0] == runs[1]
     assert runs[0].endswith(b"\n")
     json.loads(runs[0])
+
+
+# one small call per subcommand, each into the layer it exercises
+_ONE_PER_COMMAND = (
+    ["classnum", "--disc", "-23", "--conductor", "3"],
+    ["fields-by-h", "--h", "1", "--disc-bound", "50"],
+    ["minkowski", "--n", "8"],
+    ["conductor-bound", "--degree", "2", "--delta-k", "-4"],
+    ["cm-count", "--degree", "1", "--disc-bound", "200"],
+    ["k3-census", "--degree", "1", "--field-count", "9", "--refined-disc-bound", "200"],
+    ["lattice", "--delta-k", "-4", "--f1", "1", "--f2", "2"],
+    ["brauer-shape", "--ell", "2", "--m", "3"],
+    ["divisibility", "--conductor", "2", "--degree", "3", "--delta-k", "-4"],
+    ["mell-estimate", "--a4", "-1", "--a6", "0", "--cm-disc", "-4", "--ell", "3", "--budget", "500"],
+    ["bound", "--id", "faltings_GRH", "--set", "d=5", "--eps", "1e-12", "--assume-grh"],
+    ["constants"],
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+def test_cli_never_imports_sympy(flags):
+    script = (
+        "import contextlib, io, sys\n"
+        "from cmbrauer import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main(argv) for argv in {list(_ONE_PER_COMMAND)!r}]\n"
+        "print(codes, 'sympy' in sys.modules)\n"
+    )
+    assert {argv[0] for argv in _ONE_PER_COMMAND} == set(cli.COMMANDS)
+    out = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True, check=True)
+    assert out.stdout == f"{[0] * len(_ONE_PER_COMMAND)} False\n"
+
+
+def test_large_prime_ell_exits_quickly(capsys):
+    # the prime-power check once walked every prime up to ell^m
+    start = time.perf_counter()
+    code, env = run_json(["brauer-shape", "--ell", "1000000007", "--m", "1"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert env["result"] == {"cyclic_factors": ["1000000007"], "order": "1000000007"}
 
 
 def test_error_payload_is_canonical(capsys):

@@ -1,0 +1,134 @@
+"""The in-house prime toolkit against sympy, which serves as the independent oracle."""
+
+import subprocess
+import sys
+import textwrap
+import tracemalloc
+from itertools import islice
+from math import prod
+
+import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
+
+from cmbrauer import primes
+from cmbrauer.primes import PSI_13, divisors, factorint, isprime, primerange
+
+# strong pseudoprimes to the first 1, 2, 3, 4, 9 and 12 prime bases (psi_1 .. psi_12)
+STRONG_PSEUDOPRIMES = (2047, 1373653, 25326001, 3215031751, 3825123056546413051,
+                       318665857834031151167461)
+CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 62745, 63973, 75361,
+              101101, 126217, 294409, 56052361, 118901521, 172947529, 216821881)
+
+
+def test_isprime_matches_sympy_up_to_2e5():
+    assert [n for n in range(200_001) if isprime(n) != sympy.isprime(n)] == []
+
+
+def test_isprime_rejects_negatives():
+    assert not any(isprime(n) for n in (-1, -2, -7, -(2 ** 61 - 1)))
+
+
+@pytest.mark.parametrize("n", STRONG_PSEUDOPRIMES + CARMICHAEL)
+def test_pseudoprimes_read_composite(n):
+    assert not sympy.isprime(n)
+    assert not isprime(n)
+
+
+def test_carmichael_list_is_carmichael():
+    # Korselt: squarefree, at least three prime factors, p - 1 | n - 1 for each
+    for n in CARMICHAEL:
+        f = sympy.factorint(n)
+        assert len(f) >= 3 and set(f.values()) == {1}
+        assert all((n - 1) % (p - 1) == 0 for p in f)
+
+
+def test_psi13_reads_composite_through_the_fallback():
+    # psi_13 fools all 13 bases, so only the fallback can call it composite
+    assert primes._miller_rabin(PSI_13)
+    assert not isprime(PSI_13)
+    assert isprime(2 ** 89 - 1) and isprime(2 ** 107 - 1) and not isprime(2 ** 89 + 1)
+
+
+@pytest.mark.parametrize("a,b", [
+    (0, 100), (-5, 3), (2, 2), (7, 3), (65000, 65536), (65521, 65538), (65530, 70000),
+    (65536, 65536 * 4 + 17), (3 * 65536 - 50, 3 * 65536 + 50), (10 ** 6, 10 ** 6 + 200_000),
+    (2 ** 32 - 3000, 2 ** 32 + 3000),
+])
+def test_primerange_matches_sympy(a, b):
+    assert list(primerange(a, b)) == list(sympy.primerange(a, b))
+
+
+def test_primerange_memory_stays_bounded_near_1e10():
+    tracemalloc.start()
+    try:
+        head = list(islice(primerange(10 ** 10 - 1000, 10 ** 10), 5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert head == list(islice(sympy.primerange(10 ** 10 - 1000, 10 ** 10), 5))
+    assert peak < 4 * 2 ** 20
+
+
+def check_factorization(n):
+    f = factorint(n)
+    assert prod(p ** e for p, e in f.items()) == n
+    assert list(f) == sorted(f)
+    assert all(e >= 1 and sympy.isprime(p) for p, e in f.items())
+    return f
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(min_value=1, max_value=10 ** 12))
+def test_factorint_round_trip(n):
+    assert check_factorization(n) == sympy.factorint(n)
+
+
+@pytest.mark.parametrize("n", [
+    1, 2, 65521, 65521 ** 2, 65537 ** 3, 65521 * 65537, (2 ** 31 - 1) * (2 ** 61 - 1),
+    (10 ** 9 + 7) ** 2 * (10 ** 9 + 9), 2 ** 64 + 1, 3 * PSI_13, 2 ** 89 - 1,
+])
+def test_factorint_hard_shapes(n):
+    assert check_factorization(n) == sympy.factorint(n)
+
+
+def test_factorint_rejects_nonpositive():
+    for n in (0, -12):
+        with pytest.raises(ValueError):
+            factorint(n)
+
+
+def test_divisors_match_sympy():
+    for n in range(1, 2001):
+        assert divisors(n) == sympy.divisors(n)
+
+
+_WRONG_ARITHMETIC = textwrap.dedent("""
+    from cmbrauer import brauer, minkowski, quadratic
+
+    def raises_internal(call):
+        try:
+            call()
+        except quadratic.InternalCheckError:
+            return True
+        return False
+
+    quadratic.factorint = lambda n: {2: 1}
+    minkowski.primerange = lambda a, b: iter([2, b + 5])
+    checks = [
+        raises_internal(lambda: quadratic.fundamental_discriminant(-12)),
+        raises_internal(lambda: minkowski.minkowski_M(4)),
+        raises_internal(lambda: minkowski.MinkowskiConstant(2, 25, ((2, 3),))),
+        raises_internal(lambda: brauer.BrauerShape((6,))),
+        raises_internal(lambda: brauer.BrauerShape((9, 3, 27))),
+        raises_internal(lambda: brauer.BrauerShape((1,))),
+    ]
+    print(checks)
+""")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+def test_checks_on_a_wrong_factorization_survive_python_O(flags):
+    out = subprocess.run([sys.executable, *flags, "-c", _WRONG_ARITHMETIC],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == str([True] * 6)
