@@ -9,7 +9,8 @@ and are never rounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import inspect
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -20,6 +21,7 @@ from .rounding import (
     Bracket,
     COARSE_EPS,
     DEFAULT_EPS,
+    check_eps,
     floor_upper,
     ln_bracket,
     pi_bracket,
@@ -61,12 +63,20 @@ class SymbolicProduct:
 
 @dataclass(frozen=True)
 class BoundFormula:
+    """A registered bound; its inputs are the parameters of ``build``, in
+    signature order, and ``optional`` are those with a default."""
+
     bound_id: str
-    params: tuple[str, ...]
     grh: bool
+    build: Callable[..., SymbolicProduct]
     expression: str
-    build: Callable[[dict], SymbolicProduct]
-    optional: tuple[str, ...] = ()
+    params: tuple[str, ...] = field(init=False)
+    optional: tuple[str, ...] = field(init=False)
+
+    def __post_init__(self):
+        sig = inspect.signature(self.build).parameters.values()
+        object.__setattr__(self, "params", tuple(p.name for p in sig))
+        object.__setattr__(self, "optional", tuple(p.name for p in sig if p.default is not p.empty))
 
 
 @dataclass(frozen=True)
@@ -84,29 +94,32 @@ class BoundReport:
         return f"bounds:{self.bound_id}"
 
 
-def _deg(inputs: dict, name: str) -> int:
-    v = inputs[name]
+def _positive(name: str, v) -> int:
     if not isinstance(v, int) or isinstance(v, bool) or v < 1:
         raise ValueError(f"{name} must be a positive integer, got {v!r}")
     return v
 
 
-def _fund(inputs: dict, name: str = "delta_k") -> int:
-    return FundamentalDiscriminant(inputs[name]).value
-
-
-def _disc(inputs: dict, name: str = "disc_lambda") -> int:
-    v = inputs[name]
-    if not isinstance(v, int) or v == 0:
+def _nonzero(name: str, v) -> int:
+    if not isinstance(v, int) or isinstance(v, bool) or v == 0:
         raise ValueError(f"{name} must be a nonzero integer, got {v!r}")
     return v
 
 
-def _flag(inputs: dict, name: str) -> bool:
-    v = inputs.get(name, False)
+def _fundamental(name: str, v) -> int:
+    return FundamentalDiscriminant(v).value
+
+
+def _flag(name: str, v) -> bool:
     if not isinstance(v, bool):
         raise ValueError(f"{name} must be a boolean, got {v!r}")
     return v
+
+
+# the check of each input by name; every other input is a positive integer
+_CHECKS = {"disc_lambda": _nonzero, "delta_k": _fundamental, "class_number_one": _flag}
+# checked after the integer inputs, in this order
+_CHECKED_LAST = ("delta_k", "class_number_one")
 
 
 def _grh_log(arg, power: int = 4) -> LogFactor:
@@ -114,104 +127,78 @@ def _grh_log(arg, power: int = 4) -> LogFactor:
     return LogFactor(coeff=_C323, arg=Fraction(arg), shift=_C273 * _HEIGHT_SHIFT, power=power)
 
 
-def _build_uncond_lattice(inputs: dict) -> SymbolicProduct:
-    disc = _disc(inputs)
-    d = _deg(inputs, "d")
-    r = Fraction(2 ** 34 * 3 ** 3) * minkowski_M(20).value ** 4 * disc * disc * d ** 4
+def _build_uncond_lattice(disc_lambda, d) -> SymbolicProduct:
+    r = Fraction(2 ** 34 * 3 ** 3) * minkowski_M(20).value ** 4 * disc_lambda * disc_lambda * d ** 4
     return SymbolicProduct(rational=r, pi_exp=-2)
 
 
-def _build_lattice_k_isog(inputs: dict) -> SymbolicProduct:
-    disc = _disc(inputs)
-    L = _deg(inputs, "L_deg")
-    dk = _fund(inputs)
-    if _flag(inputs, "class_number_one"):
-        r = Fraction(disc * disc * L ** 4, 2 ** 4 * dk * dk)
+def _build_lattice_k_isog(disc_lambda, L_deg, delta_k, class_number_one=False) -> SymbolicProduct:
+    if class_number_one:
+        r = Fraction(disc_lambda * disc_lambda * L_deg ** 4, 2 ** 4 * delta_k * delta_k)
         return SymbolicProduct(rational=r)
-    r = Fraction(disc * disc * L ** 4, 2 ** 2 * abs(dk))
+    r = Fraction(disc_lambda * disc_lambda * L_deg ** 4, 2 ** 2 * abs(delta_k))
     return SymbolicProduct(rational=r, pi_exp=-2)
 
 
-def _build_ab_lattice(inputs: dict) -> SymbolicProduct:
-    disc = _disc(inputs)
-    L = _deg(inputs, "L_deg")
-    dk = _fund(inputs)
-    if _flag(inputs, "class_number_one"):
-        r = Fraction(disc * disc * L ** 4, dk * dk)
+def _build_ab_lattice(disc_lambda, L_deg, delta_k, class_number_one=False) -> SymbolicProduct:
+    if class_number_one:
+        r = Fraction(disc_lambda * disc_lambda * L_deg ** 4, delta_k * delta_k)
         return SymbolicProduct(rational=r)
-    r = Fraction(2 ** 2 * disc * disc * L ** 4, abs(dk))
+    r = Fraction(2 ** 2 * disc_lambda * disc_lambda * L_deg ** 4, abs(delta_k))
     return SymbolicProduct(rational=r, pi_exp=-2)
 
 
-def _build_degree_grh(inputs: dict) -> SymbolicProduct:
-    L = _deg(inputs, "L_deg")
-    r = _C34 ** 2 * 10 ** 8 * L ** 12
-    return SymbolicProduct(rational=r, log_factors=(_grh_log(L),))
+def _build_degree_grh(L_deg) -> SymbolicProduct:
+    r = _C34 ** 2 * 10 ** 8 * L_deg ** 12
+    return SymbolicProduct(rational=r, log_factors=(_grh_log(L_deg),))
 
 
-def _build_singular_cover_grh(inputs: dict) -> SymbolicProduct:
-    d = _deg(inputs, "d")
+def _build_singular_cover_grh(d) -> SymbolicProduct:
     m20 = minkowski_M(20).value
     r = Fraction(2 ** 130 * 3 ** 12 * 5 ** 8) * _C34 ** 2 * m20 ** 12 * d ** 12
     return SymbolicProduct(rational=r, log_factors=(_grh_log(2 ** 10 * 3 * m20 * d),))
 
 
-def _build_isog_pair(inputs: dict) -> SymbolicProduct:
-    f1, f2 = _deg(inputs, "f1"), _deg(inputs, "f2")
-    M = _deg(inputs, "M_deg")
-    dk = _fund(inputs)
-    if _flag(inputs, "class_number_one"):
-        return SymbolicProduct(rational=Fraction(f1 * f1 * f2 * f2 * M ** 4))
-    r = Fraction(2 ** 2 * f1 * f1 * f2 * f2 * abs(dk) * M ** 4)
+def _build_isog_pair(f1, f2, delta_k, M_deg, class_number_one=False) -> SymbolicProduct:
+    if class_number_one:
+        return SymbolicProduct(rational=Fraction(f1 * f1 * f2 * f2 * M_deg ** 4))
+    r = Fraction(2 ** 2 * f1 * f1 * f2 * f2 * abs(delta_k) * M_deg ** 4)
     return SymbolicProduct(rational=r, pi_exp=-2)
 
 
-def _build_isog_pair_grh(inputs: dict) -> SymbolicProduct:
-    m_over_k = _deg(inputs, "M_over_k_deg")
-    k = _deg(inputs, "k_deg")
-    r = _C34 ** 2 * 10 ** 8 * m_over_k ** 4 * k ** 12
-    return SymbolicProduct(rational=r, log_factors=(_grh_log(k),))
+def _build_isog_pair_grh(M_over_k_deg, k_deg) -> SymbolicProduct:
+    r = _C34 ** 2 * 10 ** 8 * M_over_k_deg ** 4 * k_deg ** 12
+    return SymbolicProduct(rational=r, log_factors=(_grh_log(k_deg),))
 
 
-def _build_nonisog_grh(inputs: dict) -> SymbolicProduct:
-    D = _deg(inputs, "compositum_deg")
-    d = _deg(inputs, "d")
-    r = Fraction(2 ** 316 * 241 ** 24) * D ** 24
+def _build_nonisog_grh(compositum_deg, d) -> SymbolicProduct:
+    r = Fraction(2 ** 316 * 241 ** 24) * compositum_deg ** 24
     lf = LogFactor(coeff=_C546, arg=Fraction(d), shift=_C546 * _HEIGHT_SHIFT + 3, power=24)
     return SymbolicProduct(rational=r, log_factors=(lf,))
 
 
-def _build_kummer_nonisog_grh(inputs: dict) -> SymbolicProduct:
-    d = _deg(inputs, "d")
+def _build_kummer_nonisog_grh(d) -> SymbolicProduct:
     m18 = minkowski_M(18).value
     r = Fraction(2 ** 508 * 241 ** 24) * m18 ** 24 * d ** 24
     lf = LogFactor(coeff=_C546, arg=Fraction(2 ** 6 * m18 * d), shift=_C546 * _HEIGHT_SHIFT + 3, power=24)
     return SymbolicProduct(rational=r, log_factors=(lf,))
 
 
-def _build_isogeny_degree(inputs: dict) -> SymbolicProduct:
-    f1 = _deg(inputs, "f1")
-    f2 = _deg(inputs, "f2") if "f2" in inputs else 1
-    dk = _fund(inputs)
-    return SymbolicProduct(rational=Fraction(2 * f1 * f2), pi_exp=-1, sqrt_arg=abs(dk))
+def _build_isogeny_degree(f1, f2=1, *, delta_k) -> SymbolicProduct:
+    return SymbolicProduct(rational=Fraction(2 * f1 * f2), pi_exp=-1, sqrt_arg=abs(delta_k))
 
 
-def _build_isogeny_degree_grh(inputs: dict) -> SymbolicProduct:
-    d = _deg(inputs, "d")
+def _build_isogeny_degree_grh(d) -> SymbolicProduct:
     r = _C34 * 10 ** 4 * d * d
     return SymbolicProduct(rational=r, log_factors=(_grh_log(d, power=2),))
 
 
-def _build_faltings_grh(inputs: dict) -> SymbolicProduct:
-    d = _deg(inputs, "d")
+def _build_faltings_grh(d) -> SymbolicProduct:
     lf = LogFactor(coeff=_C273, arg=Fraction(d), shift=_C273 * _HEIGHT_SHIFT, power=1)
     return SymbolicProduct(rational=Fraction(1), log_factors=(lf,))
 
 
-def _build_isogeny_brauer_multiplier(inputs: dict) -> SymbolicProduct:
-    d = _deg(inputs, "d")
-    g = _deg(inputs, "g")
-    rho = _deg(inputs, "rho")
+def _build_isogeny_brauer_multiplier(d, g, rho) -> SymbolicProduct:
     if not 1 <= rho <= g * g:
         raise ValueError(f"rho must lie in [1, g^2] = [1, {g * g}], got {rho}")
     return SymbolicProduct(rational=Fraction(d ** (g * (2 * g - 1) - rho)))
@@ -220,76 +207,33 @@ def _build_isogeny_brauer_multiplier(inputs: dict) -> SymbolicProduct:
 FORMULAS: dict[str, BoundFormula] = {
     f.bound_id: f
     for f in (
-        BoundFormula(
-            "uncond_lattice", ("disc_lambda", "d"), False,
-            "2^34 * 3^3 * pi^-2 * M(20)^4 * disc^2 * d^4",
-            _build_uncond_lattice,
-        ),
-        BoundFormula(
-            "lattice_k_isog", ("disc_lambda", "L_deg", "delta_k", "class_number_one"), False,
-            "2^-2 * pi^-2 * |Delta_K|^-1 * disc^2 * L^4  (h=1: 2^-4 * |Delta_K|^-2 * disc^2 * L^4)",
-            _build_lattice_k_isog, optional=("class_number_one",),
-        ),
-        BoundFormula(
-            "ab_lattice", ("disc_lambda", "L_deg", "delta_k", "class_number_one"), False,
-            "2^2 * pi^-2 * |Delta_K|^-1 * disc^2 * L^4  (h=1: |Delta_K|^-2 * disc^2 * L^4)",
-            _build_ab_lattice, optional=("class_number_one",),
-        ),
-        BoundFormula(
-            "ab_GRH", ("L_deg",), True,
-            "(3.4)^2 * 10^8 * L^12 * ((3.23) ln L + (2.73)*109)^4",
-            _build_degree_grh,
-        ),
-        BoundFormula(
-            "kummer_GRH", ("L_deg",), True,
-            "(3.4)^2 * 10^8 * L^12 * ((3.23) ln L + (2.73)*109)^4",
-            _build_degree_grh,
-        ),
-        BoundFormula(
-            "singular_cover_GRH", ("d",), True,
-            "2^130 * 3^12 * 5^8 * (3.4)^2 * M(20)^12 * d^12 * ((3.23) ln(2^10*3*M(20)*d) + (2.73)*109)^4",
-            _build_singular_cover_grh,
-        ),
-        BoundFormula(
-            "isog_pair", ("f1", "f2", "delta_k", "M_deg", "class_number_one"), False,
-            "2^2 * pi^-2 * f1^2 * f2^2 * |Delta_K| * M^4  (h=1: f1^2 * f2^2 * M^4)",
-            _build_isog_pair, optional=("class_number_one",),
-        ),
-        BoundFormula(
-            "isog_pair_GRH", ("M_over_k_deg", "k_deg"), True,
-            "(3.4)^2 * 10^8 * [M:k]^4 * [k:Q]^12 * ((3.23) ln [k:Q] + (2.73)*109)^4",
-            _build_isog_pair_grh,
-        ),
-        BoundFormula(
-            "nonisog_GRH", ("compositum_deg", "d"), True,
-            "2^316 * 241^24 * D^24 * ((5.46)(109 + ln d) + 3)^24",
-            _build_nonisog_grh,
-        ),
-        BoundFormula(
-            "kummer_nonisog_GRH", ("d",), True,
-            "2^508 * 241^24 * M(18)^24 * d^24 * ((5.46)(109 + ln(2^6*M(18)*d)) + 3)^24",
-            _build_kummer_nonisog_grh,
-        ),
-        BoundFormula(
-            "isogeny_degree", ("f1", "f2", "delta_k"), False,
-            "2 * pi^-1 * f1 * f2 * sqrt(|Delta_K|)",
-            _build_isogeny_degree, optional=("f2",),
-        ),
-        BoundFormula(
-            "isogeny_degree_GRH", ("d",), True,
-            "(3.4) * 10^4 * d^2 * ((3.23) ln d + (2.73)*109)^2",
-            _build_isogeny_degree_grh,
-        ),
-        BoundFormula(
-            "faltings_GRH", ("d",), True,
-            "(2.73) * (109 + ln d)",
-            _build_faltings_grh,
-        ),
-        BoundFormula(
-            "isogeny_brauer_multiplier", ("d", "g", "rho"), False,
-            "d^(g(2g-1) - rho)",
-            _build_isogeny_brauer_multiplier,
-        ),
+        BoundFormula("uncond_lattice", False, _build_uncond_lattice,
+                     "2^34 * 3^3 * pi^-2 * M(20)^4 * disc^2 * d^4"),
+        BoundFormula("lattice_k_isog", False, _build_lattice_k_isog,
+                     "2^-2 * pi^-2 * |Delta_K|^-1 * disc^2 * L^4  (h=1: 2^-4 * |Delta_K|^-2 * disc^2 * L^4)"),
+        BoundFormula("ab_lattice", False, _build_ab_lattice,
+                     "2^2 * pi^-2 * |Delta_K|^-1 * disc^2 * L^4  (h=1: |Delta_K|^-2 * disc^2 * L^4)"),
+        BoundFormula("ab_GRH", True, _build_degree_grh,
+                     "(3.4)^2 * 10^8 * L^12 * ((3.23) ln L + (2.73)*109)^4"),
+        BoundFormula("kummer_GRH", True, _build_degree_grh,
+                     "(3.4)^2 * 10^8 * L^12 * ((3.23) ln L + (2.73)*109)^4"),
+        BoundFormula("singular_cover_GRH", True, _build_singular_cover_grh,
+                     "2^130 * 3^12 * 5^8 * (3.4)^2 * M(20)^12 * d^12"
+                     " * ((3.23) ln(2^10*3*M(20)*d) + (2.73)*109)^4"),
+        BoundFormula("isog_pair", False, _build_isog_pair,
+                     "2^2 * pi^-2 * f1^2 * f2^2 * |Delta_K| * M^4  (h=1: f1^2 * f2^2 * M^4)"),
+        BoundFormula("isog_pair_GRH", True, _build_isog_pair_grh,
+                     "(3.4)^2 * 10^8 * [M:k]^4 * [k:Q]^12 * ((3.23) ln [k:Q] + (2.73)*109)^4"),
+        BoundFormula("nonisog_GRH", True, _build_nonisog_grh,
+                     "2^316 * 241^24 * D^24 * ((5.46)(109 + ln d) + 3)^24"),
+        BoundFormula("kummer_nonisog_GRH", True, _build_kummer_nonisog_grh,
+                     "2^508 * 241^24 * M(18)^24 * d^24 * ((5.46)(109 + ln(2^6*M(18)*d)) + 3)^24"),
+        BoundFormula("isogeny_degree", False, _build_isogeny_degree,
+                     "2 * pi^-1 * f1 * f2 * sqrt(|Delta_K|)"),
+        BoundFormula("isogeny_degree_GRH", True, _build_isogeny_degree_grh,
+                     "(3.4) * 10^4 * d^2 * ((3.23) ln d + (2.73)*109)^2"),
+        BoundFormula("faltings_GRH", True, _build_faltings_grh, "(2.73) * (109 + ln d)"),
+        BoundFormula("isogeny_brauer_multiplier", False, _build_isogeny_brauer_multiplier, "d^(g(2g-1) - rho)"),
     )
 }
 
@@ -298,8 +242,8 @@ GRH_IDS = frozenset(k for k, f in FORMULAS.items() if f.grh)
 
 def _evaluate(sym: SymbolicProduct, eps) -> tuple[Bracket, dict]:
     # eps None means the documented default: coarse pi pair, ln and sqrt to 1e-9
-    pi_eps = COARSE_EPS if eps is None else Fraction(eps)
-    fn_eps = DEFAULT_EPS if eps is None else Fraction(eps)
+    pi_eps = COARSE_EPS if eps is None else eps
+    fn_eps = DEFAULT_EPS if eps is None else eps
     cert: dict = {"pi_eps": str(pi_eps), "fn_eps": str(fn_eps)}
     b = Bracket.exact(sym.rational)
     if sym.pi_exp != 0:
@@ -340,8 +284,10 @@ def eval_bound(bound_id: str, inputs: dict, eps=None, assume_grh: bool = False) 
     unknown = [k for k in inputs if k not in formula.params]
     if unknown:
         raise ValueError(f"{bound_id} got unknown inputs: {unknown}")
-    sym = formula.build(inputs)
-    bracket, cert = _evaluate(sym, eps)
+    order = [p for p in formula.params if p not in _CHECKED_LAST] + list(_CHECKED_LAST)
+    sym = formula.build(**{p: _CHECKS.get(p, _positive)(p, inputs[p]) for p in order if p in inputs})
+    # after the inputs, which are reported first; the brackets check eps too, but a formula may use none
+    bracket, cert = _evaluate(sym, None if eps is None else check_eps(eps))
     return BoundReport(
         bound_id=bound_id,
         inputs=dict(inputs),
@@ -415,13 +361,8 @@ def compose_intro_bound(disc_lambda: int, d: int, eps=None) -> BoundReport:
     )
     identity_holds = Fraction(1, 2 ** 2) * (2 ** 9 * 3) ** 4 == 2 ** 34 * 3 ** 4
     assert identity_holds
-    return BoundReport(
-        bound_id=intro.bound_id,
-        inputs=intro.inputs,
-        exact_symbolic=intro.exact_symbolic,
-        integer_bound=intro.integer_bound,
-        conditional=False,
-        rounding_certificate=intro.rounding_certificate,
+    return replace(
+        intro,
         cross_check={
             "specialized_bound_id": specialized.bound_id,
             "specialized_L_deg": l_deg,

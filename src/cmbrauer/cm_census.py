@@ -157,11 +157,8 @@ def singular_k3_refined_sum(d: int, disc_search_bound: int) -> int:
 
 def singular_k3_strong_bound(d: int, field_count: int, eps=DEFAULT_EPS) -> int:
     """floor(3 M(20)^3 d^3 (ln(3 M(20)^2 d^2) + 1) * field_count); the field
-    count argument means #{K : h_K <= M(20) * d}, supplied by the caller."""
+    count argument means #{K : h_K <= M(20) * d}, supplied by the caller.
+    This is singular_k3_bound at degree M(20) * d."""
     if d < 1 or field_count < 0:
         raise ValueError(f"need d >= 1 and field_count >= 0, got {(d, field_count)}")
-    if field_count == 0:
-        return 0
-    m20 = minkowski_M(20).value
-    b = ln_bracket(3 * m20 ** 2 * d * d, eps) + Bracket.exact(1)
-    return floor_upper(b.scale(3 * m20 ** 3 * d ** 3 * field_count))
+    return singular_k3_bound(minkowski_M(20).value * d, field_count, eps)

@@ -24,7 +24,6 @@ class IntegralityError(InternalCheckError):
     """The class-number formula produced a non-integer. Indicates a bug."""
 
 
-@lru_cache(maxsize=None)
 def _squarefree(n: int) -> bool:
     # squarefree means no p^2 divides |n|
     n = abs(n)

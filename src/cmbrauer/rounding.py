@@ -61,7 +61,7 @@ class Bracket:
         return self * Bracket.exact(r)
 
 
-def _check_eps(eps: Fraction) -> Fraction:
+def check_eps(eps: Fraction) -> Fraction:
     eps = Fraction(eps)
     if not _MIN_EPS <= eps < 1:
         raise ValueError(f"eps must lie in [{_MIN_EPS}, 1), got {eps}")
@@ -70,7 +70,7 @@ def _check_eps(eps: Fraction) -> Fraction:
 
 def pi_bracket(eps: Fraction = DEFAULT_EPS) -> Bracket:
     """Certified enclosure of pi. The coarse tier is the classical 355/113 bound."""
-    eps = _check_eps(eps)
+    eps = check_eps(eps)
     if eps >= COARSE_EPS:
         hi = Fraction(355, 113)
         return Bracket(hi * (1 - COARSE_EPS), hi)
@@ -112,7 +112,7 @@ def ln_bracket(x, eps: Fraction = DEFAULT_EPS) -> Bracket:
     Computed once at master precision and widened outward to a grid of
     eps/4, so enclosures at finer eps are contained in coarser ones.
     """
-    eps = _check_eps(eps)
+    eps = check_eps(eps)
     x = Fraction(x)
     if x < 1:
         raise ValueError(f"ln bracket only supports x >= 1, got {x}")
@@ -134,7 +134,7 @@ def ln_bracket(x, eps: Fraction = DEFAULT_EPS) -> Bracket:
 
 def sqrt_bracket(x, eps: Fraction = DEFAULT_EPS) -> Bracket:
     """Certified enclosure of sqrt(x) for rational x >= 0, width at most eps."""
-    eps = _check_eps(eps)
+    eps = check_eps(eps)
     x = Fraction(x)
     if x < 0:
         raise ValueError(f"sqrt bracket needs x >= 0, got {x}")

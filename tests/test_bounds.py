@@ -137,6 +137,24 @@ def test_input_validation():
         eval_bound("isog_pair", {"f1": 1, "f2": 1, "delta_k": -4, "M_deg": 2, "class_number_one": 1})
     with pytest.raises(ValueError):
         eval_bound("isog_pair", {"f1": 1, "f2": 1, "delta_k": -12, "M_deg": 2})
+    with pytest.raises(ValueError, match="disc_lambda must be a nonzero integer"):
+        eval_bound("uncond_lattice", {"disc_lambda": True, "d": 1})
+    # formulas with no pi, sqrt or ln factor still check eps
+    multiplier = {"d": 2, "g": 2, "rho": 1}
+    for eps in (0, 5, -1):
+        with pytest.raises(ValueError, match="eps must lie in"):
+            eval_bound("isogeny_brauer_multiplier", multiplier, eps=eps)
+    with pytest.raises(ValueError, match="eps must lie in"):
+        eval_bound("isog_pair", {"f1": 1, "f2": 1, "delta_k": -4, "M_deg": 2, "class_number_one": True}, eps=0)
+    # with two bad inputs, the integer inputs are checked before delta_k, and delta_k before the flag
+    with pytest.raises(ValueError, match="M_deg must be a positive integer"):
+        eval_bound("isog_pair", {"f1": 1, "f2": 1, "delta_k": -5, "M_deg": 0})
+    with pytest.raises(ValueError, match="f2 must be a positive integer"):
+        eval_bound("isogeny_degree", {"f1": 1, "f2": 0, "delta_k": -5})
+    with pytest.raises(ValueError, match=r"missing inputs: \['delta_k', 'M_deg'\]"):
+        eval_bound("isog_pair", {"f1": 1, "f2": 1})
+    with pytest.raises(ValueError, match="-5 is not a fundamental discriminant"):
+        eval_bound("isog_pair", {"f1": 1, "f2": 1, "delta_k": -5, "M_deg": 2, "class_number_one": 1})
 
 
 def test_report_shape():

@@ -178,6 +178,8 @@ def test_exit_codes(capsys):
     assert run_cli(["minkowski", "--n", "0"], capsys)[0] == 2
     assert run_cli(["k3-census", "--degree", "1"], capsys)[0] == 2
     assert run_cli(["bound", "--id", "isog_pair", "--set", "junk"], capsys)[0] == 2
+    assert run_cli(["bound", "--id", "isogeny_brauer_multiplier", "--set", "d=2", "--set", "g=2",
+                    "--set", "rho=1", "--eps", "0"], capsys)[0] == 2
     code, env = run_json(["frobnicate"], capsys)
     assert code == 64 and "unknown subcommand" in env["error"]["message"]
     # a help request is an error envelope carrying that parser's help text

@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, strategies as st
+from sympy import primerange
 
 from cmbrauer.minkowski import MinkowskiConstant, algebraic_brauer_bound, minkowski_M
 
@@ -35,8 +36,6 @@ def test_m18_factorization():
 
 @given(st.integers(min_value=1, max_value=60))
 def test_exponents_match_definition(n):
-    from sympy import primerange
-
     m = minkowski_M(n)
     for p, e in m.factorization:
         assert e == _exponent(n, p)
