@@ -12,7 +12,8 @@ from .quadratic import FundamentalDiscriminant, InternalCheckError, unit_index, 
 
 
 def _ord(ell: int, n: int) -> int:
-    assert n != 0
+    if n == 0:
+        raise InternalCheckError(f"ord_{ell}(0) is not finite")
     v = 0
     while n % ell == 0:
         n //= ell

@@ -1,26 +1,36 @@
-"""Hecke-character valuations for CM elliptic curves over Q: naive point
-counts give the trace of Frobenius a_p, the character value psi(p) is
-reconstructed from a_p in the ring of integers, and sampling its ell-adic
-valuation over good ordinary primes yields a certified upper bound on the
-largest n with psi values in Z + ell^n O_K."""
+"""Hecke-character valuations for CM elliptic curves over Q.
+
+Naive point counts give the trace of Frobenius a_p, and the character value
+psi(p) is reconstructed from a_p in the ring of integers; both serve as the
+reference.  The sampled upper bound on the largest n with psi values in
+Z + ell^n O_K needs only |t| in 4q = a_q^2 + |Delta_K| t^2, which Cornacchia's
+algorithm and one residue symbol give in O(log q) per prime, with no point
+count (Cohen, GTM 138, Alg. 1.5.3; Ireland & Rosen, GTM 84, ch. 18).
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple
 
 from .brauer import _ord
-from .primes import isprime, primerange
-from .quadratic import FundamentalDiscriminant
+from .primes import isprime, primerange, sqrt_mod
+from .quadratic import FundamentalDiscriminant, InternalCheckError, kronecker_symbol
 
 _POINT_COUNT_CAP = 10 ** 6
+
+# the rational j-invariant of the maximal order of each class-number-one field
+_CM_J_INVARIANTS = {-3: 0, -4: 1728, -7: -3375, -8: 8000, -11: -32768, -19: -884736,
+                    -43: -884736000, -67: -147197952000, -163: -262537412640768000}
 
 
 @dataclass(frozen=True)
 class CurveOverQ:
     """Short Weierstrass curve y^2 = x^3 + a4 x + a6 over Q whose CM order
-    discriminant the caller asserts (it is never derived from the model)."""
+    discriminant the caller asserts (it is never derived from the model;
+    estimate_m checks it against the j-invariant)."""
 
     a4: int
     a6: int
@@ -53,7 +63,8 @@ class PsiValue:
     delta_k: int
 
     def __post_init__(self):
-        assert self.norm == self.p, (self.x, self.y, self.p, self.delta_k)
+        if self.norm != self.p:
+            raise InternalCheckError(f"norm of {(self.x, self.y)} over {self.delta_k} is not {self.p}")
 
     @property
     def trace(self) -> int:
@@ -107,6 +118,66 @@ def psi_from_ap(a_p: int, p: int, delta_k: int) -> PsiValue:
     return PsiValue(x=x, y=t, p=p, delta_k=delta_k)
 
 
+def _cornacchia_4q(delta_k: int, q: int) -> tuple[int, int]:
+    """(x, y) with x, y >= 0 and x^2 + |Delta_K| y^2 = 4q, for an odd prime q
+    split in a field of class number one (Cohen, GTM 138, Alg. 1.5.3)."""
+    b = sqrt_mod(delta_k, q)
+    if (b - delta_k) % 2:
+        b = q - b
+    a, limit = 2 * q, isqrt(4 * q)
+    while b > limit:
+        a, b = b, a % b
+    c, rem = divmod(4 * q - b * b, -delta_k)
+    y = isqrt(c)
+    if rem or y * y != c:
+        raise InternalCheckError(f"4*{q} is not x^2 + {-delta_k} y^2 by Cornacchia")
+    return b, y
+
+
+def _frobenius_t(curve: CurveOverQ, q: int) -> int:
+    """|t| with 4q = a_q^2 + |Delta_K| t^2 at a good prime q split in K, the
+    field of class number one by which the curve has CM."""
+    d = curve.cm_disc
+    x, y = _cornacchia_4q(d, q)
+    if d == -4:
+        # q = u^2 + t^2: t is the even one iff -a4 is a square mod q, the
+        # quadratic part of the quartic symbol of -a4
+        u = x // 2
+        even, odd = (u, y) if u % 2 == 0 else (y, u)
+        return even if kronecker_symbol(-curve.a4, q) == 1 else odd
+    if d == -3:
+        # pi = (x + y sqrt(-3))/2 = A + B omega, omega = (-1 + sqrt(-3))/2;
+        # multiplying by omega sends (A, B) to (-B, A - B)
+        A, B = (x + y) // 2, y
+        while B % 3:
+            A, B = -B, A - B
+        # pi is primary up to a sign, which |t| does not see (B = 0 mod 3);
+        # in O_K/pi = F_q, sqrt(-3) = -a/t with a = 2A - B, t = B
+        w = (-1 - (2 * A - B) * pow(B, -1, q)) * (q + 1) // 2 % q
+        # the cubic symbol (4 a6 / pi)_3 = omega^k, read off as
+        # (4 a6)^((q-1)/3) = w^k mod q, makes psi(q) = omega^k pi up to sign
+        chi = pow(4 * curve.a6 % q, (q - 1) // 3, q)
+        for _ in range(3):
+            if chi == 1:
+                return abs(B)
+            chi = chi * w * w % q    # divide by w, as w^3 = 1
+            A, B = -B, A - B
+        raise InternalCheckError(f"(4*{curve.a6})^(({q}-1)/3) is not a cube root of unity mod {q}")
+    # a single generator up to sign: |t| is determined
+    return y
+
+
+def _check_cm(curve: CurveOverQ) -> None:
+    """Reject a model whose j-invariant 1728*4a4^3/(4a4^3 + 27a6^2) is not the
+    j-invariant of the asserted maximal order."""
+    j_k = _CM_J_INVARIANTS.get(curve.cm_disc)
+    num = 1728 * 4 * curve.a4 ** 3
+    if j_k is None or num != j_k * curve.weierstrass_disc:
+        j = Fraction(num, curve.weierstrass_disc)
+        raise ValueError(f"y^2 = x^3 + {curve.a4}x + {curve.a6} (j = {j}) does not have CM by "
+                         f"the maximal order of discriminant {curve.cm_disc}")
+
+
 class MEstimate(NamedTuple):
     m_hat: int
     samples_used: int
@@ -119,24 +190,29 @@ def estimate_m(curve: CurveOverQ, ell: int, prime_budget: int) -> MEstimate:
 
     Sampling bounds the true valuation only from above (the definition
     quantifies over all primes), so more budget can only tighten the result:
-    the estimate is non-increasing in prime_budget.  Supersingular primes are
-    skipped; a minimum of 0 ends the scan early since no later prime can go
-    lower.
+    the estimate is non-increasing in prime_budget.  Supersingular primes,
+    the good primes inert or ramified in K, are skipped; a minimum of 0 ends
+    the scan early since no later prime can go lower.  The model must have
+    the j-invariant of the asserted order, and the scan stops with an error at
+    a good prime above 10^6.
     """
     if not isprime(ell):
         raise ValueError(f"ell must be prime, got {ell}")
     if prime_budget < 1:
         raise ValueError(f"prime budget must be positive, got {prime_budget}")
     FundamentalDiscriminant(curve.cm_disc)
+    _check_cm(curve)
     best: int | None = None
     samples = 0
     for q in primerange(2, prime_budget + 1):
         if q == ell or not curve.has_good_reduction(q):
             continue
-        a_q = count_points_ap(curve, q)
-        if a_q == 0:
+        if q > _POINT_COUNT_CAP:
+            # bounds the scan's time; the message is the point count's own
+            raise ValueError(f"point-count budget is p <= {_POINT_COUNT_CAP}, got {q}")
+        if kronecker_symbol(curve.cm_disc, q) != 1:
             continue
-        v = _ord(ell, psi_from_ap(a_q, q, curve.cm_disc).y)
+        v = _ord(ell, _frobenius_t(curve, q))
         samples += 1
         if best is None or v < best:
             best = v

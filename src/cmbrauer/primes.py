@@ -1,16 +1,18 @@
 """Primes and factorizations for the integers this package meets.
 
 A byte sieve answers every question below 2^16.  Above it, ``isprime`` is
-Miller-Rabin with the first 13 prime bases, which is deterministic for
-n < PSI_13 (Sorenson & Webster, Math. Comp. 86 (2017)); ``primerange`` sieves
-segment by segment; ``factorint`` trial-divides by the table primes and splits
-what is left with Pollard-Brent rho (Brent, BIT 20 (1980)).  Only integers at
-or above PSI_13 are handed to sympy, which is imported then and not before.
+Miller-Rabin with the first k prime bases for n < psi_k, which is
+deterministic up to PSI_13 (Sorenson & Webster, Math. Comp. 86 (2017));
+``primerange`` sieves segment by segment; ``factorint`` trial-divides by the
+table primes and splits what is left with Pollard-Brent rho (Brent, BIT 20
+(1980)); ``sqrt_mod`` is Tonelli-Shanks (Cohen, GTM 138, Alg. 1.5.1).  Only
+integers at or above PSI_13 are handed to sympy, which is imported then and
+not before.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from itertools import compress, count
 from math import gcd, isqrt, prod
@@ -20,6 +22,10 @@ _TABLE = 1 << 16
 _SEGMENT = 1 << 16
 PSI_13 = 3317044064679887385961981
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_k: the least strong pseudoprime to each of the first k prime bases
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+       3825123056546413051, 318665857834031151167461, PSI_13)
 
 
 def _sieve(n: int) -> bytearray:
@@ -37,11 +43,12 @@ _BASES_PRODUCT = prod(_BASES)
 
 
 def _miller_rabin(n: int) -> bool:
-    # odd n < PSI_13 prime to every base (isprime tests that first)
+    # odd n < PSI_13 prime to every base (isprime tests that first); the
+    # first k bases decide every n < psi_k
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _BASES:
+    for a in _BASES[:bisect_right(PSI, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -64,6 +71,28 @@ def isprime(n: int) -> bool:
 
         return bool(sympy_isprime(n))
     return gcd(n, _BASES_PRODUCT) == 1 and _miller_rabin(n)
+
+
+def sqrt_mod(a: int, p: int) -> int:
+    """A square root of a modulo the odd prime p, which must be a nonzero
+    quadratic residue; the caller checks both."""
+    a %= p
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    if s == 1:
+        return pow(a, (p + 1) // 4, p)
+    z = next(z for z in count(2) if pow(z, (p - 1) // 2, p) == p - 1)
+    c, r, t = pow(z, q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
+    while t != 1:
+        # t has order 2^i with 0 < i < s
+        i, t2 = 1, t * t % p
+        while t2 != 1:
+            i, t2 = i + 1, t2 * t2 % p
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        r, t = r * b % p, t * c % p
+    return r
 
 
 def primerange(a: int, b: int) -> Iterator[int]:

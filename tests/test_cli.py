@@ -180,6 +180,9 @@ def test_exit_codes(capsys):
     assert run_cli(["bound", "--id", "isog_pair", "--set", "junk"], capsys)[0] == 2
     assert run_cli(["bound", "--id", "isogeny_brauer_multiplier", "--set", "d=2", "--set", "g=2",
                     "--set", "rho=1", "--eps", "0"], capsys)[0] == 2
+    # a model without CM by the asserted field is bad input, not a certified bound
+    assert run_cli(["mell-estimate", "--a4", "-6", "--a6", "-3", "--cm-disc", "-11", "--ell", "2",
+                    "--budget", "50"], capsys)[0] == 2
     code, env = run_json(["frobnicate"], capsys)
     assert code == 64 and "unknown subcommand" in env["error"]["message"]
     # a help request is an error envelope carrying that parser's help text
@@ -295,6 +298,16 @@ def test_large_prime_ell_exits_quickly(capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 0
     assert env["result"] == {"cyclic_factors": ["1000000007"], "order": "1000000007"}
+
+
+def test_large_budget_exits_quickly(capsys):
+    # the scan stops at the first good prime past the 10^6 cap
+    start = time.perf_counter()
+    code, env = run_json(["mell-estimate", "--a4", "-1", "--a6", "0", "--cm-disc", "-4", "--ell", "2",
+                          "--budget", "2000000"], capsys)
+    assert time.perf_counter() - start < 5.0
+    assert code == 2
+    assert env["error"]["message"] == "point-count budget is p <= 1000000, got 1000003"
 
 
 def test_error_payload_is_canonical(capsys):

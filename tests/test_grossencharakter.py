@@ -1,21 +1,40 @@
 """Point counts, character values and the sampled m_ell upper bound."""
 
+import subprocess
+import sys
+import textwrap
+import time
+from functools import lru_cache
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from sympy import primerange
 
+from cmbrauer.brauer import _ord
 from cmbrauer.grossencharakter import (
     CurveOverQ,
     MEstimate,
+    _frobenius_t,
     count_points_ap,
     estimate_m,
     psi_from_ap,
 )
+from cmbrauer.quadratic import kronecker_symbol
 
 EI = CurveOverQ(-1, 0, -4)        # y^2 = x^3 - x, CM by the Gaussian integers
 EZ = CurveOverQ(0, 1, -3)         # y^2 = x^3 + 1, CM by the Eisenstein integers
 E7 = CurveOverQ(-35, -98, -7)     # j = -3375, CM by the maximal order of Q(sqrt(-7))
+
+# quartic twists over Q(i), sextic twists over Q(zeta_3), and one model for
+# each other field of class number one
+CM_CURVES = (
+    [CurveOverQ(a4, 0, -4) for a4 in (1, -1, 2, -2, 3, -3, 5, -5, 6, 7)]
+    + [CurveOverQ(0, a6, -3) for a6 in (1, -1, 2, -2, 3, -3, 5, 16, -432, 7)]
+    + [E7, CurveOverQ(-30, 56, -8), CurveOverQ(-264, 1694, -11), CurveOverQ(-152, 722, -19),
+       CurveOverQ(-3440, 77658, -43), CurveOverQ(-29480, 1948226, -67),
+       CurveOverQ(-8697680, 9873093538, -163)]
+)
 
 
 def _oracle_ap(curve: CurveOverQ, p: int) -> int:
@@ -131,6 +150,21 @@ def test_estimate_m_diagnostics():
         estimate_m(EI, 2, 0)
     with pytest.raises(ValueError):
         estimate_m(CurveOverQ(-1, 0, -16), 2, 100)   # needs the maximal order
+    # the model must have the j-invariant of the asserted order
+    for wrong in (CurveOverQ(-6, -3, -11),            # j = 55296/23: no CM at all
+                  CurveOverQ(-1, 0, -3),              # j = 1728 is Q(i), not Q(zeta_3)
+                  CurveOverQ(0, 1, -4),               # j = 0 is Q(zeta_3), not Q(i)
+                  CurveOverQ(-1, 0, -15)):            # h = 2: no rational j
+        with pytest.raises(ValueError, match="does not have CM"):
+            estimate_m(wrong, 2, 50)
+
+
+def test_estimate_m_scan_is_bounded():
+    start = time.perf_counter()
+    assert estimate_m(EI, 2, 10 ** 6) == MEstimate(m_hat=1, samples_used=39175)
+    assert time.perf_counter() - start < 3
+    with pytest.raises(ValueError, match=r"point-count budget is p <= 1000000, got 1000003"):
+        estimate_m(EI, 2, 2 * 10 ** 6)
 
 
 def test_point_count_vs_euler_oracle():
@@ -138,3 +172,90 @@ def test_point_count_vs_euler_oracle():
         for p in primerange(3, 250):
             if curve.has_good_reduction(p):
                 assert count_points_ap(curve, p) == _oracle_ap(curve, p)
+
+
+@lru_cache(maxsize=None)
+def _cached_ap(curve, q):
+    return count_points_ap(curve, q)
+
+
+def _reference_estimate_m(curve, ell, prime_budget):
+    # the point-count scan: a_q by enumeration, psi(q) rebuilt from a_q
+    best, samples = None, 0
+    for q in primerange(2, prime_budget + 1):
+        if q == ell or not curve.has_good_reduction(q):
+            continue
+        a_q = _cached_ap(curve, q)
+        if a_q == 0:
+            continue
+        v = _ord(ell, psi_from_ap(a_q, q, curve.cm_disc).y)
+        samples += 1
+        if best is None or v < best:
+            best = v
+        if best == 0:
+            break
+    if best is None:
+        raise ValueError("no ordinary good prime")
+    return MEstimate(best, samples)
+
+
+def _check_frobenius_t(curve, p):
+    a_p = _cached_ap(curve, p)
+    assert (kronecker_symbol(curve.cm_disc, p) == 1) == (a_p != 0), (curve, p)
+    if a_p != 0:
+        assert _frobenius_t(curve, p) ** 2 * -curve.cm_disc == 4 * p - a_p ** 2, (curve, p)
+
+
+@pytest.mark.parametrize("curve", CM_CURVES, ids=lambda c: f"{c.a4},{c.a6},{c.cm_disc}")
+def test_frobenius_t_matches_point_counts(curve):
+    for p in primerange(3, 1001):
+        if curve.has_good_reduction(p):
+            _check_frobenius_t(curve, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=-10 ** 12, max_value=10 ** 12).filter(bool), st.booleans())
+def test_frobenius_t_on_random_twists(coeff, quartic):
+    curve = CurveOverQ(coeff, 0, -4) if quartic else CurveOverQ(0, coeff, -3)
+    for p in primerange(3, 400):
+        if curve.has_good_reduction(p):
+            _check_frobenius_t(curve, p)
+
+
+@pytest.mark.parametrize("curve", CM_CURVES, ids=lambda c: f"{c.a4},{c.a6},{c.cm_disc}")
+def test_estimate_m_matches_point_count_scan(curve):
+    for ell in (2, 3, 5, 7):
+        for budget in (10, 60, 250, 700, 1500):
+            try:
+                expected = _reference_estimate_m(curve, ell, budget)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=str(exc)):
+                    estimate_m(curve, ell, budget)
+            else:
+                assert estimate_m(curve, ell, budget) == expected, (ell, budget)
+
+
+_BROKEN_IDENTITIES = textwrap.dedent("""
+    from cmbrauer import brauer, grossencharakter, quadratic
+
+    def raises_internal(call):
+        try:
+            call()
+        except quadratic.InternalCheckError:
+            return True
+        return False
+
+    checks = [
+        raises_internal(lambda: grossencharakter.PsiValue(3, 2, 7, -4)),
+        raises_internal(lambda: brauer._ord(2, 0)),
+        raises_internal(lambda: grossencharakter._cornacchia_4q(-7, 3)),
+    ]
+    print(checks)
+""")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+def test_internal_checks_survive_python_O(flags):
+    out = subprocess.run([sys.executable, *flags, "-c", _BROKEN_IDENTITIES],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == str([True] * 3)

@@ -12,7 +12,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from cmbrauer import primes
-from cmbrauer.primes import PSI_13, divisors, factorint, isprime, primerange
+from cmbrauer.primes import PSI, PSI_13, divisors, factorint, isprime, primerange, sqrt_mod
 
 # strong pseudoprimes to the first 1, 2, 3, 4, 9 and 12 prime bases (psi_1 .. psi_12)
 STRONG_PSEUDOPRIMES = (2047, 1373653, 25326001, 3215031751, 3825123056546413051,
@@ -41,6 +41,38 @@ def test_carmichael_list_is_carmichael():
         f = sympy.factorint(n)
         assert len(f) >= 3 and set(f.values()) == {1}
         assert all((n - 1) % (p - 1) == 0 for p in f)
+
+
+@pytest.mark.parametrize("k", range(1, 14))
+def test_isprime_at_each_base_count_boundary(k):
+    # isprime uses the first k bases below psi_k and k + 1 from psi_k on
+    psi = PSI[k - 1]
+    assert not sympy.isprime(psi)
+    for n in range(psi - 2, psi + 3):
+        assert isprime(n) == sympy.isprime(n), n
+
+
+def test_psi_table_is_the_strong_pseudoprime_sequence():
+    # psi_k passes the first k bases; the last of them is needed below psi_13
+    assert PSI == tuple(sorted(PSI)) and PSI[-1] == PSI_13
+    for k, psi in enumerate(PSI, start=1):
+        d, s = psi - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        for a in primes._BASES[:k]:
+            x = pow(a, d, psi)
+            assert x in (1, psi - 1) or any(pow(x, 2 ** r, psi) == psi - 1 for r in range(1, s)), (k, a)
+
+
+def test_sqrt_mod_small_primes():
+    for p in primerange(3, 700):
+        for a in range(1, p):
+            if pow(a, (p - 1) // 2, p) == 1:
+                assert sqrt_mod(a, p) ** 2 % p == a, (a, p)
+    for p in (10 ** 9 + 7, 2 ** 61 - 1, 998244353):       # 998244353 - 1 = 2^23 * 119
+        for a in (2, 3, 5, 12345):
+            if pow(a, (p - 1) // 2, p) == 1:
+                assert sqrt_mod(a, p) ** 2 % p == a
 
 
 def test_psi13_reads_composite_through_the_fallback():
