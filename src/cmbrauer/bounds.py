@@ -12,8 +12,10 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import log10
 from typing import Callable, NamedTuple
 
+from .errors import BudgetError, InternalCheckError
 from .lattices import LatticeDescriptor, parse_lattice
 from .minkowski import minkowski_M
 from .quadratic import FundamentalDiscriminant
@@ -34,6 +36,8 @@ _C323 = Fraction(323, 100)
 _C273 = Fraction(273, 100)
 _C546 = Fraction(546, 100)
 _HEIGHT_SHIFT = 109
+# CPython's default limit on int -> str conversion: a bound past it could not be rendered
+_MAX_DIGITS = 4300
 
 
 class LogFactor(NamedTuple):
@@ -55,10 +59,11 @@ class SymbolicProduct:
     log_factors: tuple[LogFactor, ...] = ()
 
     def __post_init__(self):
-        assert self.rational > 0
-        assert self.sqrt_arg >= 1
+        if self.rational <= 0 or self.sqrt_arg < 1:
+            raise InternalCheckError(f"rational {self.rational} or sqrt argument {self.sqrt_arg} is not positive")
         for lf in self.log_factors:
-            assert lf.arg >= 1 and lf.power >= 1
+            if lf.arg < 1 or lf.power < 1:
+                raise InternalCheckError(f"log factor {lf} needs arg >= 1 and power >= 1")
 
 
 @dataclass(frozen=True)
@@ -201,7 +206,13 @@ def _build_faltings_grh(d) -> SymbolicProduct:
 def _build_isogeny_brauer_multiplier(d, g, rho) -> SymbolicProduct:
     if not 1 <= rho <= g * g:
         raise ValueError(f"rho must lie in [1, g^2] = [1, {g * g}], got {rho}")
-    return SymbolicProduct(rational=Fraction(d ** (g * (2 * g - 1) - rho)))
+    e = g * (2 * g - 1) - rho
+    # the digit estimate e * log10(d) refuses before the power is formed; short
+    # of it the power has at most _MAX_DIGITS + 2 digits, and the exact test decides
+    if (d > 1 and e > (_MAX_DIGITS + 1) / log10(d)) or (power := d ** e) >= 10 ** _MAX_DIGITS:
+        raise BudgetError(f"d^(g(2g-1) - rho) at d = {d}, g = {g}, rho = {rho}"
+                          f" has more than {_MAX_DIGITS} digits")
+    return SymbolicProduct(rational=Fraction(power))
 
 
 FORMULAS: dict[str, BoundFormula] = {
@@ -260,7 +271,8 @@ def _evaluate(sym: SymbolicProduct, eps) -> tuple[Bracket, dict]:
         ln_b = ln_bracket(lf.arg, fn_eps)
         cert[f"ln_{i}"] = [str(ln_b.lo), str(ln_b.hi)]
         affine = ln_b.scale(lf.coeff) + Bracket.exact(lf.shift)
-        assert affine.lo > 0
+        if affine.lo <= 0:
+            raise InternalCheckError(f"log factor {lf} may be nonpositive, so its power is not monotone")
         b = b * affine ** lf.power
     return b, cert
 
@@ -360,7 +372,8 @@ def compose_intro_bound(disc_lambda: int, d: int, eps=None) -> BoundReport:
         eps=eps,
     )
     identity_holds = Fraction(1, 2 ** 2) * (2 ** 9 * 3) ** 4 == 2 ** 34 * 3 ** 4
-    assert identity_holds
+    if not identity_holds:
+        raise InternalCheckError("2^-2 * (2^9*3)^4 != 2^34 * 3^4")
     return replace(
         intro,
         cross_check={

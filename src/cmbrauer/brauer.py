@@ -7,8 +7,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import log, log2, prod
 
+from .errors import InternalCheckError
 from .primes import isprime, primerange
-from .quadratic import FundamentalDiscriminant, InternalCheckError, unit_index, kronecker_symbol
+from .quadratic import FundamentalDiscriminant, unit_index, kronecker_symbol
 
 
 def _ord(ell: int, n: int) -> int:
@@ -105,7 +106,8 @@ class MValuation:
             if m < 0:
                 raise ValueError(f"valuation at {ell} must be nonnegative, got {m}")
         ells = [ell for ell, _ in self.valuations]
-        assert len(set(ells)) == len(ells), "duplicate primes in valuation map"
+        if len(set(ells)) != len(ells):
+            raise InternalCheckError(f"duplicate primes in valuation map {self.valuations}")
 
     @property
     def c(self) -> int:

@@ -4,9 +4,11 @@ envelopes on stdout.
 Serialization is canonical: keys sorted, every integer rendered as a decimal
 string (values routinely exceed 64 bits), byte-identical across runs.  Exit
 codes: 0 success; 2 input validation, a help request (its error message is
-the help text) or an --output file that cannot be written; 64 unknown
-subcommand; 70 internal failure: a violated internal identity, or a valid
-result that cannot be rendered.  Each subcommand is one entry of ``TABLE``.
+the help text), an --output file that cannot be written, or a BudgetError:
+an answer past what the library can certify or compute in bounded time; 64
+unknown subcommand; 70 internal failure: a violated internal identity, or a
+valid result that cannot be rendered.  Each subcommand is one entry of
+``TABLE``.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InternalCheckError
 from .minkowski import minkowski_M
 from .primes import divisors
 from .quadratic import (
@@ -36,7 +37,8 @@ class ConductorBoundReport:
 
     def __post_init__(self):
         # the "in all cases" cap
-        assert self.bound <= 3 * self.degree ** 2
+        if self.bound > 3 * self.degree ** 2:
+            raise InternalCheckError(f"conductor bound {self.bound} exceeds 3 d^2 at d = {self.degree}")
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,8 @@ class CensusReport:
     cube_bound: int  # d^3 * number of fields, for comparison
 
     def __post_init__(self):
-        assert self.total == sum(c for _, c in self.per_field_counts)
+        if self.total != sum(c for _, c in self.per_field_counts):
+            raise InternalCheckError(f"census total {self.total} is not the sum of {self.per_field_counts}")
 
 
 def conductor_bound(field: FundamentalDiscriminant, ring_class_degree: int) -> ConductorBoundReport:
@@ -103,8 +106,8 @@ def cm_count_per_field(field: FundamentalDiscriminant, d: int) -> int:
     admitting a model over some degree-d field: sum of h(O_f) over permissible f."""
     total = sum(h for _, h in d_permissible_conductors(field, d))
     known = EXCEPTIONAL_CM_COUNTS.get((field.value, d))
-    if known is not None:
-        assert total == known, (field.value, d, total)
+    if known is not None and total != known:
+        raise InternalCheckError(f"census over {field.value} at degree {d} gave {total}, known {known}")
     return total
 
 
@@ -118,7 +121,9 @@ def cm_count_total(d: int, disc_search_bound: int) -> CensusReport:
     certified = False
     if d == 1 and disc_search_bound >= 163:
         # the class-number-1 field list is a solved problem: 9 fields, count 13
-        assert len(search.fields) == 9 and total == 13, (len(search.fields), total)
+        if len(search.fields) != 9 or total != 13:
+            raise InternalCheckError(f"degree-one census gave {len(search.fields)} fields and {total} curves,"
+                                     " known 9 and 13")
         certified = True
     return CensusReport(
         degree=d,

@@ -16,8 +16,9 @@ from math import isqrt
 from typing import NamedTuple
 
 from .brauer import _ord
+from .errors import BudgetError, InternalCheckError
 from .primes import isprime, primerange, sqrt_mod
-from .quadratic import FundamentalDiscriminant, InternalCheckError, kronecker_symbol
+from .quadratic import FundamentalDiscriminant, kronecker_symbol
 
 _POINT_COUNT_CAP = 10 ** 6
 
@@ -83,7 +84,7 @@ def count_points_ap(curve: CurveOverQ, p: int) -> int:
     if not isprime(p):
         raise ValueError(f"{p} is not prime")
     if p > _POINT_COUNT_CAP:
-        raise ValueError(f"point-count budget is p <= {_POINT_COUNT_CAP}, got {p}")
+        raise BudgetError(f"point-count budget is p <= {_POINT_COUNT_CAP}, got {p}")
     if not curve.has_good_reduction(p):
         raise ValueError(f"bad reduction at {p}")
     chi = [-1] * p
@@ -209,7 +210,7 @@ def estimate_m(curve: CurveOverQ, ell: int, prime_budget: int) -> MEstimate:
             continue
         if q > _POINT_COUNT_CAP:
             # bounds the scan's time; the message is the point count's own
-            raise ValueError(f"point-count budget is p <= {_POINT_COUNT_CAP}, got {q}")
+            raise BudgetError(f"point-count budget is p <= {_POINT_COUNT_CAP}, got {q}")
         if kronecker_symbol(curve.cm_disc, q) != 1:
             continue
         v = _ord(ell, _frobenius_t(curve, q))

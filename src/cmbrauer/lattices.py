@@ -8,6 +8,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
+from .errors import InternalCheckError
 from .quadratic import FundamentalDiscriminant, fundamental_discriminant
 
 # the node lattice of a Kummer surface: fixed rank and discriminant
@@ -63,14 +64,16 @@ def disc_ns_product(pair: CMPair) -> int:
     """disc NS(E1 x E2) = lcm(f1,f2)^2 * Delta_K."""
     d = pair.conductor_lcm ** 2 * pair.field.value
     # cross-check against -(-2)^(rho-2) * disc Hom with rho = 4
-    assert d == -((-2) ** 2) * disc_hom(pair)
+    if d != -((-2) ** 2) * disc_hom(pair):
+        raise InternalCheckError(f"disc NS(E1 x E2) = {d} is not -4 disc Hom for {pair}")
     return d
 
 
 def disc_ns_kummer(pair: CMPair) -> int:
     """|disc NS(Kum(E1 x E2))| = 2^2 * lcm(f1,f2)^2 * |Delta_K|."""
     d = 4 * pair.conductor_lcm ** 2 * abs(pair.field.value)
-    assert d == 2 ** 4 * abs(disc_hom(pair))
+    if d != 2 ** 4 * abs(disc_hom(pair)):
+        raise InternalCheckError(f"|disc NS(Kum)| = {d} is not 16 |disc Hom| for {pair}")
     return d
 
 

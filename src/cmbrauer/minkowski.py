@@ -6,8 +6,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 
+from .errors import InternalCheckError
 from .primes import primerange
-from .quadratic import InternalCheckError
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,9 @@ Miller-Rabin with the first k prime bases for n < psi_k, which is
 deterministic up to PSI_13 (Sorenson & Webster, Math. Comp. 86 (2017));
 ``primerange`` sieves segment by segment; ``factorint`` trial-divides by the
 table primes and splits what is left with Pollard-Brent rho (Brent, BIT 20
-(1980)); ``sqrt_mod`` is Tonelli-Shanks (Cohen, GTM 138, Alg. 1.5.1).  Only
-integers at or above PSI_13 are handed to sympy, which is imported then and
-not before.
+(1980)); ``sqrt_mod`` is Tonelli-Shanks (Cohen, GTM 138, Alg. 1.5.1).  From
+PSI_13 on, where no verdict "prime" is proven, ``isprime`` and ``factorint``
+raise BudgetError rather than give one.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from collections.abc import Iterator
 from itertools import compress, count
 from math import gcd, isqrt, prod
 from operator import index
+
+from .errors import BudgetError
 
 _TABLE = 1 << 16
 _SEGMENT = 1 << 16
@@ -43,8 +45,8 @@ _BASES_PRODUCT = prod(_BASES)
 
 
 def _miller_rabin(n: int) -> bool:
-    # odd n < PSI_13 prime to every base (isprime tests that first); the
-    # first k bases decide every n < psi_k
+    # odd n prime to every base (isprime tests that first); the first k bases
+    # decide every n < psi_k, and from PSI_13 on all 13 can only find a witness
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
@@ -62,15 +64,17 @@ def _miller_rabin(n: int) -> bool:
 
 
 def isprime(n: int) -> bool:
-    """Whether the integer n is prime; False for n < 2."""
+    """Whether the integer n is prime; False for n < 2.  From PSI_13 on, False
+    needs a base that divides n or witnesses against it, and True is refused."""
     n = index(n)
     if n < _TABLE:
         return n > 1 and _IS_PRIME[n] == 1
+    if gcd(n, _BASES_PRODUCT) != 1 or not _miller_rabin(n):
+        return False
     if n >= PSI_13:
-        from sympy import isprime as sympy_isprime
-
-        return bool(sympy_isprime(n))
-    return gcd(n, _BASES_PRODUCT) == 1 and _miller_rabin(n)
+        raise BudgetError(f"{n} passes Miller-Rabin to the first 13 prime bases,"
+                          f" which proves primality only below psi_13 = {PSI_13}")
+    return True
 
 
 def sqrt_mod(a: int, p: int) -> int:
@@ -148,23 +152,9 @@ def _brent(n: int) -> int:
             return g
 
 
-def _split(n: int, factors: dict[int, int]) -> None:
-    """Add the factorization of n > 1, which has no prime factor in the table."""
-    if n >= PSI_13:
-        from sympy import factorint as sympy_factorint
-
-        for p, e in sympy_factorint(n).items():
-            factors[p] = factors.get(p, 0) + e
-    elif isprime(n):
-        factors[n] = factors.get(n, 0) + 1
-    else:
-        d = _brent(n)
-        _split(d, factors)
-        _split(n // d, factors)
-
-
 def factorint(n: int) -> dict[int, int]:
-    """The prime factorization of n >= 1 as {p: e}, keys ascending."""
+    """The prime factorization of n >= 1 as {p: e}, keys ascending.  A
+    cofactor at or above PSI_13 left by trial division raises BudgetError."""
     n = index(n)
     if n < 1:
         raise ValueError(f"factorint needs a positive integer, got {n}")
@@ -180,8 +170,17 @@ def factorint(n: int) -> dict[int, int]:
                 n //= p
                 e += 1
             factors[p] = e
-    if n > 1:
-        _split(n, factors)
+    if n >= PSI_13:
+        raise BudgetError(f"{n} is left after trial division and is at or above psi_13 = {PSI_13},"
+                          " past which primality is not proven")
+    rest = [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        if isprime(m):
+            factors[m] = factors.get(m, 0) + 1
+        else:
+            d = _brent(m)
+            rest += (d, m // d)
     return dict(sorted(factors.items()))
 
 

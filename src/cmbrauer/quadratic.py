@@ -12,12 +12,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
+from .errors import InternalCheckError
 from .primes import factorint, isprime
-
-
-class InternalCheckError(AssertionError):
-    """A violated internal identity: a bug, not bad input.  Raised explicitly,
-    so the check also runs under python -O."""
 
 
 class IntegralityError(InternalCheckError):
@@ -25,10 +21,8 @@ class IntegralityError(InternalCheckError):
 
 
 def _squarefree(n: int) -> bool:
-    # squarefree means no p^2 divides |n|
-    n = abs(n)
-    assert n > 0
-    return all(e == 1 for e in factorint(n).values())
+    # squarefree means no p^2 divides |n|; factorint rejects n = 0
+    return all(e == 1 for e in factorint(abs(n)).values())
 
 
 @lru_cache(maxsize=None)
@@ -142,7 +136,8 @@ def kronecker_symbol(delta: int, p: int) -> int:
 
 def unit_index(delta_k: int, f: int) -> int:
     """[O_K^x : O_f^x]: 2 for Z[i] vs larger orders, 3 for Z[zeta_3], else 1."""
-    assert f >= 1
+    if f < 1:
+        raise ValueError(f"conductor must be positive, got {f}")
     if f == 1:
         return 1
     if delta_k == -4:
@@ -187,7 +182,8 @@ def form_class_counts(disc_bound: int) -> dict[int, int]:
     Single bucketed sweep over all (a, b, c) with |b| <= a <= c; much faster
     than calling reduced_forms per discriminant when auditing whole ranges.
     """
-    assert disc_bound >= 3
+    if disc_bound < 3:
+        raise ValueError(f"disc_bound must be at least 3, got {disc_bound}")
     counts: dict[int, int] = {}
     a_max = isqrt(disc_bound // 3)
     for a in range(1, a_max + 1):
@@ -213,7 +209,8 @@ def class_number_field(delta_k: int) -> int:
     """h_K by brute force: count reduced forms of the fundamental discriminant."""
     FundamentalDiscriminant(delta_k)  # validate
     h = len(reduced_forms(delta_k))
-    assert h >= 1
+    if h < 1:
+        raise InternalCheckError(f"no reduced form of discriminant {delta_k}")
     return h
 
 

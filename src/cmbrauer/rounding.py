@@ -12,7 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
+
+from .errors import InternalCheckError
 
 COARSE_EPS = Fraction(1, 10 ** 6)
 DEFAULT_EPS = Fraction(1, 10 ** 9)
@@ -31,7 +34,8 @@ class Bracket:
     hi: Fraction
 
     def __post_init__(self):
-        assert self.lo <= self.hi
+        if self.lo > self.hi:
+            raise InternalCheckError(f"bracket [{self.lo}, {self.hi}] is empty")
 
     @classmethod
     def exact(cls, x) -> "Bracket":
@@ -46,7 +50,8 @@ class Bracket:
         return Bracket(min(ends), max(ends))
 
     def __pow__(self, e: int) -> "Bracket":
-        assert e >= 0
+        if e < 0:
+            raise ValueError(f"bracket powers need e >= 0, got {e}")
         out = Bracket.exact(1)
         for _ in range(e):
             out = out * self
@@ -54,7 +59,8 @@ class Bracket:
 
     def inv(self) -> "Bracket":
         # only needed for positive quantities (pi powers)
-        assert self.lo > 0
+        if self.lo <= 0:
+            raise InternalCheckError(f"inverting [{self.lo}, {self.hi}], which is not positive")
         return Bracket(1 / self.hi, 1 / self.lo)
 
     def scale(self, r) -> "Bracket":
@@ -80,7 +86,8 @@ def pi_bracket(eps: Fraction = DEFAULT_EPS) -> Bracket:
 def _ln_atanh(y: Fraction, delta: Fraction) -> Bracket:
     # ln y = 2*atanh(t), t = (y-1)/(y+1) in [0, 1/3] for y in [1, 2];
     # tail after term j=J is at most (9/4) t^(2J+3) / (2J+3)
-    assert 1 <= y <= 2
+    if not 1 <= y <= 2:
+        raise InternalCheckError(f"atanh series for ln y needs y in [1, 2], got {y}")
     t = (y - 1) / (y + 1)
     t2 = t * t
     total = Fraction(0)
@@ -103,7 +110,22 @@ def _outward(b: Bracket, grid: Fraction) -> Bracket:
 
 
 _LN_MASTER = Fraction(1, 10 ** 30)
-_ln_cache: dict[Fraction, Bracket] = {}
+
+
+@lru_cache(maxsize=1024)
+def _ln_master(x: Fraction) -> Bracket:
+    # ln x for x >= 1 to within _LN_MASTER, from x = y * 2^k with y in [1, 2)
+    k = 0
+    y = x
+    while y >= 2:
+        y /= 2
+        k += 1
+    budget = _LN_MASTER / (2 * (k + 1))
+    b = _ln_atanh(y, budget)
+    if k:
+        ln2 = _ln_atanh(Fraction(2), budget)
+        b = b + ln2.scale(k)
+    return b
 
 
 def ln_bracket(x, eps: Fraction = DEFAULT_EPS) -> Bracket:
@@ -116,20 +138,7 @@ def ln_bracket(x, eps: Fraction = DEFAULT_EPS) -> Bracket:
     x = Fraction(x)
     if x < 1:
         raise ValueError(f"ln bracket only supports x >= 1, got {x}")
-    if x not in _ln_cache:
-        # x = y * 2^k with y in [1, 2)
-        k = 0
-        y = x
-        while y >= 2:
-            y /= 2
-            k += 1
-        budget = _LN_MASTER / (2 * (k + 1))
-        b = _ln_atanh(y, budget)
-        if k:
-            ln2 = _ln_atanh(Fraction(2), budget)
-            b = b + ln2.scale(k)
-        _ln_cache[x] = b
-    return _outward(_ln_cache[x], eps / 4)
+    return _outward(_ln_master(x), eps / 4)
 
 
 def sqrt_bracket(x, eps: Fraction = DEFAULT_EPS) -> Bracket:

@@ -12,6 +12,13 @@ from cmbrauer.bounds import field_tower_constants
 from cmbrauer.quadratic import IntegralityError
 
 
+# each needs a primality verdict for 2^89 - 1, which lies past psi_13
+_PAST_PSI13 = (
+    ["brauer-shape", "--ell", str(2 ** 89 - 1), "--m", "1"],
+    ["lattice", "--kind", "abelian", "--rank", "4", "--disc", str(-(2 ** 89 - 1))],
+)
+
+
 def run_cli(args, capsys):
     code = cli.main(args)
     out = capsys.readouterr().out
@@ -183,6 +190,10 @@ def test_exit_codes(capsys):
     # a model without CM by the asserted field is bad input, not a certified bound
     assert run_cli(["mell-estimate", "--a4", "-6", "--a6", "-3", "--cm-disc", "-11", "--ell", "2",
                     "--budget", "50"], capsys)[0] == 2
+    # an answer that needs an unproven primality verdict is refused, not guessed
+    for argv in _PAST_PSI13:
+        code, env = run_json(argv, capsys)
+        assert code == 2 and env["error"]["type"] == "BudgetError", argv
     code, env = run_json(["frobnicate"], capsys)
     assert code == 64 and "unknown subcommand" in env["error"]["message"]
     # a help request is an error envelope carrying that parser's help text
@@ -291,6 +302,36 @@ def test_cli_never_imports_sympy(flags):
     assert out.stdout == f"{[0] * len(_ONE_PER_COMMAND)} False\n"
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+def test_every_command_answers_with_sympy_unimportable(flags):
+    script = (
+        "import contextlib, io, sys\n"
+        "sys.modules['sympy'] = None\n"
+        "from cmbrauer import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    print([cli.main(argv) for argv in {list(_ONE_PER_COMMAND + _PAST_PSI13)!r}], file=sys.stderr)\n"
+    )
+    out = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True, check=True)
+    assert out.stderr == f"{[0] * len(_ONE_PER_COMMAND) + [2] * len(_PAST_PSI13)}\n"
+
+
+def test_multiplier_past_the_digit_limit_is_refused(capsys):
+    # d^(g(2g-1) - rho) at 4300 digits renders; from 4301 on it is refused
+    # before the power is formed, so even g = 10^6 ends at once
+    def argv(d, g, rho):
+        return ["bound", "--id", "isogeny_brauer_multiplier", "--set", f"d={d}", "--set", f"g={g}",
+                "--set", f"rho={rho}"]
+
+    code, env = run_json(argv(10, 47, 72), capsys)
+    assert code == 0 and env["result"]["integer_bound"] == str(10 ** 4299)
+    for d, g, rho in ((10, 47, 71), (2, 3000, 1), (2, 10 ** 6, 1)):
+        start = time.perf_counter()
+        code, env = run_json(argv(d, g, rho), capsys)
+        assert time.perf_counter() - start < 1.0, (d, g, rho)
+        assert code == 2 and env["error"]["type"] == "BudgetError", (d, g, rho)
+        assert "more than 4300 digits" in env["error"]["message"]
+
+
 def test_large_prime_ell_exits_quickly(capsys):
     # the prime-power check once walked every prime up to ell^m
     start = time.perf_counter()
@@ -308,6 +349,7 @@ def test_large_budget_exits_quickly(capsys):
     assert time.perf_counter() - start < 5.0
     assert code == 2
     assert env["error"]["message"] == "point-count budget is p <= 1000000, got 1000003"
+    assert env["error"]["type"] == "BudgetError"
 
 
 def test_error_payload_is_canonical(capsys):

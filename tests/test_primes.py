@@ -1,4 +1,6 @@
-"""The in-house prime toolkit against sympy, which serves as the independent oracle."""
+"""The in-house prime toolkit against sympy, which serves as the independent
+oracle.  From psi_13 on, where sympy's isprime is the BPSW probable-prime test,
+the toolkit gives sympy's "composite" or refuses, and never says "prime"."""
 
 import subprocess
 import sys
@@ -12,6 +14,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from cmbrauer import primes
+from cmbrauer.errors import BudgetError
 from cmbrauer.primes import PSI, PSI_13, divisors, factorint, isprime, primerange, sqrt_mod
 
 # strong pseudoprimes to the first 1, 2, 3, 4, 9 and 12 prime bases (psi_1 .. psi_12)
@@ -19,6 +22,16 @@ STRONG_PSEUDOPRIMES = (2047, 1373653, 25326001, 3215031751, 3825123056546413051,
                        318665857834031151167461)
 CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 62745, 63973, 75361,
               101101, 126217, 294409, 56052361, 118901521, 172947529, 216821881)
+
+
+def check_against_sympy(n):
+    # sympy's verdict below psi_13; from there on sympy's False or a refusal
+    try:
+        verdict = isprime(n)
+    except BudgetError:
+        assert n >= PSI_13, n
+        return
+    assert verdict == sympy.isprime(n) and not (verdict and n >= PSI_13), n
 
 
 def test_isprime_matches_sympy_up_to_2e5():
@@ -49,7 +62,13 @@ def test_isprime_at_each_base_count_boundary(k):
     psi = PSI[k - 1]
     assert not sympy.isprime(psi)
     for n in range(psi - 2, psi + 3):
-        assert isprime(n) == sympy.isprime(n), n
+        check_against_sympy(n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=PSI_13, max_value=2 ** 256))
+def test_isprime_past_psi13_is_sympys_composite_or_a_refusal(n):
+    check_against_sympy(n)
 
 
 def test_psi_table_is_the_strong_pseudoprime_sequence():
@@ -75,11 +94,14 @@ def test_sqrt_mod_small_primes():
                 assert sqrt_mod(a, p) ** 2 % p == a
 
 
-def test_psi13_reads_composite_through_the_fallback():
-    # psi_13 fools all 13 bases, so only the fallback can call it composite
+def test_psi13_and_primes_past_it_are_refused():
+    # psi_13 fools all 13 bases, and no proven test past them runs here: like
+    # the primes 2^89 - 1 and 2^107 - 1 it is refused, while 3 | 2^89 + 1 decides
     assert primes._miller_rabin(PSI_13)
-    assert not isprime(PSI_13)
-    assert isprime(2 ** 89 - 1) and isprime(2 ** 107 - 1) and not isprime(2 ** 89 + 1)
+    for n in (PSI_13, 2 ** 89 - 1, 2 ** 107 - 1):
+        with pytest.raises(BudgetError, match="psi_13"):
+            isprime(n)
+    assert not isprime(2 ** 89 + 1)
 
 
 @pytest.mark.parametrize("a,b", [
@@ -121,7 +143,13 @@ def test_factorint_round_trip(n):
     (10 ** 9 + 7) ** 2 * (10 ** 9 + 9), 2 ** 64 + 1, 3 * PSI_13, 2 ** 89 - 1,
 ])
 def test_factorint_hard_shapes(n):
-    assert check_factorization(n) == sympy.factorint(n)
+    # the cofactor that trial division by the table primes leaves decides
+    f = sympy.factorint(n)
+    if prod(p ** e for p, e in f.items() if p >= 2 ** 16) >= PSI_13:
+        with pytest.raises(BudgetError, match="psi_13"):
+            factorint(n)
+    else:
+        assert check_factorization(n) == f
 
 
 def test_factorint_rejects_nonpositive():

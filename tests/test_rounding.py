@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cmbrauer import cli, rounding
 from cmbrauer.rounding import (
     COARSE_EPS,
     DEFAULT_EPS,
@@ -140,3 +141,14 @@ def test_eps_range_validation():
         ln_bracket(2, Fraction(2))
     with pytest.raises(ValueError):
         sqrt_bracket(2, Fraction(0))
+
+
+def test_ln_master_cache_stays_bounded(capsys):
+    # a long-lived process sees ever new ln arguments; the master enclosures
+    # it keeps are capped, and a dropped one is recomputed to the same bracket
+    first = ln_bracket(10 ** 6 + 1)
+    for d in range(10 ** 6, 10 ** 6 + 5000):
+        assert cli.main(["bound", "--id", "faltings_GRH", "--set", f"d={d}", "--assume-grh"]) == 0
+    capsys.readouterr()
+    assert rounding._ln_master.cache_info().currsize <= 1024
+    assert ln_bracket(10 ** 6 + 1) == first
