@@ -12,10 +12,9 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import log10
 from typing import Callable, NamedTuple
 
-from .errors import BudgetError, InternalCheckError
+from .errors import InternalCheckError, bounded_power
 from .lattices import LatticeDescriptor, parse_lattice
 from .minkowski import minkowski_M
 from .quadratic import FundamentalDiscriminant
@@ -36,8 +35,6 @@ _C323 = Fraction(323, 100)
 _C273 = Fraction(273, 100)
 _C546 = Fraction(546, 100)
 _HEIGHT_SHIFT = 109
-# CPython's default limit on int -> str conversion: a bound past it could not be rendered
-_MAX_DIGITS = 4300
 
 
 class LogFactor(NamedTuple):
@@ -206,12 +203,7 @@ def _build_faltings_grh(d) -> SymbolicProduct:
 def _build_isogeny_brauer_multiplier(d, g, rho) -> SymbolicProduct:
     if not 1 <= rho <= g * g:
         raise ValueError(f"rho must lie in [1, g^2] = [1, {g * g}], got {rho}")
-    e = g * (2 * g - 1) - rho
-    # the digit estimate e * log10(d) refuses before the power is formed; short
-    # of it the power has at most _MAX_DIGITS + 2 digits, and the exact test decides
-    if (d > 1 and e > (_MAX_DIGITS + 1) / log10(d)) or (power := d ** e) >= 10 ** _MAX_DIGITS:
-        raise BudgetError(f"d^(g(2g-1) - rho) at d = {d}, g = {g}, rho = {rho}"
-                          f" has more than {_MAX_DIGITS} digits")
+    power = bounded_power(d, g * (2 * g - 1) - rho, f"d^(g(2g-1) - rho) at d = {d}, g = {g}, rho = {rho}")
     return SymbolicProduct(rational=Fraction(power))
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import log, log2, prod
 
-from .errors import InternalCheckError
+from .errors import InternalCheckError, bounded_power
 from .primes import isprime, primerange
 from .quadratic import FundamentalDiscriminant, unit_index, kronecker_symbol
 
@@ -122,6 +122,9 @@ def brauer_shape_maximal(ell: int, m: int, flags: GaloisFlags) -> BrauerShape:
         raise ValueError(f"ell must be prime, got {ell}")
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
+    # the order, ell^(2m), 2^(m+1) or ell^m, is the largest value of the shape
+    order_exp = 2 * m if flags.K_in_k else m + (ell == 2 and flags.two_torsion_rational)
+    bounded_power(ell, order_exp, f"the order at ell = {ell}, m = {m}")
     if flags.K_in_k:
         return BrauerShape((ell ** m, ell ** m) if m else ())
     if ell == 2 and flags.two_torsion_rational:

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 from .errors import InternalCheckError
 from .minkowski import minkowski_M
-from .primes import divisors
 from .quadratic import (
     FundamentalDiscriminant,
     Order,
@@ -146,17 +145,16 @@ def singular_k3_bound(d: int, field_count: int, eps=DEFAULT_EPS) -> int:
 
 def singular_k3_refined_sum(d: int, disc_search_bound: int) -> int:
     """Exact triple sum behind the closed-form census bound: over fields with
-    h_K <= d, conductors f <= 3d^2, and divisors f_a | f, of min(h(O_{f_a}), d)."""
+    h_K <= d, conductors f <= 3d^2, and divisors f_a | f, of min(h(O_{f_a}), d).
+    Each f_a divides floor(3d^2 / f_a) of the f, which sums out the divisors."""
     if d < 1:
         raise ValueError(f"degree must be positive, got {d}")
     search = enumerate_fields_by_class_number(d, disc_search_bound)
     total = 0
     cap = 3 * d * d
     for k in search.fields:
-        hs = {fa: min(class_number_order(Order(k, fa)), d) for fa in range(1, cap + 1)}
-        for f in range(1, cap + 1):
-            for fa in divisors(f):
-                total += hs[fa]
+        hk = class_number_field(k.value)
+        total += sum(min(class_number_order(Order(k, fa), hk), d) * (cap // fa) for fa in range(1, cap + 1))
     return total
 
 

@@ -1,4 +1,10 @@
-"""The package's own exception types; this module imports nothing."""
+"""The package's own exception types, and the digit budget that refuses a
+power before it is formed."""
+
+from math import log10
+
+# CPython's default limit on int -> str conversion: a value past it could not be rendered
+MAX_DIGITS = 4300
 
 
 class InternalCheckError(AssertionError):
@@ -9,5 +15,15 @@ class InternalCheckError(AssertionError):
 class BudgetError(ValueError):
     """A valid input whose answer lies past what this package can certify or
     compute in bounded time: an integer at or above psi_13 whose primality or
-    factorization is needed, a point-count scan past 10^6, or a bound with
-    more digits than can be rendered."""
+    factorization is needed, a point-count scan past 10^6, a census or a class
+    number past its cap, or a value with more digits than can be rendered."""
+
+
+def bounded_power(base: int, exp: int, what: str) -> int:
+    """base ** exp for base >= 1 and exp >= 0; BudgetError, naming ``what``,
+    when it has more than MAX_DIGITS digits.  The estimate exp * log10(base)
+    refuses before the power is formed; short of it the power has at most
+    MAX_DIGITS + 2 digits, and the exact test decides."""
+    if (base > 1 and exp > (MAX_DIGITS + 1) / log10(base)) or (power := base ** exp) >= 10 ** MAX_DIGITS:
+        raise BudgetError(f"{what} has more than {MAX_DIGITS} digits")
+    return power

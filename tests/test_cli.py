@@ -332,6 +332,55 @@ def test_multiplier_past_the_digit_limit_is_refused(capsys):
         assert "more than 4300 digits" in env["error"]["message"]
 
 
+def test_brauer_shape_past_the_digit_limit_is_refused(capsys):
+    # the order, 2^m, 2^(2m) with --k-in-k or 2^(m+1) with rational 2-torsion,
+    # renders at 4300 digits (2^14284) and is refused from 4301 on (2^14285)
+    def argv(m, *flags):
+        return ["brauer-shape", "--ell", "2", "--m", str(m), *flags]
+
+    def envelope(m, factors, k_in_k=False, two_torsion=False):
+        inputs = {"ell": "2", "k_in_k": k_in_k, "m": str(m), "two_torsion_rational": two_torsion}
+        result = {"cyclic_factors": [str(q) for q in factors], "order": str(2 ** 14284)}
+        return json.dumps({"command": "brauer-shape", "conditional": False, "inputs": inputs,
+                           "provenance": "brauer:brauer_shape_maximal", "result": result},
+                          sort_keys=True, separators=(",", ":")) + "\n"
+
+    assert run_cli(argv(14284), capsys) == (0, envelope(14284, [2 ** 14284]))
+    assert run_cli(argv(7142, "--k-in-k"), capsys) == (0, envelope(7142, [2 ** 7142] * 2, k_in_k=True))
+    assert run_cli(argv(14283, "--two-torsion-rational"), capsys) == (
+        0, envelope(14283, [2 ** 14283, 2], two_torsion=True))
+    for args in (argv(14285), argv(7143, "--k-in-k"), argv(14284, "--two-torsion-rational"),
+                 ["brauer-shape", "--ell", "3", "--m", "1000000"],
+                 ["brauer-shape", "--ell", "3", "--m", str(10 ** 9), "--k-in-k"]):
+        start = time.perf_counter()
+        code, env = run_json(args, capsys)
+        assert time.perf_counter() - start < 0.2, args
+        assert code == 2 and env["error"]["type"] == "BudgetError", args
+        assert "more than 4300 digits" in env["error"]["message"]
+
+
+def test_census_inputs_past_their_caps_are_refused(capsys):
+    # a sweep to 10^5 and one class number near 10^9 each take under a second
+    for args in (["fields-by-h", "--h", "1", "--disc-bound", "100001"],
+                 ["cm-count", "--degree", "1", "--disc-bound", "100001"],
+                 ["k3-census", "--degree", "1", "--refined-disc-bound", str(10 ** 12)],
+                 ["classnum", "--disc", str(-(10 ** 9 + 7))]):
+        start = time.perf_counter()
+        code, env = run_json(args, capsys)
+        assert time.perf_counter() - start < 0.2, args
+        assert code == 2 and env["error"]["type"] == "BudgetError", args
+    code, env = run_json(["fields-by-h", "--h", "1", "--disc-bound", "100000"], capsys)
+    assert code == 0 and env["result"]["count"] == "9"
+
+
+def test_large_class_number_is_prompt():
+    start = time.perf_counter()
+    out = subprocess.run([sys.executable, "-m", "cmbrauer", "classnum", "--disc", "-59939555"],
+                         capture_output=True, text=True, check=True).stdout
+    assert time.perf_counter() - start < 2.0
+    assert json.loads(out)["result"]["h"] == "1952"
+
+
 def test_large_prime_ell_exits_quickly(capsys):
     # the prime-power check once walked every prime up to ell^m
     start = time.perf_counter()

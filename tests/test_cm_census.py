@@ -18,6 +18,7 @@ from cmbrauer.quadratic import (
     FundamentalDiscriminant,
     Order,
     class_number_order,
+    enumerate_fields_by_class_number,
     is_fundamental_discriminant,
 )
 from cmbrauer.rounding import COARSE_EPS, FINE_EPS
@@ -120,6 +121,23 @@ def test_singular_k3_log_bound():
 def test_singular_k3_refined_sum():
     assert singular_k3_refined_sum(1, 200) == 45
     assert singular_k3_refined_sum(1, 200) <= singular_k3_bound(1, 9)
+
+
+def _refined_triple_loop(d, disc_search_bound):
+    total = 0
+    cap = 3 * d * d
+    for k in enumerate_fields_by_class_number(d, disc_search_bound).fields:
+        for f in range(1, cap + 1):
+            for fa in range(1, f + 1):
+                if f % fa == 0:
+                    total += min(class_number_order(Order(k, fa)), d)
+    return total
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_singular_k3_refined_sum_matches_triple_loop(d):
+    for bound in (3, 50, 300, 1000):
+        assert singular_k3_refined_sum(d, bound) == _refined_triple_loop(d, bound), (d, bound)
 
 
 def test_singular_k3_refined_monotone_in_bound():

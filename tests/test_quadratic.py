@@ -1,16 +1,24 @@
 """Class numbers of imaginary quadratic orders against the reduced-form oracle."""
 
+import json
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from cmbrauer.errors import BudgetError
+from cmbrauer.primes import factorint
 from cmbrauer.quadratic import (
+    MAX_DISC_BOUND,
+    MAX_FIELD_DISC,
     FundamentalDiscriminant,
     IntegralityError,
     Order,
     class_number_field,
     class_number_order,
+    count_reduced_forms,
     enumerate_fields_by_class_number,
     form_class_counts,
     fundamental_discriminant,
@@ -117,6 +125,25 @@ def test_form_class_counts_matches_direct_enumeration():
             assert counts[disc] == len(reduced_forms(disc)), disc
 
 
+def test_count_reduced_forms_matches_oracle_below_20000():
+    for disc in range(-19999, 0):
+        if disc % 4 in (0, 1):
+            assert count_reduced_forms(disc) == len(reduced_forms(disc)), disc
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(min_value=1, max_value=10 ** 6 // 4), st.sampled_from((0, 1)))
+def test_count_reduced_forms_matches_oracle_sampled(k, r):
+    disc = r - 4 * k  # 0 or 1 mod 4, down to -10^6
+    assert count_reduced_forms(disc) == len(reduced_forms(disc))
+
+
+def test_count_reduced_forms_rejects_non_discriminants():
+    for bad in (0, 4, -1, -2, -5):
+        with pytest.raises(ValueError):
+            count_reduced_forms(bad)
+
+
 def test_class_number_field_h_one_list():
     for dk in CLASS_NUMBER_ONE_DISCS:
         assert class_number_field(dk) == 1
@@ -145,6 +172,23 @@ def test_class_number_order_rejects_impossible_override():
         class_number_order(Order(FundamentalDiscriminant(-4), 2), h_field=0)
     with pytest.raises(IntegralityError):
         class_number_order(Order(FundamentalDiscriminant(-7), 3), h_field=-1)
+
+
+def _fraction_formula(dk, f, hk):
+    h = Fraction(hk * f, unit_index(dk, f))
+    for p in sorted(factorint(f)):
+        h *= 1 - Fraction(kronecker_symbol(dk, p), p)
+    return h
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=3, max_value=MAX_DISC_BOUND), st.integers(min_value=1, max_value=10 ** 6),
+       st.one_of(st.none(), st.integers(min_value=1, max_value=10 ** 6)))
+def test_class_number_order_matches_fraction_formula(m, f, h_field):
+    assume(is_fundamental_discriminant(-m))
+    order = Order(FundamentalDiscriminant(-m), f)
+    hk = class_number_field(-m) if h_field is None else h_field
+    assert class_number_order(order, h_field) == _fraction_formula(-m, f, hk)
 
 
 @settings(max_examples=200, deadline=None)
@@ -178,3 +222,65 @@ def test_field_search_growth():
     assert {f.value for f in h2.fields} >= set(CLASS_NUMBER_ONE_DISCS) | {-15, -20, -24, -35}
     for f in h2.fields:
         assert class_number_field(f.value) <= 2
+
+
+def test_caps_refuse_with_budget_error():
+    for call in (form_class_counts, lambda n: enumerate_fields_by_class_number(1, n)):
+        with pytest.raises(BudgetError, match="census cap"):
+            call(MAX_DISC_BOUND + 1)
+    # 10^9 + 7 is prime and 3 mod 4, so -(10^9 + 7) is fundamental
+    with pytest.raises(BudgetError, match="class number cap"):
+        class_number_field(-(MAX_FIELD_DISC + 7))
+    with pytest.raises(ValueError, match="at least 3"):
+        form_class_counts(2)
+
+
+def test_form_class_counts_is_the_callers_own():
+    counts = form_class_counts(500)
+    expected = dict(counts)
+    counts[-23] = 99
+    counts.clear()
+    assert form_class_counts(500) == expected
+    assert form_class_counts(500)[-23] == class_number_field(-23) == 3
+
+
+_SWEEP_ANSWERS = """
+import json, sys
+from cmbrauer import cm_census, quadratic
+out = []
+for n in json.loads(sys.argv[1]):
+    counts = quadratic.form_class_counts(n)
+    out.append({
+        "fcc": sorted(counts.items()),
+        "fields": [[f.value for f in quadratic.enumerate_fields_by_class_number(h, n).fields]
+                   for h in (1, 2, 3, 4, 10)],
+        "cm_count": cm_census.cm_count_total(2, n).total,
+        "refined": cm_census.singular_k3_refined_sum(2, n),
+        "h": [quadratic.class_number_field(d) for d in (-3, -23, -3299, -4003, -99995)],
+    })
+print(json.dumps(out))
+"""
+
+
+def _sweep_answers(bounds):
+    out = subprocess.run([sys.executable, "-c", _SWEEP_ANSWERS, json.dumps(bounds)],
+                         capture_output=True, text=True, check=True).stdout
+    return json.loads(out)
+
+
+def test_large_sweep_then_smaller_bounds_match_cold_processes():
+    small = [3, 200, 3300, 5000]
+    warm = _sweep_answers([20000, *small])[1:]
+    cold = [_sweep_answers([n])[0] for n in small]
+    assert warm == cold
+
+
+def test_census_caches_stay_bounded():
+    assert not hasattr(class_number_field, "cache_info")
+    maxsize = is_fundamental_discriminant.cache_info().maxsize
+    assert maxsize is not None
+    start = 2 * MAX_DISC_BOUND
+    fresh = [-m for m in range(start, start + 2 * maxsize) if is_fundamental_discriminant(-m)]
+    for dk in fresh[:300]:
+        assert class_number_field(dk) >= 1
+    assert is_fundamental_discriminant.cache_info().currsize <= maxsize
