@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 from math import log, log2, prod
 
 from .errors import InternalCheckError, bounded_power
-from .primes import isprime, primerange
-from .quadratic import FundamentalDiscriminant, unit_index, kronecker_symbol
+from .primes import divisors, isprime, primerange
+from .quadratic import FundamentalDiscriminant, _kronecker_prime, unit_index
 
 
 def _ord(ell: int, n: int) -> int:
@@ -194,12 +194,13 @@ def divisibility_bound(f: int, d: int, delta_k: int) -> int:
         raise ValueError(f"need f >= 1 and d >= 1, got {(f, d)}")
     FundamentalDiscriminant(delta_k)
     out = 2 * f * f * d ** 4
-    # ell - (Delta_K/ell) >= ell - 1 must divide u*d <= 6d, so no prime past 6d+1 qualifies
-    for ell in primerange(2, 6 * d + 2):
-        if d % ell == 0:
-            continue
-        if (unit_index(delta_k, ell) * d) % (ell - kronecker_symbol(delta_k, ell)) == 0:
-            out *= ell * ell
+    # the unit index is the same u at every ell >= 2, so ell - chi(ell) is a
+    # divisor of u*d: ell = delta + chi over the divisors delta and chi in {-1, 0, 1}
+    for delta in divisors(unit_index(delta_k, 2) * d):
+        for chi in (-1, 0, 1):
+            ell = delta + chi
+            if ell > 1 and d % ell and isprime(ell) and _kronecker_prime(delta_k, ell) == chi:
+                out *= ell * ell
     return out
 
 

@@ -8,7 +8,8 @@ the help text), an --output file that cannot be written, or a BudgetError:
 an answer past what the library can certify or compute in bounded time; 64
 unknown subcommand; 70 internal failure: a violated internal identity, or a
 valid result that cannot be rendered.  Each subcommand is one entry of
-``TABLE``.
+``TABLE``, and a process imports only the library modules of the subcommand
+it runs.
 """
 
 from __future__ import annotations
@@ -17,27 +18,46 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
+from importlib import import_module
 from typing import Callable, NamedTuple
 
-from . import bounds as bounds_mod
-from . import cm_census
-from .brauer import GaloisFlags, brauer_shape_maximal, divisibility_bound
-from .grossencharakter import CurveOverQ, estimate_m
-from .lattices import (
-    CMPair,
-    LatticeDescriptor,
-    disc_hom,
-    disc_ns_kummer,
-    disc_ns_product,
-    parse_lattice,
-)
-from .minkowski import minkowski_M
-from .quadratic import (
-    FundamentalDiscriminant,
-    Order,
-    class_number_order,
-    enumerate_fields_by_class_number,
-)
+# the library names the runners use, by module.  A module is imported, and its
+# names bound into this module's globals, only when a command that uses it
+# runs, or when one of its names is read from outside (``__getattr__``)
+_LIBRARY = {
+    "quadratic": ("FundamentalDiscriminant", "Order", "class_number_order", "enumerate_fields_by_class_number"),
+    "minkowski": ("minkowski_M",),
+    "cm_census": ("cm_count_total", "conductor_bound", "conductor_bound_over_degree", "singular_k3_bound",
+                  "singular_k3_refined_sum", "singular_k3_strong_bound"),
+    "lattices": ("CMPair", "LatticeDescriptor", "disc_hom", "disc_ns_kummer", "disc_ns_product",
+                 "parse_lattice"),
+    "brauer": ("GaloisFlags", "brauer_shape_maximal", "divisibility_bound"),
+    "grossencharakter": ("CurveOverQ", "estimate_m"),
+    "bounds": ("compose_intro_bound", "eval_bound", "field_tower_constants"),
+}
+_MODULE_OF = {name: module for module, names in _LIBRARY.items() for name in names}
+
+
+def _bind(module: str) -> None:
+    """Import a library module and bind the names the runners use from it.  A
+    name already bound here, say by a test's monkeypatch, is left as it is."""
+    lib = import_module(f"{__package__}.{module}")
+    names = globals()
+    for name in _LIBRARY[module]:
+        names.setdefault(name, getattr(lib, name))
+
+
+def __getattr__(name: str):
+    # PEP 562: called only for a name this module does not hold yet
+    if name in _MODULE_OF:
+        _bind(_MODULE_OF[name])
+    elif name == "PROVENANCE_IDS":
+        globals()[name] = frozenset(pid for command in COMMANDS for pid in _command(command).provenance)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals()[name]
+
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -130,13 +150,15 @@ class _Answer(NamedTuple):
 
 class _Command(NamedTuple):
     """``run`` takes the parsed arguments as keywords and returns the result,
-    which carries ``provenance[0]``, or an _Answer.  It looks library
-    functions up in this module's globals at call time."""
+    which carries ``provenance[0]``, or an _Answer.  It looks library names
+    up in this module's globals at call time; ``uses`` names the library
+    modules they come from, which are bound before it runs."""
 
     help: str
     args: dict[str, dict]
     provenance: tuple[str, ...]
     run: Callable
+    uses: tuple[str, ...]
 
 
 def _classnum(disc, conductor):
@@ -160,14 +182,14 @@ def _minkowski(n):
 
 def _conductor_bound(degree, delta_k):
     if delta_k is None:
-        return _Answer({"bound": cm_census.conductor_bound_over_degree(degree)},
+        return _Answer({"bound": conductor_bound_over_degree(degree)},
                        "cm_census:conductor_bound_over_degree")
-    rep = cm_census.conductor_bound(FundamentalDiscriminant(delta_k), degree)
+    rep = conductor_bound(FundamentalDiscriminant(delta_k), degree)
     return _Answer({"bound": rep.bound, "case": rep.case_label}, "cm_census:conductor_bound")
 
 
 def _cm_count(degree, disc_bound):
-    rep = cm_census.cm_count_total(degree, disc_bound)
+    rep = cm_count_total(degree, disc_bound)
     return {
         "total": rep.total,
         "certified_complete": rep.certified_complete,
@@ -181,10 +203,10 @@ def _k3_census(degree, field_count, refined_disc_bound):
         raise _CliError("k3-census needs --field-count or --refined-disc-bound")
     result = {}
     if field_count is not None:
-        result["log_bound"] = cm_census.singular_k3_bound(degree, field_count)
-        result["strong_bound"] = cm_census.singular_k3_strong_bound(degree, field_count)
+        result["log_bound"] = singular_k3_bound(degree, field_count)
+        result["strong_bound"] = singular_k3_strong_bound(degree, field_count)
     if refined_disc_bound is not None:
-        result["refined_sum"] = cm_census.singular_k3_refined_sum(degree, refined_disc_bound)
+        result["refined_sum"] = singular_k3_refined_sum(degree, refined_disc_bound)
     return result
 
 
@@ -233,9 +255,9 @@ def _bound(bound_id, settings, eps, assume_grh, cross_check_intro):
             raise _CliError("--cross-check-intro applies to --id uncond_lattice only")
         if set(inputs) != {"disc_lambda", "d"}:
             raise _CliError("--cross-check-intro needs exactly --set disc_lambda=... --set d=...")
-        report = bounds_mod.compose_intro_bound(inputs["disc_lambda"], inputs["d"], eps=eps)
+        report = compose_intro_bound(inputs["disc_lambda"], inputs["d"], eps=eps)
     else:
-        report = bounds_mod.eval_bound(bound_id, inputs, eps=eps, assume_grh=assume_grh)
+        report = eval_bound(bound_id, inputs, eps=eps, assume_grh=assume_grh)
     result = {
         "integer_bound": report.integer_bound,
         "exact_symbolic": report.exact_symbolic,
@@ -247,7 +269,7 @@ def _bound(bound_id, settings, eps, assume_grh, cross_check_intro):
 
 
 def _constants(name):
-    table = bounds_mod.field_tower_constants()
+    table = field_tower_constants()
     if name is None:
         result = {n: {"value": e.value, "description": e.description} for n, e in table.items()}
         return _Answer(result, "towers:all")
@@ -255,83 +277,105 @@ def _constants(name):
     return _Answer({"value": entry.value, "description": entry.description}, entry.provenance)
 
 
-_REQUIRED_INT = {"type": int, "required": True}
-_TOWERS = bounds_mod.field_tower_constants()
-
-TABLE: dict[str, _Command] = {
-    "classnum": _Command(
-        "class number of an imaginary quadratic order",
-        {"--disc": {**_REQUIRED_INT, "help": "fundamental discriminant Delta_K"},
-         "--conductor": {"type": int, "default": 1}},
-        ("quadratic:class_number_order",), _classnum),
-    "fields-by-h": _Command(
-        "fields with class number at most h",
-        {"--h": _REQUIRED_INT,
-         "--disc-bound": {**_REQUIRED_INT, "help": "search |Delta_K| up to this bound"}},
-        ("quadratic:enumerate_fields_by_class_number",), _fields_by_h),
-    "minkowski": _Command(
-        "Minkowski constant M(n)", {"--n": _REQUIRED_INT},
-        ("minkowski:minkowski_M",), _minkowski),
-    "conductor-bound": _Command(
-        "largest conductor at a ring class degree",
-        {"--degree": _REQUIRED_INT, "--delta-k": {"type": int}},
-        ("cm_census:conductor_bound", "cm_census:conductor_bound_over_degree"), _conductor_bound),
-    "cm-count": _Command(
-        "CM j-invariant census over degree-d fields",
-        {"--degree": _REQUIRED_INT, "--disc-bound": {"type": int, "default": 200}},
-        ("cm_census:cm_count_total",), _cm_count),
-    "k3-census": _Command(
-        "singular K3 class count bounds",
-        {"--degree": _REQUIRED_INT, "--field-count": {"type": int}, "--refined-disc-bound": {"type": int}},
-        ("cm_census:singular_k3_bound",), _k3_census),
-    "lattice": _Command(
-        "CM lattice discriminants, both directions",
-        {"--delta-k": {"type": int}, "--f1": {"type": int}, "--f2": {"type": int},
-         "--kind": {"choices": ("abelian", "kummer")}, "--rank": {"type": int}, "--disc": {"type": int}},
-        ("lattices:disc_identities", "lattices:parse_lattice"), _lattice),
-    "brauer-shape": _Command(
-        "transcendental Brauer group, maximal order",
-        {"--ell": _REQUIRED_INT, "--m": _REQUIRED_INT,
-         "--k-in-k": {"action": "store_true", "help": "the CM field lies in the base field"},
-         "--two-torsion-rational": {"action": "store_true"}},
-        ("brauer:brauer_shape_maximal",), _brauer_shape),
-    "divisibility": _Command(
-        "divisibility bound for Br(E x E)",
-        {"--conductor": _REQUIRED_INT, "--degree": _REQUIRED_INT, "--delta-k": _REQUIRED_INT},
-        ("brauer:divisibility_bound",),
-        lambda conductor, degree, delta_k: {"bound": divisibility_bound(conductor, degree, delta_k)}),
-    "mell-estimate": _Command(
-        "sampled upper bound on m_ell(E)",
-        {"--a4": _REQUIRED_INT, "--a6": _REQUIRED_INT, "--cm-disc": _REQUIRED_INT, "--ell": _REQUIRED_INT,
-         "--budget": {**_REQUIRED_INT, "help": "sample good primes up to this bound"}},
-        ("grossencharakter:estimate_m",), _mell_estimate),
-    "bound": _Command(
+def _bound_command() -> _Command:
+    formulas = import_module(f"{__package__}.bounds").FORMULAS
+    return _Command(
         "evaluate a registered uniform bound",
-        {"--id": {"dest": "bound_id", "required": True, "choices": sorted(bounds_mod.FORMULAS)},
+        {"--id": {"dest": "bound_id", "required": True, "choices": sorted(formulas)},
          "--set": {"dest": "settings", "action": "append", "default": [], "metavar": "NAME=VALUE",
                    "help": "formula input; integers, or true/false for flags"},
          "--eps": {"help": "rounding precision, e.g. 1e-6"},
          "--assume-grh": {"action": "store_true"},
          "--cross-check-intro": {"action": "store_true",
                                  "help": "with --id uncond_lattice: attach the specialized-lattice cross check"}},
-        tuple(f"bounds:{k}" for k in bounds_mod.FORMULAS), _bound),
-    "constants": _Command(
-        "exact descent-degree constants", {"--name": {"choices": sorted(_TOWERS)}},
-        ("towers:all", *(e.provenance for e in _TOWERS.values())), _constants),
+        tuple(f"bounds:{k}" for k in formulas), _bound, ("bounds",))
+
+
+def _constants_command() -> _Command:
+    towers = import_module(f"{__package__}.bounds").field_tower_constants()
+    return _Command(
+        "exact descent-degree constants", {"--name": {"choices": sorted(towers)}},
+        ("towers:all", *(e.provenance for e in towers.values())), _constants, ("bounds",))
+
+
+_REQUIRED_INT = {"type": int, "required": True}
+
+# an entry whose choices and provenance ids come from its library is a builder
+TABLE: dict[str, _Command | Callable[[], _Command]] = {
+    "classnum": _Command(
+        "class number of an imaginary quadratic order",
+        {"--disc": {**_REQUIRED_INT, "help": "fundamental discriminant Delta_K"},
+         "--conductor": {"type": int, "default": 1}},
+        ("quadratic:class_number_order",), _classnum, ("quadratic",)),
+    "fields-by-h": _Command(
+        "fields with class number at most h",
+        {"--h": _REQUIRED_INT,
+         "--disc-bound": {**_REQUIRED_INT, "help": "search |Delta_K| up to this bound"}},
+        ("quadratic:enumerate_fields_by_class_number",), _fields_by_h, ("quadratic",)),
+    "minkowski": _Command(
+        "Minkowski constant M(n)", {"--n": _REQUIRED_INT},
+        ("minkowski:minkowski_M",), _minkowski, ("minkowski",)),
+    "conductor-bound": _Command(
+        "largest conductor at a ring class degree",
+        {"--degree": _REQUIRED_INT, "--delta-k": {"type": int}},
+        ("cm_census:conductor_bound", "cm_census:conductor_bound_over_degree"), _conductor_bound,
+        ("quadratic", "cm_census")),
+    "cm-count": _Command(
+        "CM j-invariant census over degree-d fields",
+        {"--degree": _REQUIRED_INT, "--disc-bound": {"type": int, "default": 200}},
+        ("cm_census:cm_count_total",), _cm_count, ("cm_census",)),
+    "k3-census": _Command(
+        "singular K3 class count bounds",
+        {"--degree": _REQUIRED_INT, "--field-count": {"type": int}, "--refined-disc-bound": {"type": int}},
+        ("cm_census:singular_k3_bound",), _k3_census, ("cm_census",)),
+    "lattice": _Command(
+        "CM lattice discriminants, both directions",
+        {"--delta-k": {"type": int}, "--f1": {"type": int}, "--f2": {"type": int},
+         "--kind": {"choices": ("abelian", "kummer")}, "--rank": {"type": int}, "--disc": {"type": int}},
+        ("lattices:disc_identities", "lattices:parse_lattice"), _lattice, ("quadratic", "lattices")),
+    "brauer-shape": _Command(
+        "transcendental Brauer group, maximal order",
+        {"--ell": _REQUIRED_INT, "--m": _REQUIRED_INT,
+         "--k-in-k": {"action": "store_true", "help": "the CM field lies in the base field"},
+         "--two-torsion-rational": {"action": "store_true"}},
+        ("brauer:brauer_shape_maximal",), _brauer_shape, ("brauer",)),
+    "divisibility": _Command(
+        "divisibility bound for Br(E x E)",
+        {"--conductor": _REQUIRED_INT, "--degree": _REQUIRED_INT, "--delta-k": _REQUIRED_INT},
+        ("brauer:divisibility_bound",),
+        lambda conductor, degree, delta_k: {"bound": divisibility_bound(conductor, degree, delta_k)},
+        ("brauer",)),
+    "mell-estimate": _Command(
+        "sampled upper bound on m_ell(E)",
+        {"--a4": _REQUIRED_INT, "--a6": _REQUIRED_INT, "--cm-disc": _REQUIRED_INT, "--ell": _REQUIRED_INT,
+         "--budget": {**_REQUIRED_INT, "help": "sample good primes up to this bound"}},
+        ("grossencharakter:estimate_m",), _mell_estimate, ("grossencharakter",)),
+    "bound": _bound_command,
+    "constants": _constants_command,
 }
 
 COMMANDS = tuple(TABLE)
-PROVENANCE_IDS = frozenset(pid for spec in TABLE.values() for pid in spec.provenance)
 
 
-def _build_parser(command: str) -> _Parser:
+@cache
+def _command(name: str) -> _Command:
+    """TABLE[name], built if it is a builder, with the library names its
+    runner uses bound; once per process."""
+    entry = TABLE[name]
+    spec = entry() if callable(entry) else entry
+    for module in spec.uses:
+        _bind(module)
+    return spec
+
+
+def _build_parser(command: str, spec: _Command) -> _Parser:
     """The top-level parser with the one subparser that ``command`` needs."""
     p = _Parser(prog="cmbrauer", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", metavar="|".join(COMMANDS))
-    sp = sub.add_parser(command, help=TABLE[command].help)
+    sp = sub.add_parser(command, help=spec.help)
     sp.add_argument("--format", choices=("json", "table"), default="json")
     sp.add_argument("--output", metavar="PATH", default=None)
-    for flag, kwargs in TABLE[command].args.items():
+    for flag, kwargs in spec.args.items():
         sp.add_argument(flag, **kwargs)
     return p
 
@@ -349,9 +393,9 @@ def main(argv=None) -> int:
         return _emit_error(None, _CliError(f"missing subcommand; expected one of {', '.join(COMMANDS)}"), EXIT_USAGE)
     if command not in TABLE:
         return _emit_error(command, _CliError(f"unknown subcommand {command!r}"), EXIT_UNKNOWN_COMMAND)
-    spec = TABLE[command]
+    spec = _command(command)
     try:
-        ns = _build_parser(command).parse_args(argv)
+        ns = _build_parser(command, spec).parse_args(argv)
         args = {k: v for k, v in vars(ns).items() if k not in ("command", "format", "output")}
         answer = spec.run(**args)
         if not isinstance(answer, _Answer):

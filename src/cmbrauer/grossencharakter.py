@@ -18,7 +18,7 @@ from typing import NamedTuple
 from .brauer import _ord
 from .errors import BudgetError, InternalCheckError
 from .primes import isprime, primerange, sqrt_mod
-from .quadratic import FundamentalDiscriminant, kronecker_symbol
+from .quadratic import FundamentalDiscriminant, _kronecker_prime
 
 _POINT_COUNT_CAP = 10 ** 6
 
@@ -145,7 +145,7 @@ def _frobenius_t(curve: CurveOverQ, q: int) -> int:
         # quadratic part of the quartic symbol of -a4
         u = x // 2
         even, odd = (u, y) if u % 2 == 0 else (y, u)
-        return even if kronecker_symbol(-curve.a4, q) == 1 else odd
+        return even if _kronecker_prime(-curve.a4, q) == 1 else odd
     if d == -3:
         # pi = (x + y sqrt(-3))/2 = A + B omega, omega = (-1 + sqrt(-3))/2;
         # multiplying by omega sends (A, B) to (-B, A - B)
@@ -211,7 +211,7 @@ def estimate_m(curve: CurveOverQ, ell: int, prime_budget: int) -> MEstimate:
         if q > _POINT_COUNT_CAP:
             # bounds the scan's time; the message is the point count's own
             raise BudgetError(f"point-count budget is p <= {_POINT_COUNT_CAP}, got {q}")
-        if kronecker_symbol(curve.cm_disc, q) != 1:
+        if _kronecker_prime(curve.cm_disc, q) != 1:
             continue
         v = _ord(ell, _frobenius_t(curve, q))
         samples += 1

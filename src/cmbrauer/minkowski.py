@@ -21,7 +21,9 @@ class MinkowskiConstant:
             raise InternalCheckError(f"M({self.n}) differs from the product over its factorization")
 
 
-@lru_cache(maxsize=None)
+# bounded: a long-lived process may ask for ever new n, and M(n) near the
+# 4300-digit render limit holds some 400 prime powers
+@lru_cache(maxsize=128)
 def minkowski_M(n: int) -> MinkowskiConstant:
     """M(n) = prod over primes p <= n+1 of p^e_p, e_p = sum_i floor(n / (p^i (p-1)))."""
     if n < 1:

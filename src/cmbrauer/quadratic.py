@@ -123,6 +123,12 @@ def kronecker_symbol(delta: int, p: int) -> int:
     """Legendre symbol for odd p; at p = 2 the three-case rule for discriminants."""
     if not isprime(p):
         raise ValueError(f"p must be prime, got {p}")
+    return _kronecker_prime(delta, p)
+
+
+def _kronecker_prime(delta: int, p: int) -> int:
+    """kronecker_symbol for a p the caller already knows is prime, such as one
+    from primerange or factorint: the same value without the primality test."""
     if p == 2:
         if delta % 2 == 0:
             return 0
@@ -305,7 +311,7 @@ def class_number_order(order: Order, h_field: int | None = None) -> int:
     hk = class_number_field(dk) if h_field is None else h_field
     h = hk * f
     for p in factorint(f):
-        h = h // p * (p - kronecker_symbol(dk, p))
+        h = h // p * (p - _kronecker_prime(dk, p))
     u = unit_index(dk, f)
     q, rem = divmod(h, u)
     if rem or q <= 0:

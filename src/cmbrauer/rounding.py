@@ -112,19 +112,22 @@ def _outward(b: Bracket, grid: Fraction) -> Bracket:
 _LN_MASTER = Fraction(1, 10 ** 30)
 
 
+@lru_cache(maxsize=256)
+def _k_ln2(k: int) -> Bracket:
+    # k ln 2 from ln 2 at the budget _ln_master gives every x in [2^k, 2^(k+1))
+    return _ln_atanh(Fraction(2), _LN_MASTER / (2 * (k + 1))).scale(k)
+
+
 @lru_cache(maxsize=1024)
 def _ln_master(x: Fraction) -> Bracket:
     # ln x for x >= 1 to within _LN_MASTER, from x = y * 2^k with y in [1, 2)
-    k = 0
-    y = x
-    while y >= 2:
-        y /= 2
-        k += 1
-    budget = _LN_MASTER / (2 * (k + 1))
-    b = _ln_atanh(y, budget)
+    n, d = x.numerator, x.denominator
+    k = n.bit_length() - d.bit_length()
+    if n < d << k:
+        k -= 1
+    b = _ln_atanh(x / (1 << k), _LN_MASTER / (2 * (k + 1)))
     if k:
-        ln2 = _ln_atanh(Fraction(2), budget)
-        b = b + ln2.scale(k)
+        b = b + _k_ln2(k)
     return b
 
 

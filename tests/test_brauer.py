@@ -1,10 +1,13 @@
 """Transcendental Brauer structure of E x E: maximal-order shapes, non-maximal
 order bounds, and the divisibility / uniform bounds."""
 
+import time
+
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 from sympy import primerange
+from sympy.functions.combinatorial.numbers import kronecker_symbol as sympy_kronecker
 
 from cmbrauer.brauer import (
     BrauerShape,
@@ -19,6 +22,7 @@ from cmbrauer.brauer import (
     _iroot,
     _prime_power_base,
 )
+from cmbrauer.errors import BudgetError
 from cmbrauer.quadratic import is_fundamental_discriminant
 
 
@@ -151,6 +155,36 @@ def test_divisibility_bound_prime_cutoff():
             ratio = v // base
             for p in primerange(6 * d + 2, 6 * d + 50):
                 assert ratio % p != 0
+
+
+def _divisibility_by_prime_walk(f, d, dk):
+    # the definition read directly: every prime up to 6d + 1, since
+    # ell - chi(ell) >= ell - 1 must divide u * d <= 6d
+    u = {-4: 2, -3: 3}.get(dk, 1)
+    out = 2 * f * f * d ** 4
+    for ell in primerange(2, 6 * d + 2):
+        if d % ell and (u * d) % (ell - sympy_kronecker(dk, ell)) == 0:
+            out *= ell * ell
+    return out
+
+
+def test_divisibility_bound_matches_the_prime_walk():
+    for dk in (-3, -4, -7, -8, -11, -15, -20, -23, -163, -420):
+        for d in range(1, 400):
+            assert divisibility_bound(1, d, dk) == _divisibility_by_prime_walk(1, d, dk), (d, dk)
+    for d in (720, 5040, 55440):
+        assert divisibility_bound(2, d, -3) == _divisibility_by_prime_walk(2, d, -3), d
+
+
+def test_divisibility_bound_large_degree_is_prompt():
+    # the cost is set by the divisors of u*d, not by the size of d
+    start = time.perf_counter()
+    for d in (10 ** 6, 10 ** 15, 2 ** 60, 10 ** 18 + 9):
+        assert divisibility_bound(1, d, -4) % (2 * d ** 4) == 0
+    assert time.perf_counter() - start < 0.5
+    # a degree with a prime factor past psi_13 cannot be factored with a proof
+    with pytest.raises(BudgetError):
+        divisibility_bound(1, 2 ** 89 - 1, -4)
 
 
 def test_divisibility_bound_conductor_scaling():

@@ -315,6 +315,32 @@ def test_every_command_answers_with_sympy_unimportable(flags):
     assert out.stderr == f"{[0] * len(_ONE_PER_COMMAND) + [2] * len(_PAST_PSI13)}\n"
 
 
+def _library_modules_loaded(argv) -> set[str]:
+    # the cmbrauer modules besides cli that a fresh process holds after
+    # cli.main(argv) returns, or after the import alone when argv is None
+    script = (
+        "import contextlib, io, sys\n"
+        "from cmbrauer import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    {argv!r} is None or cli.main({argv!r})\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('cmbrauer.')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    return {m.removeprefix("cmbrauer.") for m in out.stdout.split()} - {"cli"}
+
+
+@pytest.mark.parametrize("argv", [None, [], ["frobnicate"], *_ONE_PER_COMMAND],
+                         ids=lambda argv: "import" if argv is None else " ".join(argv[:1]) or "missing")
+def test_a_process_imports_only_its_subcommands_library(argv):
+    loaded = _library_modules_loaded(argv)
+    if not argv or argv == ["frobnicate"]:
+        assert loaded == set()
+        return
+    if argv[0] == "minkowski":
+        assert not loaded & {"quadratic", "rounding", "bounds"}, loaded
+    assert ("bounds" in loaded) == (argv[0] in ("bound", "constants")), loaded
+
+
 def test_multiplier_past_the_digit_limit_is_refused(capsys):
     # d^(g(2g-1) - rho) at 4300 digits renders; from 4301 on it is refused
     # before the power is formed, so even g = 10^6 ends at once
@@ -360,17 +386,26 @@ def test_brauer_shape_past_the_digit_limit_is_refused(capsys):
 
 
 def test_census_inputs_past_their_caps_are_refused(capsys):
-    # a sweep to 10^5 and one class number near 10^9 each take under a second
+    # a sweep to 10^5, one class number near 10^9 and a census of degree 12
+    # each take under a second
     for args in (["fields-by-h", "--h", "1", "--disc-bound", "100001"],
                  ["cm-count", "--degree", "1", "--disc-bound", "100001"],
                  ["k3-census", "--degree", "1", "--refined-disc-bound", str(10 ** 12)],
-                 ["classnum", "--disc", str(-(10 ** 9 + 7))]):
+                 ["classnum", "--disc", str(-(10 ** 9 + 7))],
+                 ["cm-count", "--degree", "13"],
+                 ["cm-count", "--degree", "30", "--disc-bound", "100000"],
+                 ["k3-census", "--degree", str(10 ** 9), "--field-count", "9", "--refined-disc-bound", "200"]):
         start = time.perf_counter()
         code, env = run_json(args, capsys)
         assert time.perf_counter() - start < 0.2, args
         assert code == 2 and env["error"]["type"] == "BudgetError", args
     code, env = run_json(["fields-by-h", "--h", "1", "--disc-bound", "100000"], capsys)
     assert code == 0 and env["result"]["count"] == "9"
+    code, env = run_json(["cm-count", "--degree", "12", "--disc-bound", "300"], capsys)
+    assert code == 0 and env["inputs"]["degree"] == "12"
+    # the closed-form bounds need no census, so they have no degree cap
+    code, env = run_json(["k3-census", "--degree", "1000", "--field-count", "9"], capsys)
+    assert code == 0 and set(env["result"]) == {"log_bound", "strong_bound"}
 
 
 def test_large_class_number_is_prompt():

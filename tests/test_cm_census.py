@@ -3,8 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cmbrauer import quadratic
 from cmbrauer.cm_census import (
     EXCEPTIONAL_CM_COUNTS,
+    MAX_CENSUS_DEGREE,
     cm_count_per_field,
     cm_count_total,
     conductor_bound,
@@ -21,6 +23,7 @@ from cmbrauer.quadratic import (
     enumerate_fields_by_class_number,
     is_fundamental_discriminant,
 )
+from cmbrauer.errors import BudgetError
 from cmbrauer.rounding import COARSE_EPS, FINE_EPS
 
 
@@ -107,6 +110,17 @@ def test_census_degree_two():
 def test_census_rejects_bad_degree():
     with pytest.raises(ValueError):
         cm_count_total(0, 200)
+
+
+def test_census_degree_cap_is_checked_before_any_work(monkeypatch):
+    def no_census(*args):
+        raise AssertionError("a census ran past the degree cap")
+
+    monkeypatch.setattr(quadratic, "_retained", no_census)
+    d = MAX_CENSUS_DEGREE + 1
+    for census in (cm_count_total, singular_k3_refined_sum):
+        with pytest.raises(BudgetError, match=f"degree {d} is past the census cap"):
+            census(d, 100)
 
 
 def test_singular_k3_log_bound():

@@ -152,3 +152,32 @@ def test_ln_master_cache_stays_bounded(capsys):
     capsys.readouterr()
     assert rounding._ln_master.cache_info().currsize <= 1024
     assert ln_bracket(10 ** 6 + 1) == first
+
+
+def _ln_master_by_halving(x: Fraction) -> Bracket:
+    # the reference: halve x into [1, 2) one step at a time, and sum ln y
+    # with k ln 2, both at the budget that k sets
+    k, y = 0, x
+    while y >= 2:
+        y /= 2
+        k += 1
+    budget = rounding._LN_MASTER / (2 * (k + 1))
+    b = rounding._ln_atanh(y, budget)
+    if k:
+        b = b + rounding._ln_atanh(Fraction(2), budget).scale(k)
+    return b
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10 ** 40), st.integers(1, 10 ** 12))
+def test_ln_master_equals_the_halving_loop(a, b):
+    x = Fraction(max(a, b), min(a, b))
+    assert rounding._ln_master(x) == _ln_master_by_halving(x)
+
+
+def test_ln_master_at_powers_of_two():
+    # k changes at each power of two: both sides of it must agree exactly
+    for k in (0, 1, 2, 7, 63, 64, 200):
+        for x in (Fraction(2 ** k), Fraction(2 ** (k + 7) + 1, 2 ** 7), Fraction(2 ** (k + 8) - 1, 2 ** 7),
+                  Fraction(2 ** (k + 1) - 1)):
+            assert rounding._ln_master(x) == _ln_master_by_halving(x), x
