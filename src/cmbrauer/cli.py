@@ -8,54 +8,26 @@ the help text), an --output file that cannot be written, or a BudgetError:
 an answer past what the library can certify or compute in bounded time; 64
 unknown subcommand; 70 internal failure: a violated internal identity, or a
 valid result that cannot be rendered.  Each subcommand is one entry of
-``TABLE``, and a process imports only the library modules of the subcommand
-it runs.
+``TABLE``.  A runner imports the library names it calls in its own body, so a
+process loads only the library modules of the subcommand it runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from functools import cache
-from importlib import import_module
 from typing import Callable, NamedTuple
-
-# the library names the runners use, by module.  A module is imported, and its
-# names bound into this module's globals, only when a command that uses it
-# runs, or when one of its names is read from outside (``__getattr__``)
-_LIBRARY = {
-    "quadratic": ("FundamentalDiscriminant", "Order", "class_number_order", "enumerate_fields_by_class_number"),
-    "minkowski": ("minkowski_M",),
-    "cm_census": ("cm_count_total", "conductor_bound", "conductor_bound_over_degree", "singular_k3_bound",
-                  "singular_k3_refined_sum", "singular_k3_strong_bound"),
-    "lattices": ("CMPair", "LatticeDescriptor", "disc_hom", "disc_ns_kummer", "disc_ns_product",
-                 "parse_lattice"),
-    "brauer": ("GaloisFlags", "brauer_shape_maximal", "divisibility_bound"),
-    "grossencharakter": ("CurveOverQ", "estimate_m"),
-    "bounds": ("compose_intro_bound", "eval_bound", "field_tower_constants"),
-}
-_MODULE_OF = {name: module for module, names in _LIBRARY.items() for name in names}
-
-
-def _bind(module: str) -> None:
-    """Import a library module and bind the names the runners use from it.  A
-    name already bound here, say by a test's monkeypatch, is left as it is."""
-    lib = import_module(f"{__package__}.{module}")
-    names = globals()
-    for name in _LIBRARY[module]:
-        names.setdefault(name, getattr(lib, name))
 
 
 def __getattr__(name: str):
-    # PEP 562: called only for a name this module does not hold yet
-    if name in _MODULE_OF:
-        _bind(_MODULE_OF[name])
-    elif name == "PROVENANCE_IDS":
-        globals()[name] = frozenset(pid for command in COMMANDS for pid in _command(command).provenance)
-    else:
+    # PEP 562: PROVENANCE_IDS builds every TABLE entry, so it is made on first read
+    if name != "PROVENANCE_IDS":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = frozenset(pid for command in COMMANDS for pid in _command(command).provenance)
     return globals()[name]
 
 
@@ -150,23 +122,23 @@ class _Answer(NamedTuple):
 
 class _Command(NamedTuple):
     """``run`` takes the parsed arguments as keywords and returns the result,
-    which carries ``provenance[0]``, or an _Answer.  It looks library names
-    up in this module's globals at call time; ``uses`` names the library
-    modules they come from, which are bound before it runs."""
+    which carries ``provenance[0]``, or an _Answer.  It imports the library
+    names it calls when it runs."""
 
     help: str
     args: dict[str, dict]
     provenance: tuple[str, ...]
     run: Callable
-    uses: tuple[str, ...]
 
 
 def _classnum(disc, conductor):
+    from .quadratic import FundamentalDiscriminant, Order, class_number_order
     order = Order(FundamentalDiscriminant(disc), conductor)
     return {"h": class_number_order(order), "order_discriminant": order.discriminant}
 
 
 def _fields_by_h(h, disc_bound):
+    from .quadratic import enumerate_fields_by_class_number
     search = enumerate_fields_by_class_number(h, disc_bound)
     return {
         "discriminants": [f.value for f in search.fields],
@@ -176,11 +148,14 @@ def _fields_by_h(h, disc_bound):
 
 
 def _minkowski(n):
+    from .minkowski import minkowski_M
     m = minkowski_M(n)
     return {"value": m.value, "factorization": {str(p): e for p, e in m.factorization}}
 
 
 def _conductor_bound(degree, delta_k):
+    from .cm_census import conductor_bound, conductor_bound_over_degree
+    from .quadratic import FundamentalDiscriminant
     if delta_k is None:
         return _Answer({"bound": conductor_bound_over_degree(degree)},
                        "cm_census:conductor_bound_over_degree")
@@ -189,6 +164,7 @@ def _conductor_bound(degree, delta_k):
 
 
 def _cm_count(degree, disc_bound):
+    from .cm_census import cm_count_total
     rep = cm_count_total(degree, disc_bound)
     return {
         "total": rep.total,
@@ -199,6 +175,7 @@ def _cm_count(degree, disc_bound):
 
 
 def _k3_census(degree, field_count, refined_disc_bound):
+    from .cm_census import singular_k3_bound, singular_k3_refined_sum, singular_k3_strong_bound
     if field_count is None and refined_disc_bound is None:
         raise _CliError("k3-census needs --field-count or --refined-disc-bound")
     result = {}
@@ -211,6 +188,8 @@ def _k3_census(degree, field_count, refined_disc_bound):
 
 
 def _lattice(delta_k, f1, f2, kind, rank, disc):
+    from .lattices import CMPair, LatticeDescriptor, disc_hom, disc_ns_kummer, disc_ns_product, parse_lattice
+    from .quadratic import FundamentalDiscriminant
     compose = delta_k is not None or f1 is not None or f2 is not None
     parse = kind is not None or rank is not None or disc is not None
     if compose == parse:
@@ -234,21 +213,43 @@ def _lattice(delta_k, f1, f2, kind, rank, disc):
 
 
 def _brauer_shape(ell, m, k_in_k, two_torsion_rational):
+    from .brauer import GaloisFlags, brauer_shape_maximal
     flags = GaloisFlags(K_in_k=k_in_k, two_torsion_rational=two_torsion_rational)
     shape = brauer_shape_maximal(ell, m, flags)
     return {"cyclic_factors": list(shape.cyclic_factors), "order": shape.order}
 
 
+def _divisibility(conductor, degree, delta_k):
+    from .brauer import divisibility_bound
+    return {"bound": divisibility_bound(conductor, degree, delta_k)}
+
+
 def _mell_estimate(a4, a6, cm_disc, ell, budget):
+    from .grossencharakter import CurveOverQ, estimate_m
     est = estimate_m(CurveOverQ(a4, a6, cm_disc), ell, budget)
     return {"m_hat": est.m_hat, "samples_used": est.samples_used, "is_upper_bound": True}
 
 
+def _parse_eps(text: str) -> Fraction:
+    """The --eps text as a Fraction.  A decimal exponent past MAX_DIGITS in
+    magnitude, which check_eps could never accept, is refused before Fraction
+    forms its power of ten."""
+    from .errors import MAX_DIGITS
+    exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
+    if exponent and abs(int(exponent[1])) > MAX_DIGITS:
+        raise _CliError(f"--eps exponent must lie within +-{MAX_DIGITS}, got {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise _CliError(f"--eps has a zero denominator, got {text!r}") from None
+
+
 def _bound(bound_id, settings, eps, assume_grh, cross_check_intro):
+    from .bounds import compose_intro_bound, eval_bound
     inputs = _parse_set_args(settings)
     echo = dict(inputs)
     if eps is not None:
-        eps = Fraction(eps)
+        eps = _parse_eps(eps)
         echo["eps"] = str(eps)
     if cross_check_intro:
         if bound_id != "uncond_lattice":
@@ -269,6 +270,7 @@ def _bound(bound_id, settings, eps, assume_grh, cross_check_intro):
 
 
 def _constants(name):
+    from .bounds import field_tower_constants
     table = field_tower_constants()
     if name is None:
         result = {n: {"value": e.value, "description": e.description} for n, e in table.items()}
@@ -278,24 +280,25 @@ def _constants(name):
 
 
 def _bound_command() -> _Command:
-    formulas = import_module(f"{__package__}.bounds").FORMULAS
+    from .bounds import FORMULAS
     return _Command(
         "evaluate a registered uniform bound",
-        {"--id": {"dest": "bound_id", "required": True, "choices": sorted(formulas)},
+        {"--id": {"dest": "bound_id", "required": True, "choices": sorted(FORMULAS)},
          "--set": {"dest": "settings", "action": "append", "default": [], "metavar": "NAME=VALUE",
                    "help": "formula input; integers, or true/false for flags"},
          "--eps": {"help": "rounding precision, e.g. 1e-6"},
          "--assume-grh": {"action": "store_true"},
          "--cross-check-intro": {"action": "store_true",
                                  "help": "with --id uncond_lattice: attach the specialized-lattice cross check"}},
-        tuple(f"bounds:{k}" for k in formulas), _bound, ("bounds",))
+        tuple(f"bounds:{k}" for k in FORMULAS), _bound)
 
 
 def _constants_command() -> _Command:
-    towers = import_module(f"{__package__}.bounds").field_tower_constants()
+    from .bounds import field_tower_constants
+    towers = field_tower_constants()
     return _Command(
         "exact descent-degree constants", {"--name": {"choices": sorted(towers)}},
-        ("towers:all", *(e.provenance for e in towers.values())), _constants, ("bounds",))
+        ("towers:all", *(e.provenance for e in towers.values())), _constants)
 
 
 _REQUIRED_INT = {"type": int, "required": True}
@@ -306,50 +309,47 @@ TABLE: dict[str, _Command | Callable[[], _Command]] = {
         "class number of an imaginary quadratic order",
         {"--disc": {**_REQUIRED_INT, "help": "fundamental discriminant Delta_K"},
          "--conductor": {"type": int, "default": 1}},
-        ("quadratic:class_number_order",), _classnum, ("quadratic",)),
+        ("quadratic:class_number_order",), _classnum),
     "fields-by-h": _Command(
         "fields with class number at most h",
         {"--h": _REQUIRED_INT,
          "--disc-bound": {**_REQUIRED_INT, "help": "search |Delta_K| up to this bound"}},
-        ("quadratic:enumerate_fields_by_class_number",), _fields_by_h, ("quadratic",)),
+        ("quadratic:enumerate_fields_by_class_number",), _fields_by_h),
     "minkowski": _Command(
         "Minkowski constant M(n)", {"--n": _REQUIRED_INT},
-        ("minkowski:minkowski_M",), _minkowski, ("minkowski",)),
+        ("minkowski:minkowski_M",), _minkowski),
     "conductor-bound": _Command(
         "largest conductor at a ring class degree",
         {"--degree": _REQUIRED_INT, "--delta-k": {"type": int}},
-        ("cm_census:conductor_bound", "cm_census:conductor_bound_over_degree"), _conductor_bound,
-        ("quadratic", "cm_census")),
+        ("cm_census:conductor_bound", "cm_census:conductor_bound_over_degree"), _conductor_bound),
     "cm-count": _Command(
         "CM j-invariant census over degree-d fields",
         {"--degree": _REQUIRED_INT, "--disc-bound": {"type": int, "default": 200}},
-        ("cm_census:cm_count_total",), _cm_count, ("cm_census",)),
+        ("cm_census:cm_count_total",), _cm_count),
     "k3-census": _Command(
         "singular K3 class count bounds",
         {"--degree": _REQUIRED_INT, "--field-count": {"type": int}, "--refined-disc-bound": {"type": int}},
-        ("cm_census:singular_k3_bound",), _k3_census, ("cm_census",)),
+        ("cm_census:singular_k3_bound",), _k3_census),
     "lattice": _Command(
         "CM lattice discriminants, both directions",
         {"--delta-k": {"type": int}, "--f1": {"type": int}, "--f2": {"type": int},
          "--kind": {"choices": ("abelian", "kummer")}, "--rank": {"type": int}, "--disc": {"type": int}},
-        ("lattices:disc_identities", "lattices:parse_lattice"), _lattice, ("quadratic", "lattices")),
+        ("lattices:disc_identities", "lattices:parse_lattice"), _lattice),
     "brauer-shape": _Command(
         "transcendental Brauer group, maximal order",
         {"--ell": _REQUIRED_INT, "--m": _REQUIRED_INT,
          "--k-in-k": {"action": "store_true", "help": "the CM field lies in the base field"},
          "--two-torsion-rational": {"action": "store_true"}},
-        ("brauer:brauer_shape_maximal",), _brauer_shape, ("brauer",)),
+        ("brauer:brauer_shape_maximal",), _brauer_shape),
     "divisibility": _Command(
         "divisibility bound for Br(E x E)",
         {"--conductor": _REQUIRED_INT, "--degree": _REQUIRED_INT, "--delta-k": _REQUIRED_INT},
-        ("brauer:divisibility_bound",),
-        lambda conductor, degree, delta_k: {"bound": divisibility_bound(conductor, degree, delta_k)},
-        ("brauer",)),
+        ("brauer:divisibility_bound",), _divisibility),
     "mell-estimate": _Command(
         "sampled upper bound on m_ell(E)",
         {"--a4": _REQUIRED_INT, "--a6": _REQUIRED_INT, "--cm-disc": _REQUIRED_INT, "--ell": _REQUIRED_INT,
          "--budget": {**_REQUIRED_INT, "help": "sample good primes up to this bound"}},
-        ("grossencharakter:estimate_m",), _mell_estimate, ("grossencharakter",)),
+        ("grossencharakter:estimate_m",), _mell_estimate),
     "bound": _bound_command,
     "constants": _constants_command,
 }
@@ -359,13 +359,9 @@ COMMANDS = tuple(TABLE)
 
 @cache
 def _command(name: str) -> _Command:
-    """TABLE[name], built if it is a builder, with the library names its
-    runner uses bound; once per process."""
+    """TABLE[name], built if it is a builder; once per process."""
     entry = TABLE[name]
-    spec = entry() if callable(entry) else entry
-    for module in spec.uses:
-        _bind(module)
-    return spec
+    return entry() if callable(entry) else entry
 
 
 def _build_parser(command: str, spec: _Command) -> _Parser:

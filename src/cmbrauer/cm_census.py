@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetError, InternalCheckError
+from .errors import MAX_DIGITS, BudgetError, InternalCheckError
 from .minkowski import minkowski_M
 from .quadratic import (
     FundamentalDiscriminant,
@@ -147,13 +147,19 @@ def cm_count_total(d: int, disc_search_bound: int) -> CensusReport:
 
 
 def singular_k3_bound(d: int, field_count: int, eps=DEFAULT_EPS) -> int:
-    """floor(3 d^3 (ln(3d^2) + 1) * field_count), ln by certified upper bound."""
+    """floor(3 d^3 (ln(3d^2) + 1) * field_count), ln by certified upper bound.
+    A bound past MAX_DIGITS digits is refused, and since the ln factor is at
+    least 1, one whose 3 d^3 * field_count is already past is refused before
+    any ln."""
     if d < 1 or field_count < 0:
         raise ValueError(f"need d >= 1 and field_count >= 0, got {(d, field_count)}")
     if field_count == 0:
         return 0
-    b = ln_bracket(3 * d * d, eps) + Bracket.exact(1)
-    return floor_upper(b.scale(3 * d ** 3 * field_count))
+    limit = 10 ** MAX_DIGITS
+    scale = 3 * d ** 3 * field_count
+    if scale >= limit or (bound := floor_upper((ln_bracket(3 * d * d, eps) + Bracket.exact(1)).scale(scale))) >= limit:
+        raise BudgetError(f"the singular K3 bound has more than {MAX_DIGITS} digits")
+    return bound
 
 
 def singular_k3_refined_sum(d: int, disc_search_bound: int) -> int:

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from cmbrauer import cli
+from cmbrauer import cli, quadratic
 from cmbrauer.bounds import field_tower_constants
 from cmbrauer.quadratic import IntegralityError
 
@@ -209,7 +209,7 @@ def test_internal_assertion_exits_70(capsys, monkeypatch):
     def boom(order, h_field=None):
         raise IntegralityError("forced for the exit-code contract")
 
-    monkeypatch.setattr(cli, "class_number_order", boom)
+    monkeypatch.setattr(quadratic, "class_number_order", boom)
     code, env = run_json(["classnum", "--disc", "-4"], capsys)
     assert code == 70
     assert env["error"]["type"] == "IntegralityError"
@@ -329,11 +329,15 @@ def _library_modules_loaded(argv) -> set[str]:
     return {m.removeprefix("cmbrauer.") for m in out.stdout.split()} - {"cli"}
 
 
-@pytest.mark.parametrize("argv", [None, [], ["frobnicate"], *_ONE_PER_COMMAND],
+_USAGE_ERROR = ["classnum", "--disc", "x"]
+
+
+@pytest.mark.parametrize("argv", [None, [], ["frobnicate"], pytest.param(_USAGE_ERROR, id="usage-error"),
+                                  *_ONE_PER_COMMAND],
                          ids=lambda argv: "import" if argv is None else " ".join(argv[:1]) or "missing")
 def test_a_process_imports_only_its_subcommands_library(argv):
     loaded = _library_modules_loaded(argv)
-    if not argv or argv == ["frobnicate"]:
+    if not argv or argv in (["frobnicate"], _USAGE_ERROR):
         assert loaded == set()
         return
     if argv[0] == "minkowski":
@@ -385,6 +389,24 @@ def test_brauer_shape_past_the_digit_limit_is_refused(capsys):
         assert "more than 4300 digits" in env["error"]["message"]
 
 
+def test_eps_text_that_cannot_be_a_precision_is_refused_promptly(capsys):
+    # Fraction raises ZeroDivisionError on a zero denominator, and would form
+    # 10^999999999 before check_eps saw it; past +-4300 no exponent lands in [1e-18, 1)
+    def run(eps):
+        return run_json(["bound", "--id", "faltings_GRH", "--set", "d=2", "--assume-grh", "--eps", eps], capsys)
+
+    for eps, message in (("1/0", "--eps has a zero denominator"), ("0/0", "--eps has a zero denominator"),
+                         *((e, "--eps exponent must lie within +-4300")
+                           for e in ("1e999999999", "1e-999999999", "1E+4301", "1e-4_301"))):
+        start = time.perf_counter()
+        code, env = run(eps)
+        assert time.perf_counter() - start < 0.2, eps
+        assert code == 2 and env["error"]["message"] == f"{message}, got {eps!r}", eps
+    # an exponent within the limit reaches the range check
+    code, env = run("1e-400")
+    assert code == 2 and env["error"]["message"] == f"eps must lie in [1/1000000000000000000, 1), got 1/{10 ** 400}"
+
+
 def test_census_inputs_past_their_caps_are_refused(capsys):
     # a sweep to 10^5, one class number near 10^9 and a census of degree 12
     # each take under a second
@@ -406,6 +428,11 @@ def test_census_inputs_past_their_caps_are_refused(capsys):
     # the closed-form bounds need no census, so they have no degree cap
     code, env = run_json(["k3-census", "--degree", "1000", "--field-count", "9"], capsys)
     assert code == 0 and set(env["result"]) == {"log_bound", "strong_bound"}
+    # but a bound past the digit limit is refused, before any ln
+    start = time.perf_counter()
+    code, env = run_json(["k3-census", "--degree", str(10 ** 1500), "--field-count", "9"], capsys)
+    assert time.perf_counter() - start < 0.2
+    assert code == 2 and env["error"]["type"] == "BudgetError" and "more than 4300 digits" in env["error"]["message"]
 
 
 def test_large_class_number_is_prompt():

@@ -1,9 +1,11 @@
 """Conductor bounds, the CM j-invariant census, and singular K3 class counts."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmbrauer import quadratic
+from cmbrauer import cm_census, quadratic
 from cmbrauer.cm_census import (
     EXCEPTIONAL_CM_COUNTS,
     MAX_CENSUS_DEGREE,
@@ -24,7 +26,7 @@ from cmbrauer.quadratic import (
     is_fundamental_discriminant,
 )
 from cmbrauer.errors import BudgetError
-from cmbrauer.rounding import COARSE_EPS, FINE_EPS
+from cmbrauer.rounding import COARSE_EPS, FINE_EPS, ln_bracket
 
 
 def test_conductor_bound_clauses():
@@ -130,6 +132,25 @@ def test_singular_k3_log_bound():
     fine = singular_k3_bound(1, 9, eps=FINE_EPS)
     assert fine <= coarse
     assert singular_k3_bound(1, 9) <= coarse
+
+
+def test_singular_k3_bound_past_the_digit_limit_is_refused(monkeypatch):
+    # at d = 1 the bound is floor(3 F (ln 3 + 1)), the ln rounded up: the
+    # largest field count F that keeps it below 10^4300 renders at 4300 digits
+    limit = 10 ** 4300
+    largest = math.ceil(limit / (3 * (ln_bracket(3).hi + 1))) - 1
+    assert len(str(singular_k3_bound(1, largest))) == 4300
+    with pytest.raises(BudgetError, match="more than 4300 digits"):
+        singular_k3_bound(1, largest + 1)
+
+    # where 3 d^3 F alone reaches the limit, no ln is taken
+    def no_ln(x, eps):
+        raise AssertionError(f"ln of {x} taken")
+
+    monkeypatch.setattr(cm_census, "ln_bracket", no_ln)
+    for d, f in ((1, -(-limit // 3)), (10 ** 1500, 9)):
+        with pytest.raises(BudgetError, match="more than 4300 digits"):
+            singular_k3_bound(d, f)
 
 
 def test_singular_k3_refined_sum():
