@@ -5,10 +5,10 @@ the non-maximal case, and the divisibility / uniform bounds they feed."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import log, log2, prod
+from math import prod
 
 from .errors import InternalCheckError, bounded_power
-from .primes import divisors, isprime, primerange
+from .primes import divisors, isprime
 from .quadratic import FundamentalDiscriminant, _kronecker_prime, unit_index
 
 
@@ -40,57 +40,26 @@ class GaloisFlags:
 
 @dataclass(frozen=True)
 class BrauerShape:
-    """Finite abelian group as a list of cyclic prime-power factor orders."""
+    """Finite abelian group with at most two cyclic factors at each prime, as
+    (prime, exponent) pairs: ((p, e), ...) is the product of the Z/p^e."""
 
-    cyclic_factors: tuple[int, ...]
+    prime_powers: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        per_prime: dict[int, int] = {}
-        for q in self.cyclic_factors:
-            if q < 2:
-                raise InternalCheckError(f"cyclic factor {q} of {self.cyclic_factors} is trivial")
-            base = _prime_power_base(q)
-            per_prime[base] = per_prime.get(base, 0) + 1
-        if any(v > 2 for v in per_prime.values()):
-            raise InternalCheckError(f"{self.cyclic_factors} has rank above 2 at some prime")
+        for p, e in self.prime_powers:
+            if not isprime(p) or e < 1:
+                raise InternalCheckError(f"factor Z/{p}^{e} of {self.prime_powers} is not a nontrivial prime power")
+        primes = [p for p, _ in self.prime_powers]
+        if any(primes.count(p) > 2 for p in primes):
+            raise InternalCheckError(f"{self.prime_powers} has rank above 2 at some prime")
+
+    @property
+    def cyclic_factors(self) -> tuple[int, ...]:
+        return tuple(p ** e for p, e in self.prime_powers)
 
     @property
     def order(self) -> int:
         return prod(self.cyclic_factors)
-
-
-def _iroot(n: int, k: int) -> int:
-    """floor(n^(1/k)) for n >= 1 and k >= 2: Newton's iteration, which falls
-    monotonically to the root from any start above it."""
-    x = log2(n) / k
-    shift = max(int(x) - 50, 0)
-    r = int(2.0 ** (x - shift))
-    # the float estimate errs by less than (x + 2) * 2^-50 relative: start past that
-    r = (r + (r * (int(x) + 2) >> 50) + 1) << shift
-    while True:
-        s = ((k - 1) * r + n // r ** (k - 1)) // k
-        if s >= r:
-            return r
-        r = s
-
-
-def _prime_power_base(q: int) -> int:
-    """p for q = p^e >= 2.  A prime below 2^16 that divides q is the only
-    candidate.  Otherwise every prime factor of q exceeds 2^16, so e < log2(q)/16:
-    exact k-th roots for the primes k below that bound reach a base that is no
-    perfect power, and one primality test of that base decides."""
-    for p in primerange(2, min(q, 1 << 16) + 1):
-        if q % p == 0:
-            base = p if p ** round(log(q, p)) == q else q
-            break
-    else:
-        base = q
-        for k in primerange(2, q.bit_length() // 16 + 1):
-            while (root := _iroot(base, k)) ** k == base:
-                base = root
-    if not isprime(base):
-        raise InternalCheckError(f"{q} is not a prime power")
-    return base
 
 
 @dataclass(frozen=True)
@@ -122,16 +91,17 @@ def brauer_shape_maximal(ell: int, m: int, flags: GaloisFlags) -> BrauerShape:
         raise ValueError(f"ell must be prime, got {ell}")
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
-    # the order, ell^(2m), 2^(m+1) or ell^m, is the largest value of the shape
-    order_exp = 2 * m if flags.K_in_k else m + (ell == 2 and flags.two_torsion_rational)
-    bounded_power(ell, order_exp, f"the order at ell = {ell}, m = {m}")
     if flags.K_in_k:
-        return BrauerShape((ell ** m, ell ** m) if m else ())
-    if ell == 2 and flags.two_torsion_rational:
+        exponents = (m, m)
+    elif ell == 2 and flags.two_torsion_rational:
         if m < 1:
             raise ValueError("rational 2-torsion forces m >= 1 at ell = 2")
-        return BrauerShape((2 ** m, 2))
-    return BrauerShape((ell ** m,) if m else ())
+        exponents = (m, 1)
+    else:
+        exponents = (m,)
+    # the order is the largest value of the shape: refuse it before any power is formed
+    bounded_power(ell, sum(exponents), f"the order at ell = {ell}, m = {m}")
+    return BrauerShape(tuple((ell, e) for e in exponents if e))
 
 
 def fixed_endomorphisms(f: int, delta_k: int, n: int, K_in_k: bool) -> tuple[int, ...]:

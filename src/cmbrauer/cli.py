@@ -27,7 +27,7 @@ def __getattr__(name: str):
     # PEP 562: PROVENANCE_IDS builds every TABLE entry, so it is made on first read
     if name != "PROVENANCE_IDS":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals()[name] = frozenset(pid for command in COMMANDS for pid in _command(command).provenance)
+    globals()[name] = frozenset(pid for command in COMMANDS for pid in _command(command)[0].provenance)
     return globals()[name]
 
 
@@ -358,22 +358,19 @@ COMMANDS = tuple(TABLE)
 
 
 @cache
-def _command(name: str) -> _Command:
-    """TABLE[name], built if it is a builder; once per process."""
+def _command(name: str) -> tuple[_Command, _Parser]:
+    """TABLE[name], built if it is a builder, and the top-level parser with the
+    one subparser it needs; both once per process."""
     entry = TABLE[name]
-    return entry() if callable(entry) else entry
-
-
-def _build_parser(command: str, spec: _Command) -> _Parser:
-    """The top-level parser with the one subparser that ``command`` needs."""
+    spec = entry() if callable(entry) else entry
     p = _Parser(prog="cmbrauer", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", metavar="|".join(COMMANDS))
-    sp = sub.add_parser(command, help=spec.help)
+    sp = sub.add_parser(name, help=spec.help)
     sp.add_argument("--format", choices=("json", "table"), default="json")
     sp.add_argument("--output", metavar="PATH", default=None)
     for flag, kwargs in spec.args.items():
         sp.add_argument(flag, **kwargs)
-    return p
+    return spec, p
 
 
 def _emit_error(command, exc, code: int) -> int:
@@ -389,9 +386,9 @@ def main(argv=None) -> int:
         return _emit_error(None, _CliError(f"missing subcommand; expected one of {', '.join(COMMANDS)}"), EXIT_USAGE)
     if command not in TABLE:
         return _emit_error(command, _CliError(f"unknown subcommand {command!r}"), EXIT_UNKNOWN_COMMAND)
-    spec = _command(command)
+    spec, parser = _command(command)
     try:
-        ns = _build_parser(command, spec).parse_args(argv)
+        ns = parser.parse_args(argv)
         args = {k: v for k, v in vars(ns).items() if k not in ("command", "format", "output")}
         answer = spec.run(**args)
         if not isinstance(answer, _Answer):

@@ -16,7 +16,8 @@ class BudgetError(ValueError):
     """A valid input whose answer lies past what this package can certify or
     compute in bounded time: an integer at or above psi_13 whose primality or
     factorization is needed, a point-count scan past 10^6, a census or a class
-    number past its cap, or a value with more digits than can be rendered."""
+    number past its cap, or a value with more digits than can be rendered,
+    such as a bound, a Brauer group order or M(n) past n = 1331."""
 
 
 def bounded_power(base: int, exp: int, what: str) -> int:

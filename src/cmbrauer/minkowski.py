@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 
-from .errors import InternalCheckError
+from .errors import MAX_DIGITS, BudgetError, InternalCheckError
 from .primes import primerange
 
 
@@ -21,13 +21,20 @@ class MinkowskiConstant:
             raise InternalCheckError(f"M({self.n}) differs from the product over its factorization")
 
 
+# cap on n: M(1331) has 4,294 digits and M(1332) has 4,308, past MAX_DIGITS
+MAX_MINKOWSKI_N = 1331
+
+
 # bounded: a long-lived process may ask for ever new n, and M(n) near the
-# 4300-digit render limit holds some 400 prime powers
+# 4300-digit render limit holds 217 prime powers
 @lru_cache(maxsize=128)
 def minkowski_M(n: int) -> MinkowskiConstant:
-    """M(n) = prod over primes p <= n+1 of p^e_p, e_p = sum_i floor(n / (p^i (p-1)))."""
+    """M(n) = prod over primes p <= n+1 of p^e_p, e_p = sum_i floor(n / (p^i (p-1))).
+    An n past MAX_MINKOWSKI_N is refused before any prime is listed."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
+    if n > MAX_MINKOWSKI_N:
+        raise BudgetError(f"M({n}) has more than {MAX_DIGITS} digits: n is capped at {MAX_MINKOWSKI_N}")
     factorization = []
     for p in primerange(2, n + 2):
         e, q = 0, p - 1

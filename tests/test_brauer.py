@@ -4,7 +4,6 @@ order bounds, and the divisibility / uniform bounds."""
 import time
 
 import pytest
-import sympy
 from hypothesis import given, settings, strategies as st
 from sympy import primerange
 from sympy.functions.combinatorial.numbers import kronecker_symbol as sympy_kronecker
@@ -19,8 +18,6 @@ from cmbrauer.brauer import (
     fixed_endomorphisms,
     geometric_brauer_invariants_order,
     uniform_bound_EE,
-    _iroot,
-    _prime_power_base,
 )
 from cmbrauer.errors import BudgetError
 from cmbrauer.quadratic import is_fundamental_discriminant
@@ -65,33 +62,13 @@ def test_shape_rejects_bad_inputs():
 
 
 def test_brauer_shape_rank_cap():
-    with pytest.raises(AssertionError):
-        BrauerShape((2, 2, 2))
-    with pytest.raises(AssertionError):
-        BrauerShape((6,))  # not a prime power
-    assert BrauerShape((4, 2, 9)).order == 72
-
-
-def test_prime_power_base_matches_sympy():
-    shapes = [*range(2, 5000), 65521 ** 2, 65537, 65537 ** 3, 2 * 65537 ** 2, 6 ** 40,
-              3 ** 10007, (10 ** 9 + 7) ** 101, (2 ** 61 - 1) ** 6 * 65537]
-    for q in shapes:
-        f = sympy.factorint(q)
-        if len(f) == 1:
-            assert _prime_power_base(q) == next(iter(f)), q
-        else:
-            with pytest.raises(AssertionError):
-                _prime_power_base(q)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(min_value=1, max_value=2 ** 3000), st.integers(min_value=2, max_value=200),
-       st.integers(min_value=-1, max_value=1))
-def test_iroot_is_the_floor_root(n, k, shift):
-    r = _iroot(n, k)
-    assert r ** k <= n < (r + 1) ** k
-    exact = max(r + shift, 1) ** k
-    assert _iroot(exact, k) == max(r + shift, 1)
+    for pairs in (((2, 2), (2, 1), (2, 3)),  # rank 3 at one prime
+                  ((6, 1),),  # not a prime
+                  ((3, 0),)):  # trivial factor
+        with pytest.raises(AssertionError):
+            BrauerShape(pairs)
+    shape = BrauerShape(((2, 2), (2, 1), (3, 2)))
+    assert shape.cyclic_factors == (4, 2, 9) and shape.order == 72
 
 
 def test_fixed_endomorphisms_cases():

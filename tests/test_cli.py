@@ -201,8 +201,11 @@ def test_exit_codes(capsys):
         code, env = run_json(args, capsys)
         assert code == 2 and env["error"]["message"].startswith("usage: cmbrauer"), args
     # a valid result past the int-to-str digit limit is an internal failure, not bad input
-    code, env = run_json(["minkowski", "--n", "3000"], capsys)
+    code, env = run_json(["conductor-bound", "--degree", "1" + "0" * 2500], capsys)
     assert code == 70 and "cannot render" in env["error"]["message"]
+    # M(n) past n = 1331 is refused before it is computed
+    code, env = run_json(["minkowski", "--n", "3000"], capsys)
+    assert code == 2 and env["error"]["type"] == "BudgetError"
 
 
 def test_internal_assertion_exits_70(capsys, monkeypatch):
@@ -269,6 +272,17 @@ def test_byte_identical_across_processes():
     assert runs[0] == runs[1]
     assert runs[0].endswith(b"\n")
     json.loads(runs[0])
+
+
+def test_a_reused_parser_keeps_no_state_between_calls(capsys):
+    # each subcommand's parser is built once per process; an earlier --set must not leak
+    second = ["bound", "--id", "faltings_GRH", "--assume-grh"]
+    fresh = subprocess.run([sys.executable, "-m", "cmbrauer", *second], capture_output=True, text=True)
+    assert run_cli(["bound", "--id", "faltings_GRH", "--set", "d=2", "--assume-grh"], capsys)[0] == 0
+    assert run_cli(second, capsys) == (fresh.returncode, fresh.stdout)
+    assert fresh.returncode == 2 and "missing inputs: ['d']" in fresh.stdout
+    helps = [run_json(["bound", "--help"], capsys) for _ in range(2)]
+    assert helps[0] == helps[1] and helps[0][1]["error"]["message"].startswith("usage: cmbrauer")
 
 
 # one small call per subcommand, each into the layer it exercises

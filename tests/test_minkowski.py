@@ -1,10 +1,14 @@
 """The degree-bound constants M(n) and the algebraic Brauer bound built on them."""
 
+import time
+from math import prod
+
 import pytest
 from hypothesis import given, strategies as st
 from sympy import primerange
 
-from cmbrauer.minkowski import MinkowskiConstant, algebraic_brauer_bound, minkowski_M
+from cmbrauer.errors import MAX_DIGITS, BudgetError
+from cmbrauer.minkowski import MAX_MINKOWSKI_N, MinkowskiConstant, algebraic_brauer_bound, minkowski_M
 
 
 def _exponent(n: int, p: int) -> int:
@@ -48,6 +52,18 @@ def test_exponents_match_definition(n):
 def test_divisibility_chain(n):
     # exponents are monotone in n, so M(n) | M(n+1)
     assert minkowski_M(n + 1).value % minkowski_M(n).value == 0
+
+
+def test_n_past_the_digit_limit_is_refused():
+    # by the oracle, M(1332) is past the render limit
+    assert prod(p ** _exponent(1332, p) for p in primerange(2, 1334)) >= 10 ** MAX_DIGITS
+    assert MAX_MINKOWSKI_N == 1331
+    assert len(str(minkowski_M(1331).value)) == 4294
+    for n in (1332, 10 ** 6):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match="more than 4300 digits"):
+            minkowski_M(n)
+        assert time.perf_counter() - start < 0.2, n
 
 
 def test_constant_consistency_assert():

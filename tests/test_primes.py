@@ -179,9 +179,9 @@ _WRONG_ARITHMETIC = textwrap.dedent("""
         raises_internal(lambda: quadratic.fundamental_discriminant(-12)),
         raises_internal(lambda: minkowski.minkowski_M(4)),
         raises_internal(lambda: minkowski.MinkowskiConstant(2, 25, ((2, 3),))),
-        raises_internal(lambda: brauer.BrauerShape((6,))),
-        raises_internal(lambda: brauer.BrauerShape((9, 3, 27))),
-        raises_internal(lambda: brauer.BrauerShape((1,))),
+        raises_internal(lambda: brauer.BrauerShape(((6, 1),))),
+        raises_internal(lambda: brauer.BrauerShape(((3, 2), (3, 1), (3, 3)))),
+        raises_internal(lambda: brauer.BrauerShape(((2, 0),))),
     ]
     print(checks)
 """)
