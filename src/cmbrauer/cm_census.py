@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MAX_DIGITS, BudgetError, InternalCheckError
+from .errors import DIGIT_LIMIT, MAX_DIGITS, BudgetError, InternalCheckError, bounded_power
 from .minkowski import minkowski_M
 from .quadratic import (
     FundamentalDiscriminant,
@@ -71,18 +71,19 @@ def conductor_bound(field: FundamentalDiscriminant, ring_class_degree: int) -> C
 
     Clause bounds: max{d^2, 2} over Q(sqrt(-7)), max{d^2, 5} over Q(i),
     max{d^2, 7} over Q(zeta_3), d^2 otherwise; at degree 1 the exceptional
-    conductors above 3 are impossible, capping the bound at 3.
+    conductors above 3 are impossible, capping the bound at 3.  A d^2 past
+    MAX_DIGITS digits is refused.
     """
     d = ring_class_degree
     if d < 1:
         raise ValueError(f"degree must be positive, got {d}")
+    bound = bounded_power(d, 2, "the conductor bound d^2")
     dk = field.value
     if dk in _EXCEPTIONAL_FLOOR:
         floor_val = _EXCEPTIONAL_FLOOR[dk]
-        bound = max(d * d, floor_val)
+        bound = max(bound, floor_val)
         label = f"max(d^2, {floor_val})"
     else:
-        bound = d * d
         label = "d^2"
     if d == 1 and bound > _DEGREE_ONE_CAP:
         bound = _DEGREE_ONE_CAP
@@ -91,10 +92,12 @@ def conductor_bound(field: FundamentalDiscriminant, ring_class_degree: int) -> C
 
 
 def conductor_bound_over_degree(d: int) -> int:
-    """Conductor bound in terms of the base field degree alone: min{3d^2, max{d^2, 7}}."""
+    """Conductor bound in terms of the base field degree alone: min{3d^2, max{d^2, 7}}.
+    A d^2 past MAX_DIGITS digits is refused."""
     if d < 1:
         raise ValueError(f"degree must be positive, got {d}")
-    return min(3 * d * d, max(d * d, 7))
+    sq = bounded_power(d, 2, "the conductor bound d^2")
+    return min(3 * sq, max(sq, 7))
 
 
 def d_permissible_conductors(field: FundamentalDiscriminant, d: int) -> list[tuple[int, int]]:
@@ -155,9 +158,9 @@ def singular_k3_bound(d: int, field_count: int, eps=DEFAULT_EPS) -> int:
         raise ValueError(f"need d >= 1 and field_count >= 0, got {(d, field_count)}")
     if field_count == 0:
         return 0
-    limit = 10 ** MAX_DIGITS
     scale = 3 * d ** 3 * field_count
-    if scale >= limit or (bound := floor_upper((ln_bracket(3 * d * d, eps) + Bracket.exact(1)).scale(scale))) >= limit:
+    if scale >= DIGIT_LIMIT or (
+            bound := floor_upper((ln_bracket(3 * d * d, eps) + Bracket.exact(1)).scale(scale))) >= DIGIT_LIMIT:
         raise BudgetError(f"the singular K3 bound has more than {MAX_DIGITS} digits")
     return bound
 

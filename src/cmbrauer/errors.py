@@ -5,6 +5,8 @@ from math import log10
 
 # CPython's default limit on int -> str conversion: a value past it could not be rendered
 MAX_DIGITS = 4300
+# the least integer with more than MAX_DIGITS digits, formed once rather than per check
+DIGIT_LIMIT = 10 ** MAX_DIGITS
 
 
 class InternalCheckError(AssertionError):
@@ -25,6 +27,6 @@ def bounded_power(base: int, exp: int, what: str) -> int:
     when it has more than MAX_DIGITS digits.  The estimate exp * log10(base)
     refuses before the power is formed; short of it the power has at most
     MAX_DIGITS + 2 digits, and the exact test decides."""
-    if (base > 1 and exp > (MAX_DIGITS + 1) / log10(base)) or (power := base ** exp) >= 10 ** MAX_DIGITS:
+    if (base > 1 and exp > (MAX_DIGITS + 1) / log10(base)) or (power := base ** exp) >= DIGIT_LIMIT:
         raise BudgetError(f"{what} has more than {MAX_DIGITS} digits")
     return power

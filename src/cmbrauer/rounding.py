@@ -6,13 +6,20 @@ expression on upper endpoints (lower endpoints for reciprocal factors) and
 floor at the very end.  Brackets at a finer eps are subsets of brackets at a
 coarser eps by construction, so reported bounds never increase when the
 precision is tightened.
+
+ln x is summed in integers: x = y * 2^k with y in [1, 2), ln y = 2 atanh t
+as a fixed-point series in t = (y - 1) / (y + 1) <= 1/3 with 128 fraction
+bits, widened by the error bound proven in _ln_fixed, plus k times a ln 2
+enclosure 64 bits finer.  Every such master enclosure is checked to be at
+most 10^-30 wide before it is rounded outward to the eps grid.  Products and
+powers of nonnegative brackets take the two like endpoints; only signed
+products need all four.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt
 
 from .errors import InternalCheckError
@@ -46,16 +53,18 @@ class Bracket:
         return Bracket(self.lo + other.lo, self.hi + other.hi)
 
     def __mul__(self, other: "Bracket") -> "Bracket":
+        if self.lo >= 0 and other.lo >= 0:
+            return Bracket(self.lo * other.lo, self.hi * other.hi)
         ends = (self.lo * other.lo, self.lo * other.hi, self.hi * other.lo, self.hi * other.hi)
         return Bracket(min(ends), max(ends))
 
     def __pow__(self, e: int) -> "Bracket":
         if e < 0:
             raise ValueError(f"bracket powers need e >= 0, got {e}")
-        out = Bracket.exact(1)
-        for _ in range(e):
-            out = out * self
-        return out
+        # only needed for positive quantities (pi, affine ln factors)
+        if self.lo < 0:
+            raise InternalCheckError(f"power of [{self.lo}, {self.hi}], which is not nonnegative")
+        return Bracket(self.lo ** e, self.hi ** e)
 
     def inv(self) -> "Bracket":
         # only needed for positive quantities (pi powers)
@@ -83,52 +92,76 @@ def pi_bracket(eps: Fraction = DEFAULT_EPS) -> Bracket:
     return Bracket(_PI_20_DIGITS, _PI_20_DIGITS + Fraction(1, 10 ** 20))
 
 
-def _ln_atanh(y: Fraction, delta: Fraction) -> Bracket:
-    # ln y = 2*atanh(t), t = (y-1)/(y+1) in [0, 1/3] for y in [1, 2];
-    # tail after term j=J is at most (9/4) t^(2J+3) / (2J+3)
-    if not 1 <= y <= 2:
-        raise InternalCheckError(f"atanh series for ln y needs y in [1, 2], got {y}")
-    t = (y - 1) / (y + 1)
-    t2 = t * t
-    total = Fraction(0)
-    term = 2 * t
-    j = 0
-    while True:
-        total += term / (2 * j + 1)
-        term *= t2
-        j += 1
-        tail = Fraction(9, 4) * term / (2 * j + 1)
-        if tail <= delta:
-            return Bracket(total, total + tail)
-
-
 def _outward(b: Bracket, grid: Fraction) -> Bracket:
     # widen to multiples of grid; nested grids give nested outputs
-    lo = Fraction((b.lo / grid).__floor__()) * grid
-    hi = Fraction(-((-b.hi / grid).__floor__())) * grid
-    return Bracket(lo, hi)
+    g, h = grid.numerator, grid.denominator
+    lo = b.lo.numerator * h // (b.lo.denominator * g)
+    hi = -(-b.hi.numerator * h // (b.hi.denominator * g))
+    return Bracket(Fraction(lo * g, h), Fraction(hi * g, h))
 
 
 _LN_MASTER = Fraction(1, 10 ** 30)
 
+# fraction bits of the fixed-point series for ln y, y in [1, 2): it forms at
+# most 40 terms after the first, so its enclosure is at most 173 units of
+# 2^-128 wide, about 5.1e-37
+_B = 128
 
-@lru_cache(maxsize=256)
-def _k_ln2(k: int) -> Bracket:
-    # k ln 2 from ln 2 at the budget _ln_master gives every x in [2^k, 2^(k+1))
-    return _ln_atanh(Fraction(2), _LN_MASTER / (2 * (k + 1))).scale(k)
+
+def _ln_fixed(num: int, den: int, bits: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^bits * ln((den + num) / (den - num)) <= hi, for
+    0 <= num / den <= 1/3, summed in integers as 2 atanh(t) at t = num / den.
+
+    Let u = 2^-bits, T = floor(t / u) and tau = T u <= t; every quantity
+    below is in units of u.  With P_0 = T and P_j = floor(P_(j-1) tau^2) =
+    floor(P_(j-1) T^2 / 2^(2 bits)), P_j is at most tau^(2j+1) and short of
+    it by E_j < 1 + tau^2 E_(j-1) <= 1 + E_(j-1) / 9, so by E_j < 9/8.  The
+    loop sums floor(P_j / (2j + 1)) until a P_j is 0, having formed P_1 ..
+    P_J after P_0 (in the code, t holds T and p holds P_j):
+    - the j = 0 term T is exact, and each term 1 <= j < J is short by at most
+      E_j / (2j + 1) + 1 < 17/8;
+    - the tail from j = J on is at most (tau^(2J+1) / (2J + 1)) / (1 - tau^2)
+      < (9/8)(9/8) / 3 < 17/8, since tau^(2J+1) = P_J + E_J < 9/8;
+    - atanh(t) - atanh(tau) <= (t - tau) / (1 - t^2) < 9/8, and is 0 when
+      the division that gave T was exact.
+    So the sum S has S <= atanh(t) <= S + 17J/8 + 9/8 [inexact], and
+    ln = 2 atanh doubles both.  When T = 0 and the division is exact, t = 0
+    and (lo, hi) = (0, 0).
+    """
+    if not 0 <= 3 * num <= den:
+        raise InternalCheckError(f"atanh series needs t in [0, 1/3], got {num}/{den}")
+    t, rem = divmod(num << bits, den)
+    t2, shift = t * t, 2 * bits
+    total, p, j = t, t, 0
+    while p:
+        j += 1
+        p = (p * t2) >> shift
+        total += p // (2 * j + 1)
+    return 2 * total, 2 * total + (17 * j + (9 if rem else 0) + 3) // 4
 
 
-@lru_cache(maxsize=1024)
+# ln 2 = 2 atanh(1/3), 64 bits finer than ln y and 262 units of 2^-192
+# wide, so that k ln 2 stays inside _LN_MASTER for k up to ~2.4e25, past any
+# argument that fits in memory
+_LN2_BITS = _B + 64
+_LN2 = _ln_fixed(1, 3, _LN2_BITS)
+
+
 def _ln_master(x: Fraction) -> Bracket:
-    # ln x for x >= 1 to within _LN_MASTER, from x = y * 2^k with y in [1, 2)
+    # ln x for x >= 1 to within _LN_MASTER, from x = y * 2^k with y in [1, 2):
+    # ln y = 2 atanh(t) with t = (y - 1) / (y + 1) = (n - d 2^k) / (n + d 2^k)
     n, d = x.numerator, x.denominator
     k = n.bit_length() - d.bit_length()
     if n < d << k:
         k -= 1
-    b = _ln_atanh(x / (1 << k), _LN_MASTER / (2 * (k + 1)))
-    if k:
-        b = b + _k_ln2(k)
-    return b
+    lo, hi = _ln_fixed(n - (d << k), n + (d << k), _B)
+    shift = _LN2_BITS - _B
+    lo = (lo << shift) + k * _LN2[0]
+    hi = (hi << shift) + k * _LN2[1]
+    if (hi - lo) * _LN_MASTER.denominator > _LN_MASTER.numerator << _LN2_BITS:
+        raise InternalCheckError(f"ln enclosure of {x} is {hi - lo} / 2^{_LN2_BITS} wide, past {_LN_MASTER}")
+    one = 1 << _LN2_BITS
+    return Bracket(Fraction(lo, one), Fraction(hi, one))
 
 
 def ln_bracket(x, eps: Fraction = DEFAULT_EPS) -> Bracket:

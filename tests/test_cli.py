@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from cmbrauer import cli, quadratic
+from cmbrauer import cli, cm_census, quadratic
 from cmbrauer.bounds import field_tower_constants
 from cmbrauer.quadratic import IntegralityError
 
@@ -177,7 +177,7 @@ def test_constants(capsys):
     assert env["provenance"] == "towers:all"
 
 
-def test_exit_codes(capsys):
+def test_exit_codes(capsys, monkeypatch):
     assert run_cli([], capsys)[0] == 2
     assert run_cli(["frobnicate"], capsys)[0] == 64
     assert run_cli(["classnum"], capsys)[0] == 2
@@ -200,8 +200,15 @@ def test_exit_codes(capsys):
     for args in (["classnum", "--help"], ["-h", "classnum"], ["classnum", "--disc", "-4", "--he"]):
         code, env = run_json(args, capsys)
         assert code == 2 and env["error"]["message"].startswith("usage: cmbrauer"), args
+    # a conductor bound d^2 past the digit limit is refused before it is formed
+    for args in (["conductor-bound", "--degree", str(10 ** 2500)],
+                 ["conductor-bound", "--degree", str(10 ** 2500), "--delta-k", "-4"]):
+        code, env = run_json(args, capsys)
+        assert code == 2 and env["error"]["type"] == "BudgetError", args
+        assert "more than 4300 digits" in env["error"]["message"]
     # a valid result past the int-to-str digit limit is an internal failure, not bad input
-    code, env = run_json(["conductor-bound", "--degree", "1" + "0" * 2500], capsys)
+    monkeypatch.setattr(cm_census, "conductor_bound_over_degree", lambda d: 10 ** 5000)
+    code, env = run_json(["conductor-bound", "--degree", "3"], capsys)
     assert code == 70 and "cannot render" in env["error"]["message"]
     # M(n) past n = 1331 is refused before it is computed
     code, env = run_json(["minkowski", "--n", "3000"], capsys)
@@ -455,6 +462,15 @@ def test_large_class_number_is_prompt():
                          capture_output=True, text=True, check=True).stdout
     assert time.perf_counter() - start < 2.0
     assert json.loads(out)["result"]["h"] == "1952"
+
+
+def test_k3_census_at_1400_digits_is_prompt():
+    # ln(3 d^2) of a 2,800-digit argument is one fixed-point series
+    start = time.perf_counter()
+    out = subprocess.run([sys.executable, "-m", "cmbrauer", "k3-census", "--degree", str(10 ** 1400),
+                          "--field-count", "9"], capture_output=True, text=True, check=True).stdout
+    assert time.perf_counter() - start < 1.0
+    assert set(json.loads(out)["result"]) == {"log_bound", "strong_bound"}
 
 
 def test_large_prime_ell_exits_quickly(capsys):

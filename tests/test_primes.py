@@ -164,7 +164,8 @@ def test_divisors_match_sympy():
 
 
 _WRONG_ARITHMETIC = textwrap.dedent("""
-    from cmbrauer import brauer, minkowski, quadratic
+    from fractions import Fraction
+    from cmbrauer import brauer, minkowski, quadratic, rounding
 
     def raises_internal(call):
         try:
@@ -182,7 +183,11 @@ _WRONG_ARITHMETIC = textwrap.dedent("""
         raises_internal(lambda: brauer.BrauerShape(((6, 1),))),
         raises_internal(lambda: brauer.BrauerShape(((3, 2), (3, 1), (3, 3)))),
         raises_internal(lambda: brauer.BrauerShape(((2, 0),))),
+        raises_internal(lambda: rounding.Bracket(Fraction(-1), Fraction(1)) ** 2),
     ]
+    # a series too coarse for its promised width is caught, not returned
+    rounding._B = 16
+    checks += [raises_internal(lambda: rounding._ln_master(Fraction(3)))]
     print(checks)
 """)
 
@@ -191,4 +196,4 @@ _WRONG_ARITHMETIC = textwrap.dedent("""
 def test_checks_on_a_wrong_factorization_survive_python_O(flags):
     out = subprocess.run([sys.executable, *flags, "-c", _WRONG_ARITHMETIC],
                          capture_output=True, text=True, check=True).stdout
-    assert out.strip() == str([True] * 6)
+    assert out.strip() == str([True] * 8)

@@ -1,5 +1,7 @@
 """Directed-rounding brackets: enclosure correctness and structural nesting."""
 
+import gc
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -143,41 +145,112 @@ def test_eps_range_validation():
         sqrt_bracket(2, Fraction(0))
 
 
-def test_ln_master_cache_stays_bounded(capsys):
-    # a long-lived process sees ever new ln arguments; the master enclosures
-    # it keeps are capped, and a dropped one is recomputed to the same bracket
+def test_ln_memory_stays_bounded(capsys):
+    # a long-lived process sees ever new ln arguments; it keeps no growing
+    # store of them, and an argument seen long ago gets the same bracket again
     first = ln_bracket(10 ** 6 + 1)
-    for d in range(10 ** 6, 10 ** 6 + 5000):
-        assert cli.main(["bound", "--id", "faltings_GRH", "--set", f"d={d}", "--assume-grh"]) == 0
-    capsys.readouterr()
-    assert rounding._ln_master.cache_info().currsize <= 1024
+    degrees = range(10 ** 6, 10 ** 6 + 5000)
+    tracemalloc.start()
+    try:
+        for i, d in enumerate(degrees):
+            if i == 1000:
+                gc.collect()
+                warm = tracemalloc.get_traced_memory()[0]
+            assert cli.main(["bound", "--id", "faltings_GRH", "--set", f"d={d}", "--assume-grh"]) == 0
+            capsys.readouterr()
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - warm
+    finally:
+        tracemalloc.stop()
+    # 4,000 retained ln results would hold more than 1 MB
+    assert grown < 256 * 1024, grown
     assert ln_bracket(10 ** 6 + 1) == first
 
 
-def _ln_master_by_halving(x: Fraction) -> Bracket:
-    # the reference: halve x into [1, 2) one step at a time, and sum ln y
-    # with k ln 2, both at the budget that k sets
+def _ln_atanh(y: Fraction, delta: Fraction) -> Bracket:
+    # the oracle: ln y = 2*atanh(t), t = (y-1)/(y+1) in [0, 1/3] for y in [1, 2],
+    # summed in exact rationals; the tail after term j=J is at most
+    # (9/4) t^(2J+3) / (2J+3)
+    assert 1 <= y <= 2
+    t = (y - 1) / (y + 1)
+    t2 = t * t
+    total = Fraction(0)
+    term = 2 * t
+    j = 0
+    while True:
+        total += term / (2 * j + 1)
+        term *= t2
+        j += 1
+        tail = Fraction(9, 4) * term / (2 * j + 1)
+        if tail <= delta:
+            return Bracket(total, total + tail)
+
+
+_ORACLE = Fraction(1, 10 ** 60)
+_ORACLE_BITS = 256
+
+
+def _ln_oracle(x: Fraction) -> Bracket:
+    # ln x within _ORACLE: halve x into y in [1, 2), then, since ln is
+    # increasing, enclose ln y by the series at the 2^-256 grid points on
+    # either side of y, which keeps the series' rationals short
     k, y = 0, x
     while y >= 2:
         y /= 2
         k += 1
-    budget = rounding._LN_MASTER / (2 * (k + 1))
-    b = rounding._ln_atanh(y, budget)
+    one = 1 << _ORACLE_BITS
+    below = (y * one).__floor__()
+    b = Bracket(_ln_atanh(Fraction(below, one), _ORACLE / 4).lo,
+                _ln_atanh(min(Fraction(-(-y * one).__floor__(), one), Fraction(2)), _ORACLE / 4).hi)
     if k:
-        b = b + rounding._ln_atanh(Fraction(2), budget).scale(k)
+        b = b + _ln_atanh(Fraction(2), _ORACLE / (4 * k)).scale(k)
     return b
+
+
+def _assert_master_encloses_oracle(x: Fraction):
+    master, oracle = rounding._ln_master(x), _ln_oracle(x)
+    assert oracle.hi - oracle.lo <= _ORACLE
+    assert master.lo <= oracle.lo and oracle.hi <= master.hi, x
+    assert master.hi - master.lo <= rounding._LN_MASTER, x
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 10 ** 40), st.integers(1, 10 ** 12))
-def test_ln_master_equals_the_halving_loop(a, b):
-    x = Fraction(max(a, b), min(a, b))
-    assert rounding._ln_master(x) == _ln_master_by_halving(x)
+def test_ln_master_contains_the_series_oracle(a, b):
+    _assert_master_encloses_oracle(Fraction(max(a, b), min(a, b)))
 
 
 def test_ln_master_at_powers_of_two():
-    # k changes at each power of two: both sides of it must agree exactly
+    # k changes at each power of two: both sides of it must be enclosed
     for k in (0, 1, 2, 7, 63, 64, 200):
         for x in (Fraction(2 ** k), Fraction(2 ** (k + 7) + 1, 2 ** 7), Fraction(2 ** (k + 8) - 1, 2 ** 7),
                   Fraction(2 ** (k + 1) - 1)):
-            assert rounding._ln_master(x) == _ln_master_by_halving(x), x
+            _assert_master_encloses_oracle(x)
+
+
+def test_ln_master_at_one_and_at_long_arguments():
+    assert rounding._ln_master(Fraction(1)) == Bracket.exact(0)
+    for bits in (9300, 14300):
+        for x in (Fraction(3 ** (bits * 100 // 159)), Fraction((1 << bits) - 1, 7), Fraction(10 ** (bits * 3 // 10) + 1)):
+            _assert_master_encloses_oracle(x)
+
+
+def _four_corner_product(a: Bracket, b: Bracket) -> Bracket:
+    # the oracle for a product of brackets of any sign
+    ends = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
+    return Bracket(min(ends), max(ends))
+
+
+_NONNEGATIVE = st.fractions(min_value=0, max_value=10)
+
+
+@settings(max_examples=200)
+@given(_NONNEGATIVE, _NONNEGATIVE, _NONNEGATIVE, _NONNEGATIVE, st.integers(0, 30))
+def test_nonnegative_products_equal_the_four_corner_oracle(alo, aw, blo, bw, e):
+    a = Bracket(alo, alo + aw)
+    b = Bracket(blo, blo + bw)
+    assert a * b == _four_corner_product(a, b)
+    power = Bracket.exact(1)
+    for _ in range(e):
+        power = _four_corner_product(power, a)
+    assert a ** e == power
