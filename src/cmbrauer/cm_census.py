@@ -4,15 +4,18 @@ degree, plus the singular K3 census bounds built on them."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DIGIT_LIMIT, MAX_DIGITS, BudgetError, InternalCheckError, bounded_power
 from .minkowski import minkowski_M
+from .primes import primerange
 from .quadratic import (
     FundamentalDiscriminant,
-    Order,
+    IntegralityError,
+    _kronecker_prime,
     class_number_field,
-    class_number_order,
     enumerate_fields_by_class_number,
+    unit_index,
 )
 from .rounding import DEFAULT_EPS, Bracket, floor_upper, ln_bracket
 
@@ -26,10 +29,12 @@ _EXCEPTIONAL_FLOOR = {-7: 2, -4: 5, -3: 7}
 # (Delta_K, d) pairs whose census counts are known exactly, with their values
 EXCEPTIONAL_CM_COUNTS = {(-7, 1): 2, (-4, 1): 2, (-3, 1): 3, (-3, 2): 9}
 
-# cap on the degree of a census over fields: it costs about (fields with
-# h_K <= d) * 3d^2 class numbers, and with Python 3.11 at the 10^5 disc cap
-# degree 12 takes 0.3 s (cm_count_total) and 0.6 s (singular_k3_refined_sum)
-# as a process, degree 16 0.7 s and 1.7 s, degree 24 3.0 s and 8.3 s
+# cap on the degree of a census over fields.  With Python 3.11 at the 10^5
+# disc cap, after the 0.19 s sweep, cm_count_total and singular_k3_refined_sum
+# take 9 ms and 5 ms in-process at degree 12 (703 fields), 30 ms and 19 ms at
+# degree 24 and 0.17 s and 0.13 s at degree 48; as a process, degree 12 takes
+# 0.4 s and 0.5 s.  A higher cap buys little while fields with h_K <= d past
+# the 10^5 disc cap go unsearched (certified_complete stays False).
 MAX_CENSUS_DEGREE = 12
 
 
@@ -100,20 +105,64 @@ def conductor_bound_over_degree(d: int) -> int:
     return min(3 * sq, max(sq, 7))
 
 
+@lru_cache(maxsize=16)
+def _walk_primes(d: int) -> tuple[int, ...]:
+    # a prime p dividing an f > 1 with h(O_f) <= d has h_K (p - 1) <= d u <= 3d
+    return tuple(primerange(2, 3 * d + 2))
+
+
+def _permissible(dk: int, hk: int, d: int, cap: int) -> list[tuple[int, int]]:
+    """The walk of d_permissible_conductors over the field (dk, hk), up to cap."""
+    u = unit_index(dk, 2)  # u_f for every f > 1
+    room = d * u  # f > 1 is permissible iff h_K g(f) <= room
+    # (p, g(p)) for the primes that can divide a permissible f at all
+    steps = []
+    for p in _walk_primes(d):
+        if p > cap or hk * (p - 1) > room:
+            break
+        steps.append((p, p - _kronecker_prime(dk, p)))
+    out = [(1, hk)] if hk <= d else []
+
+    def extend(f: int, g: int, start: int) -> None:
+        for i in range(start, len(steps)):
+            p, gp = steps[i]
+            # g(p^e) >= p - 1 for this and every later prime
+            if f * p > cap or hk * g * (p - 1) > room:
+                break
+            fe, ge = f * p, g * gp
+            while fe <= cap and hk * ge <= room:
+                h, rem = divmod(hk * ge, u)
+                if rem:
+                    raise IntegralityError(f"class number formula gave {hk * ge}/{u} for disc {dk}, conductor {fe}")
+                out.append((fe, h))
+                extend(fe, ge, i + 1)
+                fe, ge = fe * p, ge * p
+
+    extend(1, 1, 0)
+    out.sort()
+    return out
+
+
 def d_permissible_conductors(field: FundamentalDiscriminant, d: int) -> list[tuple[int, int]]:
-    """Conductors f <= conductor_bound with h(O_f) <= d, with their class numbers.
+    """Conductors f <= conductor_bound with h(O_f) <= d, with their class numbers,
+    in ascending f.
 
     This is the necessary-condition filter (h(O_f) = [K_f:K] <= d); genuine
     permissibility can be strictly smaller, so censuses built on it are
     upper bounds.
+
+    h(O_f) = h_K g(f) / u_f with g multiplicative, g(p^e) = p^(e-1) (p - (Delta_K/p)),
+    and u_f = [O_K^x : O_f^x], which is 1 at f = 1 and the same for every f > 1
+    (Cox, Primes of the Form x^2 + ny^2, 2nd ed., Thm 7.24).  So the f are found
+    by a depth-first walk that extends f by prime powers in ascending prime
+    order.  g never falls as f grows, and every later prime p multiplies g by at
+    least p - 1 (p = 2 with (Delta_K/2) = 1 multiplies it by 1, not 2), so a
+    prime's loop stops once f p > bound or h_K g (p - 1) > d u_f.  Only the
+    permissible f are visited, each h is checked to be an integer, and
+    (Delta_K/p) is taken once per prime.
     """
     cap = conductor_bound(field, d).bound
-    out = []
-    for f in range(1, cap + 1):
-        h = class_number_order(Order(field, f))
-        if h <= d:
-            out.append((f, h))
-    return out
+    return _permissible(field.value, class_number_field(field.value), d, cap)
 
 
 def cm_count_per_field(field: FundamentalDiscriminant, d: int) -> int:
@@ -168,15 +217,21 @@ def singular_k3_bound(d: int, field_count: int, eps=DEFAULT_EPS) -> int:
 def singular_k3_refined_sum(d: int, disc_search_bound: int) -> int:
     """Exact triple sum behind the closed-form census bound: over fields with
     h_K <= d, conductors f <= 3d^2, and divisors f_a | f, of min(h(O_{f_a}), d).
-    Each f_a divides floor(3d^2 / f_a) of the f, which sums out the divisors.
-    A degree past MAX_CENSUS_DEGREE is refused."""
+
+    Each f_a divides floor(3d^2 / f_a) of the f, which sums out the divisors,
+    and min(h, d) is d less d - h where h <= d, so per field the sum is
+    d sum_{f_a <= 3d^2} floor(3d^2 / f_a) - sum (d - h(O_{f_a})) floor(3d^2 / f_a),
+    the second sum over the f_a <= 3d^2 with h(O_{f_a}) <= d, which the walk of
+    d_permissible_conductors finds (Cox, Thm 7.24).  A degree past
+    MAX_CENSUS_DEGREE is refused."""
     _check_census_degree(d)
     search = enumerate_fields_by_class_number(d, disc_search_bound)
-    total = 0
     cap = 3 * d * d
+    full = d * sum(cap // fa for fa in range(1, cap + 1))
+    total = 0
     for k in search.fields:
-        hk = class_number_field(k.value)
-        total += sum(min(class_number_order(Order(k, fa), hk), d) * (cap // fa) for fa in range(1, cap + 1))
+        walk = _permissible(k.value, class_number_field(k.value), d, cap)
+        total += full - sum((d - h) * (cap // fa) for fa, h in walk)
     return total
 
 

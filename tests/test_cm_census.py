@@ -1,6 +1,7 @@
 """Conductor bounds, the CM j-invariant census, and singular K3 class counts."""
 
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -78,6 +79,19 @@ def test_permissible_conductors_respect_class_numbers():
                 assert h == class_number_order(Order(field, f))
                 assert h <= d
                 assert f <= conductor_bound(field, d).bound
+
+
+def test_permissible_conductors_are_complete():
+    # the walk against every f up to the bound, by the per-f class number;
+    # the fields with h_K <= 12 below 2000 include -3, -4 and -7
+    fields = enumerate_fields_by_class_number(12, 2000).fields
+    assert {-3, -4, -7} <= {k.value for k in fields}
+    for k in fields:
+        hs = [class_number_order(Order(k, f)) for f in range(1, conductor_bound(k, 12).bound + 1)]
+        for d in range(1, 13):
+            cap = conductor_bound(k, d).bound
+            expected = [(f, h) for f, h in enumerate(hs[:cap], 1) if h <= d]
+            assert d_permissible_conductors(k, d) == expected, (k.value, d)
 
 
 def test_exceptional_census_counts():
@@ -173,6 +187,24 @@ def _refined_triple_loop(d, disc_search_bound):
 def test_singular_k3_refined_sum_matches_triple_loop(d):
     for bound in (3, 50, 300, 1000):
         assert singular_k3_refined_sum(d, bound) == _refined_triple_loop(d, bound), (d, bound)
+
+
+@pytest.mark.parametrize("d", [5, 8, 12])
+def test_singular_k3_refined_sum_matches_the_class_number_sum(d):
+    cap = 3 * d * d
+    expected = sum(min(class_number_order(Order(k, fa)), d) * (cap // fa)
+                   for k in enumerate_fields_by_class_number(d, 1000).fields
+                   for fa in range(1, cap + 1))
+    assert singular_k3_refined_sum(d, 1000) == expected
+
+
+def test_degree_twelve_censuses_are_prompt():
+    quadratic._retained(100000)
+    start = time.perf_counter()
+    cm_count_total(12, 100000)
+    singular_k3_refined_sum(12, 100000)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.2, f"degree-12 censuses took {elapsed:.3f} s"
 
 
 def test_singular_k3_refined_monotone_in_bound():

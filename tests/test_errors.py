@@ -74,7 +74,7 @@ _BROKEN_INVARIANTS = textwrap.dedent("""
     lattices.disc_hom = lambda p: Fraction(1)
     checks += [raises_internal(lambda: lattices.disc_ns_product(pair)),
                raises_internal(lambda: lattices.disc_ns_kummer(pair))]
-    cm_census.class_number_order = lambda order: 2
+    cm_census.class_number_field = lambda dk: 2
     checks += [raises_internal(lambda: cm_census.cm_count_per_field(field, 1))]
     cm_census.cm_count_per_field = lambda k, d: 1
     checks += [raises_internal(lambda: cm_census.cm_count_total(1, 200))]
