@@ -79,13 +79,18 @@ def conductor_bound(field: FundamentalDiscriminant, ring_class_degree: int) -> C
     conductors above 3 are impossible, capping the bound at 3.  A d^2 past
     MAX_DIGITS digits is refused.
     """
-    d = ring_class_degree
+    clause = _clause_bound(ring_class_degree, _EXCEPTIONAL_FLOOR.get(field.value))
+    return ConductorBoundReport(field, clause.degree, clause.bound, clause.case_label)
+
+
+@lru_cache(maxsize=64)
+def _clause_bound(d: int, floor_val: int | None) -> ConductorBoundReport:
+    # the bound sees the field only through its floor, so a census forms it
+    # once per degree, not once per field
     if d < 1:
         raise ValueError(f"degree must be positive, got {d}")
     bound = bounded_power(d, 2, "the conductor bound d^2")
-    dk = field.value
-    if dk in _EXCEPTIONAL_FLOOR:
-        floor_val = _EXCEPTIONAL_FLOOR[dk]
+    if floor_val is not None:
         bound = max(bound, floor_val)
         label = f"max(d^2, {floor_val})"
     else:
@@ -93,7 +98,7 @@ def conductor_bound(field: FundamentalDiscriminant, ring_class_degree: int) -> C
     if d == 1 and bound > _DEGREE_ONE_CAP:
         bound = _DEGREE_ONE_CAP
         label += ", capped at 3 for degree 1"
-    return ConductorBoundReport(field, d, bound, label)
+    return ConductorBoundReport(None, d, bound, label)
 
 
 def conductor_bound_over_degree(d: int) -> int:
@@ -161,7 +166,7 @@ def d_permissible_conductors(field: FundamentalDiscriminant, d: int) -> list[tup
     permissible f are visited, each h is checked to be an integer, and
     (Delta_K/p) is taken once per prime.
     """
-    cap = conductor_bound(field, d).bound
+    cap = _clause_bound(d, _EXCEPTIONAL_FLOOR.get(field.value)).bound
     return _permissible(field.value, class_number_field(field.value), d, cap)
 
 

@@ -6,10 +6,18 @@ reference.  The sampled upper bound on the largest n with psi values in
 Z + ell^n O_K needs only |t| in 4q = a_q^2 + |Delta_K| t^2, which Cornacchia's
 algorithm and one residue symbol give in O(log q) per prime, with no point
 count (Cohen, GTM 138, Alg. 1.5.3; Ireland & Rosen, GTM 84, ch. 18).
+
+Everything but the residue symbol depends on the field alone, and only the
+nine fields of class number one occur, so each field keeps one table of its
+odd split primes with their Cornacchia data (_SplitPrimes), grown on demand
+and retained for the life of the process; a scan reads it and does only the
+curve's own work per prime.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -135,18 +143,16 @@ def _cornacchia_4q(delta_k: int, q: int) -> tuple[int, int]:
     return b, y
 
 
-def _frobenius_t(curve: CurveOverQ, q: int) -> int:
-    """|t| with 4q = a_q^2 + |Delta_K| t^2 at a good prime q split in K, the
-    field of class number one by which the curve has CM."""
-    d = curve.cm_disc
-    x, y = _cornacchia_4q(d, q)
-    if d == -4:
-        # q = u^2 + t^2: t is the even one iff -a4 is a square mod q, the
-        # quadratic part of the quartic symbol of -a4
+def _field_entry(delta_k: int, q: int) -> tuple[int, ...]:
+    """The Frobenius data at an odd prime q split in K that depend on the field
+    alone: |t| itself, or for Q(i) the even and the odd member of {u, t} in
+    q = u^2 + t^2, or for Q(zeta_3) the cube root of unity w mod q that omega
+    maps to and the |B| of the primary pi = A + B omega and its two rotations."""
+    x, y = _cornacchia_4q(delta_k, q)
+    if delta_k == -4:
         u = x // 2
-        even, odd = (u, y) if u % 2 == 0 else (y, u)
-        return even if _kronecker_prime(-curve.a4, q) == 1 else odd
-    if d == -3:
+        return (u, y) if u % 2 == 0 else (y, u)
+    if delta_k == -3:
         # pi = (x + y sqrt(-3))/2 = A + B omega, omega = (-1 + sqrt(-3))/2;
         # multiplying by omega sends (A, B) to (-B, A - B)
         A, B = (x + y) // 2, y
@@ -155,17 +161,100 @@ def _frobenius_t(curve: CurveOverQ, q: int) -> int:
         # pi is primary up to a sign, which |t| does not see (B = 0 mod 3);
         # in O_K/pi = F_q, sqrt(-3) = -a/t with a = 2A - B, t = B
         w = (-1 - (2 * A - B) * pow(B, -1, q)) * (q + 1) // 2 % q
-        # the cubic symbol (4 a6 / pi)_3 = omega^k, read off as
-        # (4 a6)^((q-1)/3) = w^k mod q, makes psi(q) = omega^k pi up to sign
-        chi = pow(4 * curve.a6 % q, (q - 1) // 3, q)
+        rotated = []
         for _ in range(3):
-            if chi == 1:
-                return abs(B)
-            chi = chi * w * w % q    # divide by w, as w^3 = 1
+            rotated.append(abs(B))
             A, B = -B, A - B
-        raise InternalCheckError(f"(4*{curve.a6})^(({q}-1)/3) is not a cube root of unity mod {q}")
+        return (w, *rotated)
     # a single generator up to sign: |t| is determined
-    return y
+    return (y,)
+
+
+def _curve_t(curve: CurveOverQ, q: int, data: tuple, i: int) -> int:
+    """|t| with 4q = a_q^2 + |Delta_K| t^2 for the curve, from the field entry
+    at index i of the columns data (see _field_entry): the one step that
+    depends on the curve picks among the field's candidates."""
+    d = curve.cm_disc
+    if d == -4:
+        # t is the even one iff -a4 is a square mod q, the quadratic part of
+        # the quartic symbol of -a4
+        return data[0 if _kronecker_prime(-curve.a4, q) == 1 else 1][i]
+    if d == -3:
+        # the cubic symbol (4 a6 / pi)_3 = omega^k, read off as
+        # (4 a6)^((q-1)/3) = w^k mod q, makes psi(q) = omega^k pi up to sign,
+        # whose |B| is that of the k-th rotation
+        w = data[0][i]
+        chi = pow(4 * curve.a6 % q, (q - 1) // 3, q)
+        if chi == 1:
+            return data[1][i]
+        if chi == w:
+            return data[2][i]
+        if chi == w * w % q:
+            return data[3][i]
+        raise InternalCheckError(f"(4*{curve.a6})^(({q}-1)/3) is not a cube root of unity mod {q}")
+    return data[0][i]
+
+
+# columns of a field entry, 1 outside Q(i) and Q(zeta_3)
+_ENTRY_WIDTH = {-4: 2, -3: 4}
+_FIRST_REACH = 256
+
+
+class _SplitPrimes:
+    """The odd primes q <= reach split in one CM field K, ascending, with the
+    field entry (_field_entry) of each, stored as parallel array columns."""
+
+    __slots__ = ("delta_k", "reach", "primes", "data")
+
+    def __init__(self, delta_k: int):
+        self.delta_k = delta_k
+        self.reach = 2
+        self.primes = array("i")
+        self.data = tuple(array("i") for _ in range(_ENTRY_WIDTH.get(delta_k, 1)))
+
+    def grow(self, limit: int) -> None:
+        """Extend reach by one chunk: to twice the old reach, at least
+        _FIRST_REACH, at most limit.  The chunk is built aside and committed
+        only once every entry of it has been formed.  Two threads must not
+        grow one table at once (the package starts none)."""
+        reach = min(limit, max(2 * self.reach, _FIRST_REACH))
+        primes = array("i")
+        data = tuple(array("i") for _ in self.data)
+        for q in primerange(self.reach + 1, reach + 1):
+            if _kronecker_prime(self.delta_k, q) == 1:
+                primes.append(q)
+                for column, value in zip(data, _field_entry(self.delta_k, q)):
+                    column.append(value)
+        self.primes.extend(primes)
+        for column, chunk in zip(self.data, data):
+            column.extend(chunk)
+        self.reach = reach
+
+
+# the retained tables, one per CM field, grown as scans reach their end
+_SPLIT_PRIMES: dict[int, _SplitPrimes] = {}
+
+
+def _split_primes(delta_k: int) -> _SplitPrimes:
+    table = _SPLIT_PRIMES.get(delta_k)
+    if table is None:
+        table = _SPLIT_PRIMES[delta_k] = _SplitPrimes(delta_k)
+    return table
+
+
+def _frobenius_t(curve: CurveOverQ, q: int) -> int:
+    """|t| with 4q = a_q^2 + |Delta_K| t^2 at a good prime q split in K, the
+    field of class number one by which the curve has CM, read from the
+    field's table as estimate_m reads it."""
+    if q > _POINT_COUNT_CAP:
+        raise BudgetError(f"point-count budget is p <= {_POINT_COUNT_CAP}, got {q}")
+    table = _split_primes(curve.cm_disc)
+    while table.reach < q:
+        table.grow(q)
+    i = bisect_left(table.primes, q)
+    if i == len(table.primes) or table.primes[i] != q:
+        raise ValueError(f"{q} is not an odd prime split in the field of discriminant {curve.cm_disc}")
+    return _curve_t(curve, q, table.data, i)
 
 
 def _check_cm(curve: CurveOverQ) -> None:
@@ -196,6 +285,19 @@ def estimate_m(curve: CurveOverQ, ell: int, prime_budget: int) -> MEstimate:
     the scan early since no later prime can go lower.  The model must have
     the j-invariant of the asserted order, and the scan stops with an error at
     a good prime above 10^6.
+
+    The scan walks the retained table of the odd primes split in K, in
+    ascending order, each with its field entry: |t|, or for Q(i) the even and
+    the odd member of {u, t} in q = u^2 + t^2, or for Q(zeta_3) the cube root
+    of unity w mod q and the |B| of the three rotations of the primary pi.
+    Per prime the curve adds only the skip of q = ell and of the primes
+    dividing its discriminant, one Legendre symbol of -a4 (Q(i)) or a
+    comparison of (4 a6)^((q-1)/3) with 1, w, w^2 (Q(zeta_3)), and the
+    valuation.  A scan that reaches the end of the table extends it by one
+    chunk, to twice its reach (at least _FIRST_REACH), never past
+    min(prime_budget, 10^6); a chunk is committed only once all of it is
+    built.  The columns are 32-bit arrays: at the 10^6 cap the Q(i) table
+    holds 39,175 primes in 0.5 MiB, and all nine tables together 3.5 MiB.
     """
     if not isprime(ell):
         raise ValueError(f"ell must be prime, got {ell}")
@@ -203,22 +305,36 @@ def estimate_m(curve: CurveOverQ, ell: int, prime_budget: int) -> MEstimate:
         raise ValueError(f"prime budget must be positive, got {prime_budget}")
     FundamentalDiscriminant(curve.cm_disc)
     _check_cm(curve)
+    limit = min(prime_budget, _POINT_COUNT_CAP)
+    table = _split_primes(curve.cm_disc)
+    primes, data = table.primes, table.data
+    disc = curve.weierstrass_disc
     best: int | None = None
     samples = 0
-    for q in primerange(2, prime_budget + 1):
-        if q == ell or not curve.has_good_reduction(q):
+    i = 0
+    while True:
+        if i == len(primes):
+            if table.reach >= limit:
+                break
+            table.grow(limit)
             continue
-        if q > _POINT_COUNT_CAP:
-            # bounds the scan's time; the message is the point count's own
-            raise BudgetError(f"point-count budget is p <= {_POINT_COUNT_CAP}, got {q}")
-        if _kronecker_prime(curve.cm_disc, q) != 1:
-            continue
-        v = _ord(ell, _frobenius_t(curve, q))
-        samples += 1
-        if best is None or v < best:
-            best = v
-        if best == 0:
+        q = primes[i]
+        if q > limit:
             break
+        if q != ell and disc % q:
+            v = _ord(ell, _curve_t(curve, q, data, i))
+            samples += 1
+            if best is None or v < best:
+                best = v
+            if best == 0:
+                break
+        i += 1
+    if best != 0 and prime_budget > _POINT_COUNT_CAP:
+        # bounds the scan's time; the message is the point count's own, at the
+        # first good prime q != ell past the cap, split in K or not
+        for q in primerange(_POINT_COUNT_CAP + 1, prime_budget + 1):
+            if q != ell and disc % q:
+                raise BudgetError(f"point-count budget is p <= {_POINT_COUNT_CAP}, got {q}")
     if best is None:
         raise ValueError(
             f"no ordinary good prime <= {prime_budget} for y^2 = x^3 + {curve.a4}x + {curve.a6}"

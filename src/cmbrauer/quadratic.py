@@ -9,11 +9,11 @@ brute-force oracle for both.  Everything is exact integer arithmetic.
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
+from operator import attrgetter
 
 from .errors import BudgetError, InternalCheckError
 from .primes import divisors, factorint, isprime, primerange
@@ -242,10 +242,12 @@ def _sweep(bound: int) -> list[int]:
 
 
 # The retained sweep: primitive reduced form counts indexed by m = -disc, and
-# for each class number the fundamental m in ascending order.  A bound past
-# the table sweeps again to that bound; every smaller bound reads the table.
+# for each class number (keys ascending) the fundamental m in ascending order,
+# with the validated field objects of a prefix of them (see _field_objects).
+# A bound past the table sweeps again to that bound; every smaller bound reads it.
 _counts: list[int] = []
 _fields_by_h: dict[int, list[int]] = {}
+_field_objects_by_h: dict[int, list[FundamentalDiscriminant]] = {}
 
 # caps on the census inputs: with Python 3.11 a sweep to 10^5 takes about
 # 0.25 s, and count_reduced_forms on a fundamental disc near -10^9 up to 0.5 s
@@ -254,7 +256,7 @@ MAX_FIELD_DISC = 10 ** 9
 
 
 def _retained(disc_bound: int) -> list[int]:
-    global _counts, _fields_by_h
+    global _counts, _fields_by_h, _field_objects_by_h
     if disc_bound > MAX_DISC_BOUND:
         raise BudgetError(f"disc bound {disc_bound} is past the census cap {MAX_DISC_BOUND}")
     if disc_bound >= len(_counts):
@@ -267,8 +269,20 @@ def _retained(disc_bound: int) -> list[int]:
         for m in range(3, disc_bound + 1):
             if squarefree[m] if m % 4 == 3 else m % 16 in (4, 8) and squarefree[m // 4]:
                 fields_by_h.setdefault(counts[m], []).append(m)
-        _counts, _fields_by_h = counts, fields_by_h
+        _counts, _fields_by_h, _field_objects_by_h = counts, dict(sorted(fields_by_h.items())), {}
     return _counts
+
+
+def _field_objects(h: int, k: int) -> list[FundamentalDiscriminant]:
+    """The fields of the first k m in _fields_by_h[h], each validated once.
+
+    They are made when first asked for, not by the sweep: the sweep to 10^5
+    holds about 30,000 fields, which would take ~1 s and 4 MiB to validate,
+    while a census asks for a few hundred."""
+    objects = _field_objects_by_h.setdefault(h, [])
+    if len(objects) < k:
+        objects += [FundamentalDiscriminant(-m) for m in _fields_by_h[h][len(objects):k]]
+    return objects[:k]
 
 
 def form_class_counts(disc_bound: int) -> dict[int, int]:
@@ -333,12 +347,19 @@ class FieldSearch:
     certified_complete: bool = False
 
 
+_value = attrgetter("value")
+
+
 def enumerate_fields_by_class_number(h_max: int, disc_search_bound: int) -> FieldSearch:
     """All fundamental Delta_K with |Delta_K| <= disc_search_bound and h_K <= h_max,
     in ascending |Delta_K|, read from the retained sweep."""
     if disc_search_bound < 3:
         raise ValueError("disc_search_bound must be at least 3")
     _retained(disc_search_bound)
-    found = heapq.merge(*(ms[:bisect_right(ms, disc_search_bound)]
-                          for h, ms in _fields_by_h.items() if h <= h_max))
-    return FieldSearch(tuple(FundamentalDiscriminant(-m) for m in found), h_max, disc_search_bound)
+    found = []
+    for h, ms in _fields_by_h.items():
+        if h > h_max:
+            break
+        found += _field_objects(h, bisect_right(ms, disc_search_bound))
+    # each run ascends in |Delta_K|, so the sort only merges the runs
+    return FieldSearch(tuple(sorted(found, key=_value, reverse=True)), h_max, disc_search_bound)

@@ -1,17 +1,20 @@
 """Point counts, character values and the sampled m_ell upper bound."""
 
+import json
 import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
 from functools import lru_cache
-from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import primerange
 
+from cmbrauer import grossencharakter
 from cmbrauer.brauer import _ord
+from cmbrauer.errors import InternalCheckError
 from cmbrauer.grossencharakter import (
     CurveOverQ,
     MEstimate,
@@ -159,12 +162,41 @@ def test_estimate_m_diagnostics():
             estimate_m(wrong, 2, 50)
 
 
-def test_estimate_m_scan_is_bounded():
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    # empty split-prime tables for one test; the module's own come back after
+    tables = {}
+    monkeypatch.setattr(grossencharakter, "_SPLIT_PRIMES", tables)
+    return tables
+
+
+def _split_in_k(delta_k, reach):
+    return [q for q in primerange(3, reach + 1) if kronecker_symbol(delta_k, q) == 1]
+
+
+def test_estimate_m_scan_is_bounded(fresh_tables):
     start = time.perf_counter()
     assert estimate_m(EI, 2, 10 ** 6) == MEstimate(m_hat=1, samples_used=39175)
     assert time.perf_counter() - start < 3
+    # the table is warm now, and the message names the first good prime past the cap
     with pytest.raises(ValueError, match=r"point-count budget is p <= 1000000, got 1000003"):
         estimate_m(EI, 2, 2 * 10 ** 6)
+    assert fresh_tables[-4].reach == 10 ** 6
+    # every |t| < 2 sqrt(10^6) < ell, so the first sample reads 0 and ends the scan
+    assert estimate_m(EI, 1000003, 2 * 10 ** 6) == MEstimate(m_hat=0, samples_used=1)
+
+
+def test_over_cap_message_skips_ell(fresh_tables):
+    # a table that reaches the cap with no sample left: the scan runs past it,
+    # and the first good prime != ell there is 1000033
+    table = fresh_tables[-4] = grossencharakter._SplitPrimes(-4)
+    table.reach = 10 ** 6
+    with pytest.raises(ValueError, match=r"point-count budget is p <= 1000000, got 1000033"):
+        estimate_m(EI, 1000003, 2 * 10 ** 6)
+    with pytest.raises(ValueError, match=r"point-count budget is p <= 1000000, got 1000003"):
+        estimate_m(EI, 2, 2 * 10 ** 6)
+    with pytest.raises(ValueError, match="no ordinary good prime <= 10000"):
+        estimate_m(EI, 2, 10 ** 4)
 
 
 def test_point_count_vs_euler_oracle():
@@ -235,6 +267,114 @@ def test_estimate_m_matches_point_count_scan(curve):
                 assert estimate_m(curve, ell, budget) == expected, (ell, budget)
 
 
+_COHERENCE_CURVES = (EI, EZ, E7, CurveOverQ(0, -432, -3), CurveOverQ(-8697680, 9873093538, -163))
+_COHERENCE_BUDGETS = (1500, 700, 257, 256, 255, 60, 10, 3)
+
+
+def _outcome(curve, ell, budget):
+    try:
+        return list(estimate_m(curve, ell, budget))
+    except ValueError as exc:
+        return [type(exc).__name__, str(exc)]
+
+
+_FRESH_OUTCOMES = textwrap.dedent("""
+    import json, sys
+    from cmbrauer import grossencharakter as g
+
+    out = []
+    for a4, a6, d, ell, budget in json.loads(sys.stdin.read()):
+        g._SPLIT_PRIMES.clear()
+        try:
+            out.append(list(g.estimate_m(g.CurveOverQ(a4, a6, d), ell, budget)))
+        except ValueError as exc:
+            out.append([type(exc).__name__, str(exc)])
+    print(json.dumps(out))
+""")
+
+
+def test_table_order_does_not_change_results(fresh_tables):
+    # in one process: budgets descending then ascending at ell = 3, where most
+    # scans end early, then the other way round at ell = 2, where none do, so
+    # the tables grow between reads
+    down_up = _COHERENCE_BUDGETS + _COHERENCE_BUDGETS[::-1]
+    cases = ([(curve, 3, budget) for curve in _COHERENCE_CURVES for budget in down_up]
+             + [(curve, 2, budget) for curve in _COHERENCE_CURVES for budget in down_up[::-1]])
+    warm = [_outcome(*case) for case in cases]
+    # each case alone on empty tables, in a fresh interpreter
+    payload = json.dumps([(c.a4, c.a6, c.cm_disc, ell, budget) for c, ell, budget in cases])
+    fresh = json.loads(subprocess.run([sys.executable, "-c", _FRESH_OUTCOMES], input=payload,
+                                      capture_output=True, text=True, check=True).stdout)
+    assert warm == fresh
+    for case, got in zip(cases, warm):
+        try:
+            expected = list(_reference_estimate_m(*case))
+        except ValueError:
+            assert got[0] == "ValueError" and got[1].startswith("no ordinary good prime"), case
+        else:
+            assert got == expected, case
+
+
+def test_table_reach_stays_within_the_budget(fresh_tables):
+    for budget in (3, 100, 256, 1000, 5000):
+        fresh_tables.clear()
+        _outcome(EI, 2, budget)                   # m_hat = 1: the scan reads every prime
+        table = fresh_tables[-4]
+        assert table.reach == budget
+        assert list(table.primes) == _split_in_k(-4, table.reach)
+    # a scan that ends early grows the table no further than the first chunk
+    fresh_tables.clear()
+    assert estimate_m(EI, 3, 5000).samples_used == 1
+    assert fresh_tables[-4].reach == grossencharakter._FIRST_REACH
+    # a smaller budget later reads the table and leaves it as it is
+    estimate_m(EI, 2, 5000)
+    estimate_m(EI, 2, 300)
+    assert fresh_tables[-4].reach == 5000
+
+
+@pytest.mark.parametrize("curve, broken_q", [(EI, 401), (EZ, 397), (E7, 317)],
+                         ids=lambda v: str(getattr(v, "cm_disc", v)))
+def test_failed_chunk_leaves_no_partial_entries(fresh_tables, monkeypatch, curve, broken_q):
+    estimate_m(curve, 2, 256)
+    table = fresh_tables[curve.cm_disc]
+    before = (table.reach, list(table.primes), [list(column) for column in table.data])
+    cornacchia = grossencharakter._cornacchia_4q
+
+    def broken(delta_k, q):
+        if q == broken_q:
+            raise InternalCheckError(f"injected at {q}")
+        return cornacchia(delta_k, q)
+
+    monkeypatch.setattr(grossencharakter, "_cornacchia_4q", broken)
+    with pytest.raises(InternalCheckError, match=f"injected at {broken_q}"):
+        estimate_m(curve, 2, 1000)
+    assert (table.reach, list(table.primes), [list(column) for column in table.data]) == before
+    monkeypatch.setattr(grossencharakter, "_cornacchia_4q", cornacchia)
+    assert estimate_m(curve, 2, 1000) == _reference_estimate_m(curve, 2, 1000)
+    assert list(table.primes) == _split_in_k(curve.cm_disc, table.reach)
+    assert all(len(column) == len(table.primes) for column in table.data)
+
+
+def _table_bytes(table):
+    return sys.getsizeof(table) + sum(sys.getsizeof(column) for column in (table.primes, *table.data))
+
+
+def test_table_memory(fresh_tables):
+    # a traced scan to 20000: what the table holds is all the scan retains
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        estimate_m(EI, 2, 20000)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained <= _table_bytes(fresh_tables[-4]) + 4096
+    # at the cap (tracing the build there takes ~30 times as long as the build)
+    estimate_m(EI, 2, 10 ** 6)
+    assert len(fresh_tables[-4].primes) == 39175
+    assert _table_bytes(fresh_tables[-4]) <= 2 * 2 ** 20
+
+
 _BROKEN_IDENTITIES = textwrap.dedent("""
     from cmbrauer import brauer, grossencharakter, quadratic
 
@@ -249,6 +389,10 @@ _BROKEN_IDENTITIES = textwrap.dedent("""
         raises_internal(lambda: grossencharakter.PsiValue(3, 2, 7, -4)),
         raises_internal(lambda: brauer._ord(2, 0)),
         raises_internal(lambda: grossencharakter._cornacchia_4q(-7, 3)),
+        # a forged Q(zeta_3) entry at q = 7 with w = 6, not a cube root of
+        # unity: (4*1)^2 = 2 mod 7 is none of 1, w, w^2 = 1
+        raises_internal(lambda: grossencharakter._curve_t(
+            grossencharakter.CurveOverQ(0, 1, -3), 7, ([6], [0], [3], [3]), 0)),
     ]
     print(checks)
 """)
@@ -258,4 +402,4 @@ _BROKEN_IDENTITIES = textwrap.dedent("""
 def test_internal_checks_survive_python_O(flags):
     out = subprocess.run([sys.executable, *flags, "-c", _BROKEN_IDENTITIES],
                          capture_output=True, text=True, check=True).stdout
-    assert out.strip() == str([True] * 3)
+    assert out.strip() == str([True] * 4)
