@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .errors import InternalCheckError, bounded_power
+from .errors import InternalCheckError, bounded_digits, bounded_power
 from .lattices import LatticeDescriptor, parse_lattice
 from .minkowski import minkowski_M
 from .quadratic import FundamentalDiscriminant
@@ -290,6 +290,10 @@ def eval_bound(bound_id: str, inputs: dict, eps=None, assume_grh: bool = False) 
         raise ValueError(f"{bound_id} got unknown inputs: {unknown}")
     order = [p for p in formula.params if p not in _CHECKED_LAST] + list(_CHECKED_LAST)
     sym = formula.build(**{p: _CHECKS.get(p, _positive)(p, inputs[p]) for p in order if p in inputs})
+    # each rendered exact part is refused past MAX_DIGITS before any bracket; all are positive
+    for name, q in (("rational", sym.rational), ("sqrt argument", sym.sqrt_arg),
+                    *(("log argument", lf.arg) for lf in sym.log_factors)):
+        bounded_digits(max(q.numerator, q.denominator), f"the {name} of {bound_id}")
     # after the inputs, which are reported first; the brackets check eps too, but a formula may use none
     bracket, cert = _evaluate(sym, None if eps is None else check_eps(eps))
     return BoundReport(
@@ -305,7 +309,7 @@ def eval_bound(bound_id: str, inputs: dict, eps=None, assume_grh: bool = False) 
             ],
             "expression": formula.expression,
         },
-        integer_bound=floor_upper(bracket),
+        integer_bound=bounded_digits(floor_upper(bracket), f"the {bound_id} bound"),
         conditional=formula.grh,
         rounding_certificate=cert,
     )

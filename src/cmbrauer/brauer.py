@@ -7,8 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import prod
 
-from .errors import InternalCheckError, bounded_power
-from .primes import divisors, isprime
+from .errors import BudgetError, InternalCheckError, bounded_digits, bounded_power
+from .primes import divisors, factorint, isprime
 from .quadratic import FundamentalDiscriminant, _kronecker_prime, unit_index
 
 
@@ -156,21 +156,30 @@ def brauer_order_bound_nonmaximal(
     return ell ** (m_prime + v)
 
 
+# the divisor walk costs about 15 us a divisor, so a walk at the cap takes about a second
+MAX_DIVISORS = 2 ** 16
+
+
 def divisibility_bound(f: int, d: int, delta_k: int) -> int:
     """2 f^2 d^4 * prod ell^2 over primes ell not dividing d with
     (ell - (Delta_K/ell)) | unit_index(ell) * d; the order of the
-    transcendental Brauer group divides this."""
+    transcendental Brauer group divides this.  A bound past MAX_DIGITS
+    digits, or a u*d with more than MAX_DIVISORS divisors, is refused."""
     if f < 1 or d < 1:
         raise ValueError(f"need f >= 1 and d >= 1, got {(f, d)}")
     FundamentalDiscriminant(delta_k)
-    out = 2 * f * f * d ** 4
+    what = "the divisibility bound"
+    out = bounded_digits(2 * f * f * d ** 4, what)
     # the unit index is the same u at every ell >= 2, so ell - chi(ell) is a
     # divisor of u*d: ell = delta + chi over the divisors delta and chi in {-1, 0, 1}
-    for delta in divisors(unit_index(delta_k, 2) * d):
+    ud = unit_index(delta_k, 2) * d
+    if (count := prod(e + 1 for e in factorint(ud).values())) > MAX_DIVISORS:
+        raise BudgetError(f"u*d has {count} divisors, past the divisor walk's cap {MAX_DIVISORS}")
+    for delta in divisors(ud):
         for chi in (-1, 0, 1):
             ell = delta + chi
             if ell > 1 and d % ell and isprime(ell) and _kronecker_prime(delta_k, ell) == chi:
-                out *= ell * ell
+                out = bounded_digits(out * ell * ell, what)
     return out
 
 

@@ -55,14 +55,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _canonical_payload(x):
-    if isinstance(x, bool):
+    if x is None or isinstance(x, (bool, str)):
         return x
-    if isinstance(x, int):
+    if isinstance(x, (int, Fraction)):
         return str(x)
-    if isinstance(x, Fraction):
-        return str(x)
-    if x is None or isinstance(x, str):
-        return x
     if isinstance(x, dict):
         return {str(k): _canonical_payload(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -70,14 +66,14 @@ def _canonical_payload(x):
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
-def _serialize(envelope: dict) -> str:
-    return json.dumps(_canonical_payload(envelope), sort_keys=True, separators=(",", ":"))
+def _serialize(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _format_table(envelope: dict) -> str:
-    # human view; lossy and non-canonical by design
-    rows = [("command", envelope["command"]), ("provenance", envelope["provenance"]),
-            ("conditional", envelope["conditional"])]
+def _format_table(payload: dict) -> str:
+    # human view of the canonical payload; lossy and non-canonical by design
+    rows = [("command", payload["command"]), ("provenance", payload["provenance"]),
+            ("conditional", payload["conditional"])]
 
     def flatten(prefix, value):
         if isinstance(value, dict):
@@ -88,8 +84,8 @@ def _format_table(envelope: dict) -> str:
         else:
             rows.append((prefix, value))
 
-    flatten("inputs", envelope["inputs"])
-    flatten("result", envelope["result"])
+    flatten("inputs", payload["inputs"])
+    flatten("result", payload["result"])
     width = max(len(k) for k, _ in rows)
     return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows)
 
@@ -233,15 +229,19 @@ def _mell_estimate(a4, a6, cm_disc, ell, budget):
 def _parse_eps(text: str) -> Fraction:
     """The --eps text as a Fraction.  A decimal exponent past MAX_DIGITS in
     magnitude, which check_eps could never accept, is refused before Fraction
-    forms its power of ten."""
-    from .errors import MAX_DIGITS
+    forms its power of ten; a digit run or a value past MAX_DIGITS digits too."""
+    from .errors import MAX_DIGITS, BudgetError, bounded_digits
+    if any(len(run.replace("_", "")) > MAX_DIGITS for run in re.findall(r"[\d_]+", text)):
+        raise BudgetError(f"--eps has a run of more than {MAX_DIGITS} digits")
     exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
     if exponent and abs(int(exponent[1])) > MAX_DIGITS:
         raise _CliError(f"--eps exponent must lie within +-{MAX_DIGITS}, got {text!r}")
     try:
-        return Fraction(text)
+        eps = Fraction(text)
     except ZeroDivisionError:
         raise _CliError(f"--eps has a zero denominator, got {text!r}") from None
+    bounded_digits(max(abs(eps.numerator), eps.denominator), "--eps")
+    return eps
 
 
 def _bound(bound_id, settings, eps, assume_grh, cross_check_intro):
@@ -359,18 +359,15 @@ COMMANDS = tuple(TABLE)
 
 @cache
 def _command(name: str) -> tuple[_Command, _Parser]:
-    """TABLE[name], built if it is a builder, and the top-level parser with the
-    one subparser it needs; both once per process."""
+    """TABLE[name], built if it is a builder, and its parser; both once per process."""
     entry = TABLE[name]
     spec = entry() if callable(entry) else entry
-    p = _Parser(prog="cmbrauer", description=__doc__.splitlines()[0])
-    sub = p.add_subparsers(dest="command", metavar="|".join(COMMANDS))
-    sp = sub.add_parser(name, help=spec.help)
-    sp.add_argument("--format", choices=("json", "table"), default="json")
-    sp.add_argument("--output", metavar="PATH", default=None)
+    parser = _Parser(prog=f"cmbrauer {name}", description=spec.help)
+    parser.add_argument("--format", choices=("json", "table"), default="json")
+    parser.add_argument("--output", metavar="PATH", default=None)
     for flag, kwargs in spec.args.items():
-        sp.add_argument(flag, **kwargs)
-    return spec, p
+        parser.add_argument(flag, **kwargs)
+    return spec, parser
 
 
 def _emit_error(command, exc, code: int) -> int:
@@ -381,15 +378,16 @@ def _emit_error(command, exc, code: int) -> int:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    command = next((a for a in argv if not a.startswith("-")), None)
-    if command is None:
+    at = next((i for i, a in enumerate(argv) if not a.startswith("-")), None)
+    if at is None:
         return _emit_error(None, _CliError(f"missing subcommand; expected one of {', '.join(COMMANDS)}"), EXIT_USAGE)
+    command = argv.pop(at)
     if command not in TABLE:
         return _emit_error(command, _CliError(f"unknown subcommand {command!r}"), EXIT_UNKNOWN_COMMAND)
     spec, parser = _command(command)
     try:
-        ns = parser.parse_args(argv)
-        args = {k: v for k, v in vars(ns).items() if k not in ("command", "format", "output")}
+        args = vars(parser.parse_args(argv))
+        fmt, output = args.pop("format"), args.pop("output")
         answer = spec.run(**args)
         if not isinstance(answer, _Answer):
             answer = _Answer(answer, spec.provenance[0])
@@ -403,13 +401,14 @@ def main(argv=None) -> int:
             "conditional": answer.conditional,
         }
         try:
-            canonical = _serialize(envelope)
-            text = _format_table(_canonical_payload(envelope)) if ns.format == "table" else canonical
+            payload = _canonical_payload(envelope)
+            canonical = _serialize(payload)
+            text = _format_table(payload) if fmt == "table" else canonical
         except (ValueError, TypeError) as e:
             # the input was valid, so a result that cannot be rendered is not a usage error
             raise _InternalError(f"cannot render the result: {e}") from e
-        if ns.output:
-            with open(ns.output, "w", encoding="utf-8") as fh:
+        if output:
+            with open(output, "w", encoding="utf-8") as fh:
                 fh.write(canonical + "\n")
     except (_CliError, ValueError, KeyError, OSError) as e:
         # OSError comes from the --output sink

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DIGIT_LIMIT, MAX_DIGITS, BudgetError, InternalCheckError, bounded_power
+from .errors import BudgetError, InternalCheckError, bounded_digits, bounded_power
 from .minkowski import minkowski_M
 from .primes import primerange
 from .quadratic import (
@@ -212,11 +212,9 @@ def singular_k3_bound(d: int, field_count: int, eps=DEFAULT_EPS) -> int:
         raise ValueError(f"need d >= 1 and field_count >= 0, got {(d, field_count)}")
     if field_count == 0:
         return 0
-    scale = 3 * d ** 3 * field_count
-    if scale >= DIGIT_LIMIT or (
-            bound := floor_upper((ln_bracket(3 * d * d, eps) + Bracket.exact(1)).scale(scale))) >= DIGIT_LIMIT:
-        raise BudgetError(f"the singular K3 bound has more than {MAX_DIGITS} digits")
-    return bound
+    what = "the singular K3 bound"
+    scale = bounded_digits(3 * d ** 3 * field_count, what)
+    return bounded_digits(floor_upper((ln_bracket(3 * d * d, eps) + Bracket.exact(1)).scale(scale)), what)
 
 
 def singular_k3_refined_sum(d: int, disc_search_bound: int) -> int:

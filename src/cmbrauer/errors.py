@@ -1,5 +1,5 @@
-"""The package's own exception types, and the digit budget that refuses a
-power before it is formed."""
+"""The package's own exception types, and the digit budget that refuses an
+integer too long to render, a power before it is formed."""
 
 from math import log10
 
@@ -17,16 +17,25 @@ class InternalCheckError(AssertionError):
 class BudgetError(ValueError):
     """A valid input whose answer lies past what this package can certify or
     compute in bounded time: an integer at or above psi_13 whose primality or
-    factorization is needed, a point-count scan past 10^6, a census or a class
-    number past its cap, or a value with more digits than can be rendered,
-    such as a bound, a Brauer group order or M(n) past n = 1331."""
+    factorization is needed, a point-count scan past 10^6, a census, a class
+    number or a divisor walk past its cap, or a value with more digits than
+    can be rendered, such as a bound, a Brauer group order or M(n) past
+    n = 1331."""
+
+
+def bounded_digits(value: int, what: str) -> int:
+    """value itself; BudgetError, naming ``what``, when |value| has more than
+    MAX_DIGITS digits, so that it could not be rendered."""
+    if not -DIGIT_LIMIT < value < DIGIT_LIMIT:
+        raise BudgetError(f"{what} has more than {MAX_DIGITS} digits")
+    return value
 
 
 def bounded_power(base: int, exp: int, what: str) -> int:
     """base ** exp for base >= 1 and exp >= 0; BudgetError, naming ``what``,
     when it has more than MAX_DIGITS digits.  The estimate exp * log10(base)
     refuses before the power is formed; short of it the power has at most
-    MAX_DIGITS + 2 digits, and the exact test decides."""
-    if (base > 1 and exp > (MAX_DIGITS + 1) / log10(base)) or (power := base ** exp) >= DIGIT_LIMIT:
-        raise BudgetError(f"{what} has more than {MAX_DIGITS} digits")
-    return power
+    MAX_DIGITS + 2 digits, and bounded_digits decides."""
+    # past the estimate the power is not formed: DIGIT_LIMIT stands in for it
+    power = DIGIT_LIMIT if base > 1 and exp > (MAX_DIGITS + 1) / log10(base) else base ** exp
+    return bounded_digits(power, what)

@@ -24,7 +24,7 @@ from math import isqrt
 from typing import NamedTuple
 
 from .brauer import _ord
-from .errors import BudgetError, InternalCheckError
+from .errors import DIGIT_LIMIT, MAX_DIGITS, BudgetError, InternalCheckError
 from .primes import isprime, primerange, sqrt_mod
 from .quadratic import FundamentalDiscriminant, _kronecker_prime
 
@@ -264,6 +264,8 @@ def _check_cm(curve: CurveOverQ) -> None:
     num = 1728 * 4 * curve.a4 ** 3
     if j_k is None or num != j_k * curve.weierstrass_disc:
         j = Fraction(num, curve.weierstrass_disc)
+        if max(abs(j.numerator), j.denominator) >= DIGIT_LIMIT:
+            j = f"a fraction past {MAX_DIGITS} digits"
         raise ValueError(f"y^2 = x^3 + {curve.a4}x + {curve.a6} (j = {j}) does not have CM by "
                          f"the maximal order of discriminant {curve.cm_disc}")
 

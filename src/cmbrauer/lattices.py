@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .errors import InternalCheckError
+from .errors import InternalCheckError, bounded_digits
 from .quadratic import FundamentalDiscriminant, fundamental_discriminant
 
 # the node lattice of a Kummer surface: fixed rank and discriminant
@@ -57,12 +57,14 @@ class LatticeCMData(NamedTuple):
 
 def disc_hom(pair: CMPair) -> Fraction:
     """disc Hom(E1, E2) = -lcm(f1,f2)^2 * Delta_K / 4, as an exact rational."""
-    return Fraction(-pair.conductor_lcm ** 2 * pair.field.value, 4)
+    disc = Fraction(-pair.conductor_lcm ** 2 * pair.field.value, 4)
+    bounded_digits(disc.numerator, "disc Hom(E1, E2)")
+    return disc
 
 
 def disc_ns_product(pair: CMPair) -> int:
     """disc NS(E1 x E2) = lcm(f1,f2)^2 * Delta_K."""
-    d = pair.conductor_lcm ** 2 * pair.field.value
+    d = bounded_digits(pair.conductor_lcm ** 2 * pair.field.value, "disc NS(E1 x E2)")
     # cross-check against -(-2)^(rho-2) * disc Hom with rho = 4
     if d != -((-2) ** 2) * disc_hom(pair):
         raise InternalCheckError(f"disc NS(E1 x E2) = {d} is not -4 disc Hom for {pair}")
@@ -71,7 +73,7 @@ def disc_ns_product(pair: CMPair) -> int:
 
 def disc_ns_kummer(pair: CMPair) -> int:
     """|disc NS(Kum(E1 x E2))| = 2^2 * lcm(f1,f2)^2 * |Delta_K|."""
-    d = 4 * pair.conductor_lcm ** 2 * abs(pair.field.value)
+    d = bounded_digits(4 * pair.conductor_lcm ** 2 * abs(pair.field.value), "|disc NS(Kum)|")
     if d != 2 ** 4 * abs(disc_hom(pair)):
         raise InternalCheckError(f"|disc NS(Kum)| = {d} is not 16 |disc Hom| for {pair}")
     return d

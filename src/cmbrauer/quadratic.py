@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 from operator import attrgetter
 
-from .errors import BudgetError, InternalCheckError
+from .errors import BudgetError, InternalCheckError, bounded_digits
 from .primes import divisors, factorint, isprime, primerange
 
 
@@ -63,7 +63,7 @@ class Order:
 
     @property
     def discriminant(self) -> int:
-        return self.conductor ** 2 * self.field.value
+        return bounded_digits(self.conductor ** 2 * self.field.value, "the order discriminant")
 
 
 @dataclass(frozen=True)
@@ -312,18 +312,16 @@ def class_number_field(delta_k: int) -> int:
     return h
 
 
-def class_number_order(order: Order, h_field: int | None = None) -> int:
+def class_number_order(order: Order) -> int:
     """h(O_f) = h_K * f / [O_K^x:O_f^x] * prod_{p | f} (1 - (Delta_K/p)/p).
 
     Exact integer arithmetic: each p divides f, so it is divided out before
     p - (Delta_K/p) is multiplied in, and the unit index must leave no
-    remainder; integrality is checked, not trusted.  h_field overrides the
-    computed h_K (used when a caller already holds an independent table).
+    remainder; integrality is checked, not trusted.
     """
     dk = order.field.value
     f = order.conductor
-    hk = class_number_field(dk) if h_field is None else h_field
-    h = hk * f
+    h = class_number_field(dk) * f
     for p in factorint(f):
         h = h // p * (p - _kronecker_prime(dk, p))
     u = unit_index(dk, f)

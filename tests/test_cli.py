@@ -1,14 +1,18 @@
 """CLI envelopes: canonical JSON, exit codes, determinism, provenance."""
 
+import argparse
+import contextlib
+import io
 import json
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmbrauer import cli, cm_census, quadratic
-from cmbrauer.bounds import field_tower_constants
+from cmbrauer.bounds import FORMULAS, field_tower_constants
 from cmbrauer.quadratic import IntegralityError
 
 
@@ -216,7 +220,7 @@ def test_exit_codes(capsys, monkeypatch):
 
 
 def test_internal_assertion_exits_70(capsys, monkeypatch):
-    def boom(order, h_field=None):
+    def boom(order):
         raise IntegralityError("forced for the exit-code contract")
 
     monkeypatch.setattr(quadratic, "class_number_order", boom)
@@ -553,3 +557,156 @@ def test_every_provenance_id_is_emitted(capsys):
         assert code == 0, (args, env)
         emitted.add(env["provenance"])
     assert emitted == cli.PROVENANCE_IDS
+
+
+def _bound_argv(bound_id):
+    sets = _BOUND_SAMPLE_INPUTS[bound_id].split()
+    return ["bound", "--id", bound_id, "--assume-grh", *(a for kv in sets for a in ("--set", kv))]
+
+
+@pytest.mark.parametrize("before, after", [
+    (["--disc", "-4", "classnum"], ["classnum", "--disc", "-4"]),
+    (["--disc=-4", "classnum"], ["classnum", "--disc=-4"]),
+    (["--k-in-k", "brauer-shape", "--ell", "3", "--m", "2"], ["brauer-shape", "--ell", "3", "--m", "2", "--k-in-k"]),
+    (["-h", "classnum"], ["classnum", "-h"]),
+])
+def test_options_may_come_before_the_subcommand(before, after, capsys):
+    expected = run_cli(after, capsys)
+    assert run_cli(before, capsys) == expected
+    assert expected[0] == (2 if "-h" in after else 0)
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_a_help_request_gives_the_subcommands_help_wherever_it_stands(command, capsys):
+    helps = [run_json(argv, capsys) for argv in ([command, "-h"], ["-h", command], ["--help", command])]
+    assert helps[0] == helps[1] == helps[2]
+    code, env = helps[0]
+    assert code == 2 and env["error"]["message"].startswith(f"usage: cmbrauer {command} [-h]")
+    assert cli._command(command)[0].help in env["error"]["message"]
+
+
+def test_one_main_call_parses_argv_once(capsys, monkeypatch):
+    parses = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(parser, *args, **kwargs):
+        parses.append(parser.prog)
+        return parse_known_args(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    for argv in (*_ONE_PER_COMMAND, ["classnum"], ["--disc", "-4", "classnum"], ["bound", "--help"]):
+        parses.clear()
+        run_cli(argv, capsys)
+        assert parses == [f"cmbrauer {next(a for a in argv if not a.startswith('-'))}"], argv
+
+
+def test_integers_past_the_digit_limit_are_refused(capsys):
+    # each once formed a value that CPython will not render: exit 2 with its
+    # limit text, or exit 70 "cannot render the result"
+    ten_to = "1{}".format
+    for argv in (["bound", "--id", "uncond_lattice", "--set", f"d={ten_to('0' * 2199)}", "--set", "disc_lambda=1"],
+                 ["bound", "--id", "ab_GRH", "--set", f"L_deg={ten_to('0' * 1100)}", "--assume-grh"],
+                 ["lattice", "--delta-k", "-4", "--f1", ten_to("0" * 2199), "--f2", "1"],
+                 ["divisibility", "--conductor", ten_to("0" * 2199), "--degree", "1", "--delta-k", "-4"],
+                 ["classnum", "--disc", "-4", "--conductor", ten_to("0" * 2200)],
+                 ["bound", "--id", "faltings_GRH", "--set", "d=2", "--assume-grh", "--eps", "1e-4300"],
+                 ["bound", "--id", "faltings_GRH", "--set", "d=2", "--assume-grh", "--eps", ten_to("0" * 4300)]):
+        code, env = run_json(argv, capsys)
+        assert code == 2 and env["error"]["type"] == "BudgetError", argv[:3]
+        assert "more than 4300 digits" in env["error"]["message"], argv[:3]
+
+
+def test_a_divisor_walk_past_its_cap_is_refused(capsys):
+    # u*d = 2 * 10^k has (k + 2)(k + 1) divisors: 65,280 at k = 254, 65,792 at k = 255
+    def run(k):
+        start = time.perf_counter()
+        out = run_json(["divisibility", "--conductor", "1", "--degree", "1" + "0" * k, "--delta-k", "-4"], capsys)
+        assert time.perf_counter() - start < 1.0, k
+        return out
+
+    code, env = run(254)
+    assert code == 2 and "divisor walk" not in env["error"]["message"]
+    code, env = run(255)
+    assert code == 2 and env["error"] == {"type": "BudgetError",
+                                         "message": "u*d has 65792 divisors, past the divisor walk's cap 65536"}
+
+
+# the fuzz mutates these valid argv: one per subcommand and direction, one per bound formula
+_TEMPLATES = (*_ONE_PER_COMMAND, ["conductor-bound", "--degree", "3"], ["constants", "--name", "ab_endo"],
+              ["lattice", "--kind", "kummer", "--rank", "20", "--disc", "64"], *map(_bound_argv, _BOUND_SAMPLE_INPUTS))
+_JUNK = ("", "x", "-", "--", "-h", "--frobnicate", "=", "1/0", "0.5", "nan", "true", "-1e-9")
+# 10^k for k uniform (st.integers favours small values), so half have more than 2,150 digits
+_POWERS = st.builds(lambda sign, k: f"{sign}1{'0' * k}", st.sampled_from(("", "", "-")), st.sampled_from(range(4301)))
+_INTEGERS = st.one_of(st.integers(-3, 20).map(str), _POWERS)
+# the options whose size is the work take small values only
+_SMALL = st.integers(-5, 200).map(str)
+_FLAG_VALUES = {"--budget": _SMALL, "--disc-bound": _SMALL, "--refined-disc-bound": _SMALL,
+                "--eps": st.one_of(st.sampled_from(("1e-6", "1e-12", "1/3", "1e-400", "1e-4300", "1/0")),
+                                   _POWERS.map(lambda v: f"1/{v.lstrip('-')}"))}
+
+
+_SET_NAMES = sorted({p for f in FORMULAS.values() for p in f.params})
+
+
+@st.composite
+def _fuzz_argv(draw):
+    """A template with values replaced, flags dropped or added, junk put in,
+    and the subcommand moved or left out."""
+    command, *template = draw(st.sampled_from(_TEMPLATES))
+    flags = {**cli._command(command)[0].args, "--format": {"choices": ("json", "table")}}
+
+    def pick(*choices):
+        # sampled_from, not one_of: one_of merges repeated branches
+        return choices[draw(st.sampled_from(range(len(choices))))]
+
+    junky = pick(True, False, False, False)
+
+    def value(flag, old=None):
+        if junky and pick(True, False, False, False):
+            return draw(st.sampled_from(_JUNK))
+        if "choices" in flags[flag]:
+            # a template's --id keeps the inputs it names
+            return old or draw(st.sampled_from(sorted(flags[flag]["choices"])))
+        if flag == "--set":
+            return f"{old.partition('=')[0] if old else draw(st.sampled_from(_SET_NAMES))}={draw(_INTEGERS)}"
+        return draw(_FLAG_VALUES.get(flag, _INTEGERS))
+
+    pairs = []  # [flag, value or None] of the template
+    for token in template:
+        if token.startswith("--"):
+            pairs.append([token, None])
+        else:
+            pairs[-1][1] = token
+    tokens = []
+    for flag, old in pairs:
+        action = pick("keep", "keep", "keep", "replace", "replace", "replace", "drop")
+        if action == "drop" and not flags[flag].get("required"):
+            continue
+        new = value(flag, old) if old is not None and action == "replace" else old
+        tokens += [flag] if new is None else [flag, new]
+    if pick(True, False):
+        flag = draw(st.sampled_from(sorted(flags)))
+        tokens += [flag] if flags[flag].get("action") == "store_true" else [flag, value(flag)]
+    if junky:
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(_JUNK)))
+    at = pick(0, 0, 0, 0, 0, 0, draw(st.integers(0, len(tokens))), None)
+    return tokens if at is None else [*tokens[:at], command, *tokens[at:]]
+
+
+@settings(max_examples=400, deadline=2000, derandomize=True)
+@given(_fuzz_argv())
+def test_every_argv_ends_in_one_documented_envelope(argv):
+    # in-process: exit 0, 2, 64 or 70 with exactly one document on stdout, a
+    # JSON envelope unless a run succeeded with --format table, and no message
+    # carrying CPython's int-to-str limit text; --output is left out, since it writes files
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        code = cli.main(argv)
+    out = stdout.getvalue()
+    assert code in (0, 2, 64, 70), (argv, code, out)
+    assert "set_int_max_str_digits" not in out, argv
+    if code == 0 and not out.startswith("{"):
+        assert out.startswith("command") and out.endswith("\n"), argv
+        return
+    assert out.endswith("\n") and out.count("\n") == 1, argv
+    envelope = json.loads(out)
+    assert ("result" in envelope) == (code == 0) != ("error" in envelope), argv

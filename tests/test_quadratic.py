@@ -4,10 +4,12 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from cmbrauer import quadratic
 from cmbrauer.errors import BudgetError
 from cmbrauer.primes import factorint
 from cmbrauer.quadratic import (
@@ -160,18 +162,24 @@ def test_class_number_order_tables():
     assert class_number_order(Order(FundamentalDiscriminant(-7), 3)) == 4
 
 
+def _with_h_field(hk):
+    # class_number_order with h_K replaced by hk
+    return mock.patch.object(quadratic, "class_number_field", lambda dk: hk)
+
+
 def test_class_number_order_h_field_override():
     order = Order(FundamentalDiscriminant(-4), 5)
-    assert class_number_order(order) == class_number_order(order, h_field=1) == 2
+    with _with_h_field(1):
+        assert class_number_order(order) == 2
 
 
 def test_class_number_order_rejects_impossible_override():
     # reciprocity keeps the formula integral for every positive h_K, so the
-    # guard can only fire on a non-positive override (or an internal bug)
-    with pytest.raises(IntegralityError):
-        class_number_order(Order(FundamentalDiscriminant(-4), 2), h_field=0)
-    with pytest.raises(IntegralityError):
-        class_number_order(Order(FundamentalDiscriminant(-7), 3), h_field=-1)
+    # guard can only fire on a non-positive h_K (or an internal bug)
+    with _with_h_field(0), pytest.raises(IntegralityError):
+        class_number_order(Order(FundamentalDiscriminant(-4), 2))
+    with _with_h_field(-1), pytest.raises(IntegralityError):
+        class_number_order(Order(FundamentalDiscriminant(-7), 3))
 
 
 def _fraction_formula(dk, f, hk):
@@ -185,10 +193,14 @@ def _fraction_formula(dk, f, hk):
 @given(st.integers(min_value=3, max_value=MAX_DISC_BOUND), st.integers(min_value=1, max_value=10 ** 6),
        st.one_of(st.none(), st.integers(min_value=1, max_value=10 ** 6)))
 def test_class_number_order_matches_fraction_formula(m, f, h_field):
+    # h_field None is the computed h_K; an integer replaces it, and the formula stays integral
     assume(is_fundamental_discriminant(-m))
     order = Order(FundamentalDiscriminant(-m), f)
-    hk = class_number_field(-m) if h_field is None else h_field
-    assert class_number_order(order, h_field) == _fraction_formula(-m, f, hk)
+    if h_field is None:
+        assert class_number_order(order) == _fraction_formula(-m, f, class_number_field(-m))
+    else:
+        with _with_h_field(h_field):
+            assert class_number_order(order) == _fraction_formula(-m, f, h_field)
 
 
 @settings(max_examples=200, deadline=None)
