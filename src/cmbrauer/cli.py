@@ -408,13 +408,15 @@ def main(argv=None) -> int:
             # the input was valid, so a result that cannot be rendered is not a usage error
             raise _InternalError(f"cannot render the result: {e}") from e
         if output:
-            with open(output, "w", encoding="utf-8") as fh:
-                fh.write(canonical + "\n")
-    except (_CliError, ValueError, KeyError, OSError) as e:
-        # OSError comes from the --output sink
+            try:
+                with open(output, "w", encoding="utf-8") as fh:
+                    fh.write(canonical + "\n")
+            except OSError as e:  # a sink that cannot be written is bad input
+                return _emit_error(command, e, EXIT_USAGE)
+    except (_CliError, ValueError, KeyError) as e:
         return _emit_error(command, e, EXIT_USAGE)
-    except (AssertionError, _InternalError) as e:
-        # AssertionError includes IntegralityError: a violated internal identity, not bad input
+    except (AssertionError, OSError, _InternalError) as e:
+        # a violated internal identity (IntegralityError is an AssertionError) or a failed run, not bad input
         return _emit_error(command, e, EXIT_INTERNAL)
     sys.stdout.write(text + "\n")
     return EXIT_OK

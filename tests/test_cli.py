@@ -229,6 +229,21 @@ def test_internal_assertion_exits_70(capsys, monkeypatch):
     assert env["error"]["type"] == "IntegralityError"
 
 
+def test_os_error_inside_a_run_exits_70(tmp_path, capsys, monkeypatch):
+    # the --output sink is the one place an OSError is bad input
+    code, env = run_json(["classnum", "--disc", "-4", "--output", str(tmp_path / "no" / "x.json")], capsys)
+    assert code == 2 and env["error"]["type"] == "FileNotFoundError"
+
+    def timeout(order):
+        raise TimeoutError("forced inside the run")
+
+    monkeypatch.setattr(quadratic, "class_number_order", timeout)
+    code, env = run_json(["classnum", "--disc", "-4", "--output", str(tmp_path / "x.json")], capsys)
+    assert code == 70
+    assert env["error"] == {"type": "TimeoutError", "message": "forced inside the run"}
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_provenance_membership(capsys):
     samples = (
         ["classnum", "--disc", "-7"],

@@ -79,7 +79,7 @@ _BROKEN_INVARIANTS = textwrap.dedent("""
     cm_census.cm_count_per_field = lambda k, d: 1
     checks += [raises_internal(lambda: cm_census.cm_count_total(1, 200))]
     # -211 lies past the sweep to 200 above, so the per-field count answers
-    quadratic.count_reduced_forms = lambda disc: 0
+    quadratic._count_forms_by_a = lambda delta_k: 0
     checks += [raises_internal(lambda: quadratic.class_number_field(-211))]
     print(checks)
 """)

@@ -18,9 +18,9 @@ from cmbrauer.quadratic import (
     FundamentalDiscriminant,
     IntegralityError,
     Order,
+    _count_forms_by_a,
     class_number_field,
     class_number_order,
-    count_reduced_forms,
     enumerate_fields_by_class_number,
     form_class_counts,
     fundamental_discriminant,
@@ -29,6 +29,8 @@ from cmbrauer.quadratic import (
     reduced_forms,
     unit_index,
 )
+
+from oracles import count_reduced_forms
 
 CLASS_NUMBER_ONE_DISCS = (-3, -4, -7, -8, -11, -19, -43, -67, -163)
 
@@ -144,6 +146,53 @@ def test_count_reduced_forms_rejects_non_discriminants():
     for bad in (0, 4, -1, -2, -5):
         with pytest.raises(ValueError):
             count_reduced_forms(bad)
+
+
+def test_count_by_a_matches_sweep_to_10_5():
+    counts = form_class_counts(MAX_DISC_BOUND)
+    for dk, h in counts.items():
+        if is_fundamental_discriminant(dk):
+            assert _count_forms_by_a(dk) == h, dk
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.integers(min_value=MAX_DISC_BOUND, max_value=MAX_FIELD_DISC))
+def test_count_by_a_matches_b_side_oracle_sampled(m):
+    assume(is_fundamental_discriminant(-m))
+    assert _count_forms_by_a(-m) == count_reduced_forms(-m)
+
+
+def test_count_by_a_matches_b_side_oracle_named():
+    assert _count_forms_by_a(-59939555) == count_reduced_forms(-59939555) == 1952
+    assert _count_forms_by_a(-999999995) == count_reduced_forms(-999999995) == 8856
+
+
+# (disc, h, the reduced forms with 4a^2 > |disc|, which the count checks one by one):
+# -3 and -4 carry extra units, -8 and -20 are even, -23 and -47 are 1 and -19 and
+# -35 are 5 (mod 8); a = c in (2, 1, 2), (3, 1, 3), (5, 4, 5), (4, 3, 4), (6, 1, 6), b = a in
+# (1, 1, 1), (5, 5, 6), and (6, +-5, 7), (10, +-8, 11) count twice
+_BY_A_CASES = (
+    (-3, 1, {(1, 1, 1)}), (-4, 1, set()), (-8, 1, set()), (-20, 2, set()),
+    (-23, 3, set()), (-47, 5, set()), (-19, 1, set()), (-35, 2, {(3, 1, 3)}),
+    (-15, 2, {(2, 1, 2)}), (-84, 4, {(5, 4, 5)}), (-55, 4, {(4, 3, 4)}),
+    (-95, 8, {(5, 5, 6)}), (-143, 10, {(6, 1, 6), (6, 5, 7), (6, -5, 7)}), (-376, 8, {(10, 8, 11), (10, -8, 11)}),
+)
+
+
+@pytest.mark.parametrize("dk, h, band", _BY_A_CASES, ids=[str(c[0]) for c in _BY_A_CASES])
+def test_count_by_a_named_cases(dk, h, band):
+    forms = {(f.a, f.b, f.c) for f in reduced_forms(dk)}
+    assert {f for f in forms if 4 * f[0] ** 2 > -dk} == band
+    assert _count_forms_by_a(dk) == len(forms) == h
+
+
+def test_class_number_field_validates_like_the_field_type():
+    for bad in (-5, -12, -16, 0, 5):
+        with pytest.raises(ValueError) as field_error:
+            FundamentalDiscriminant(bad)
+        with pytest.raises(ValueError) as count_error:
+            class_number_field(bad)
+        assert str(count_error.value) == str(field_error.value)
 
 
 def test_class_number_field_h_one_list():
