@@ -3,6 +3,7 @@ degree, plus the singular K3 census bounds built on them."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -13,6 +14,7 @@ from .quadratic import (
     FundamentalDiscriminant,
     IntegralityError,
     _kronecker_prime,
+    _swept,
     class_number_field,
     enumerate_fields_by_class_number,
     unit_index,
@@ -30,11 +32,13 @@ _EXCEPTIONAL_FLOOR = {-7: 2, -4: 5, -3: 7}
 EXCEPTIONAL_CM_COUNTS = {(-7, 1): 2, (-4, 1): 2, (-3, 1): 3, (-3, 2): 9}
 
 # cap on the degree of a census over fields.  With Python 3.11 at the 10^5
-# disc cap, after the 0.19 s sweep, cm_count_total and singular_k3_refined_sum
-# take 9 ms and 5 ms in-process at degree 12 (703 fields), 30 ms and 19 ms at
-# degree 24 and 0.17 s and 0.13 s at degree 48; as a process, degree 12 takes
-# 0.4 s and 0.5 s.  A higher cap buys little while fields with h_K <= d past
-# the 10^5 disc cap go unsearched (certified_complete stays False).
+# disc cap, after the sweep, the first census at a degree builds its table:
+# 11-18 ms in process at degree 12 (703 fields), 37-57 ms at degree 24 and
+# 0.14-0.18 s at degree 48.  A repeat cm_count_total then takes 0.03-0.04 ms
+# at degree 12, 0.07-0.13 ms at 24 and 0.25-0.55 ms at 48, and a repeat
+# singular_k3_refined_sum 2-15 us.  As a process, `cm-count` and `k3-census`
+# at degree 12 take 0.33-0.43 s.  A higher cap buys little while fields with
+# h_K <= d past the 10^5 disc cap go unsearched (certified_complete stays False).
 MAX_CENSUS_DEGREE = 12
 
 
@@ -180,26 +184,67 @@ def cm_count_per_field(field: FundamentalDiscriminant, d: int) -> int:
     return total
 
 
-def cm_count_total(d: int, disc_search_bound: int) -> CensusReport:
-    """Census over all fields with h_K <= d found below the search bound;
-    a degree past MAX_CENSUS_DEGREE is refused."""
+@dataclass(frozen=True)
+class _CensusTable:
+    """The fields with h_K <= d in a retained sweep of the given length, in
+    ascending |Delta_K|, with their cm_count_per_field counts and the prefix
+    sums of those counts and of the per-field terms of singular_k3_refined_sum."""
+
+    swept: int
+    ms: list[int]
+    per_field: tuple[tuple[int, int], ...]
+    count_sums: list[int]
+    refined_sums: list[int]
+
+
+# one census table per degree, each thrown away once the sweep it covers grows
+_census_tables: dict[int, _CensusTable] = {}
+
+
+def _census_table(d: int, disc_search_bound: int) -> tuple[_CensusTable, int]:
+    """The degree-d table of the retained sweep, reaching disc_search_bound,
+    and how many of its fields lie at or below that bound.
+
+    The table is built on the first call at its degree after each sweep, over
+    every field of the sweep, through cm_count_per_field and _permissible, so
+    every check they make runs on every field; it is kept only once all of
+    them have passed."""
     _check_census_degree(d)
-    search = enumerate_fields_by_class_number(d, disc_search_bound)
-    per_field = tuple((k.value, cm_count_per_field(k, d)) for k in search.fields)
-    total = sum(c for _, c in per_field)
+    swept = _swept(disc_search_bound)
+    table = _census_tables.get(d)
+    if table is None or table.swept != swept:
+        cap = 3 * d * d
+        full = d * sum(cap // fa for fa in range(1, cap + 1))
+        fields = enumerate_fields_by_class_number(d, swept - 1).fields
+        per_field, count_sums, refined_sums = [], [0], [0]
+        for k in fields:
+            count = cm_count_per_field(k, d)
+            walk = _permissible(k.value, class_number_field(k.value), d, cap)
+            per_field.append((k.value, count))
+            count_sums.append(count_sums[-1] + count)
+            refined_sums.append(refined_sums[-1] + full - sum((d - h) * (cap // fa) for fa, h in walk))
+        table = _census_tables[d] = _CensusTable(swept, [-k.value for k in fields], tuple(per_field),
+                                                 count_sums, refined_sums)
+    return table, bisect_right(table.ms, disc_search_bound)
+
+
+def cm_count_total(d: int, disc_search_bound: int) -> CensusReport:
+    """Census over all fields with h_K <= d found below the search bound, read
+    from the degree's census table; a degree past MAX_CENSUS_DEGREE is refused."""
+    table, n = _census_table(d, disc_search_bound)
+    total = table.count_sums[n]
     certified = False
     if d == 1 and disc_search_bound >= 163:
         # the class-number-1 field list is a solved problem: 9 fields, count 13
-        if len(search.fields) != 9 or total != 13:
-            raise InternalCheckError(f"degree-one census gave {len(search.fields)} fields and {total} curves,"
-                                     " known 9 and 13")
+        if n != 9 or total != 13:
+            raise InternalCheckError(f"degree-one census gave {n} fields and {total} curves, known 9 and 13")
         certified = True
     return CensusReport(
         degree=d,
-        per_field_counts=per_field,
+        per_field_counts=table.per_field[:n],
         total=total,
         certified_complete=certified,
-        cube_bound=d ** 3 * len(search.fields),
+        cube_bound=d ** 3 * n,
     )
 
 
@@ -225,17 +270,11 @@ def singular_k3_refined_sum(d: int, disc_search_bound: int) -> int:
     and min(h, d) is d less d - h where h <= d, so per field the sum is
     d sum_{f_a <= 3d^2} floor(3d^2 / f_a) - sum (d - h(O_{f_a})) floor(3d^2 / f_a),
     the second sum over the f_a <= 3d^2 with h(O_{f_a}) <= d, which the walk of
-    d_permissible_conductors finds (Cox, Thm 7.24).  A degree past
+    d_permissible_conductors finds (Cox, Thm 7.24).  The per-field terms are
+    summed once, into the degree's census table.  A degree past
     MAX_CENSUS_DEGREE is refused."""
-    _check_census_degree(d)
-    search = enumerate_fields_by_class_number(d, disc_search_bound)
-    cap = 3 * d * d
-    full = d * sum(cap // fa for fa in range(1, cap + 1))
-    total = 0
-    for k in search.fields:
-        walk = _permissible(k.value, class_number_field(k.value), d, cap)
-        total += full - sum((d - h) * (cap // fa) for fa, h in walk)
-    return total
+    table, n = _census_table(d, disc_search_bound)
+    return table.refined_sums[n]
 
 
 def singular_k3_strong_bound(d: int, field_count: int, eps=DEFAULT_EPS) -> int:

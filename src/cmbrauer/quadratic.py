@@ -5,11 +5,16 @@ enumeration of fields by class number.  Class numbers of fields come from one
 retained sweep of reduced forms over a range of discriminants, or outside it
 from a per-field count of the forms by first coefficient; ``reduced_forms`` is
 the brute-force oracle for both.  Everything is exact integer arithmetic.
+
+A session keeps the sweep to the largest disc bound asked for (2.0 MiB at
+MAX_DISC_BOUND), the lists form_class_counts reads (2.4 MiB there) and a memo
+of the class numbers counted past the sweep (at most PAST_SWEEP_LIMIT
+entries, about 1 MiB); a sweep that grows throws the lists and the memo away.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
@@ -256,19 +261,31 @@ def _sweep(bound: int) -> list[int]:
 # The retained sweep: primitive reduced form counts indexed by m = -disc, and
 # for each class number (keys ascending) the fundamental m in ascending order,
 # with the validated field objects of a prefix of them (see _field_objects).
+# _fcc_keys and _fcc_counts are the nonzero counts as form_class_counts hands
+# them out, keys -m in descending m, made on its first call after each sweep.
 # A bound past the table sweeps again to that bound; every smaller bound reads it.
 _counts: list[int] = []
 _fields_by_h: dict[int, list[int]] = {}
 _field_objects_by_h: dict[int, list[FundamentalDiscriminant]] = {}
+_fcc_keys: list[int] = []
+_fcc_counts: list[int] = []
 
-# caps on the census inputs: with Python 3.11 a sweep to 10^5 takes about
-# 0.25 s, and _count_forms_by_a 5-10 ms on a fundamental disc near -10^9
+# h_K of the validated fields past the sweep that _count_forms_by_a has
+# counted, emptied when it reaches PAST_SWEEP_LIMIT entries (about 1 MiB) and
+# when the sweep grows
+_past_sweep: dict[int, int] = {}
+PAST_SWEEP_LIMIT = 1 << 14
+
+# caps on the census inputs, by the time each protects (Python 3.11, 2 vCPU,
+# in process): a sweep to 10^5 takes 0.15-0.23 s, and _count_forms_by_a
+# 6-32 ms on the fundamental discs -999999995, -999999991 and -999999959
+# (`classnum --disc -999999959` takes 0.16 s as a process)
 MAX_DISC_BOUND = 10 ** 5
 MAX_FIELD_DISC = 10 ** 9
 
 
 def _retained(disc_bound: int) -> list[int]:
-    global _counts, _fields_by_h, _field_objects_by_h
+    global _counts, _fields_by_h, _field_objects_by_h, _fcc_keys, _fcc_counts
     if disc_bound > MAX_DISC_BOUND:
         raise BudgetError(f"disc bound {disc_bound} is past the census cap {MAX_DISC_BOUND}")
     if disc_bound >= len(_counts):
@@ -282,7 +299,17 @@ def _retained(disc_bound: int) -> list[int]:
             if squarefree[m] if m % 4 == 3 else m % 16 in (4, 8) and squarefree[m // 4]:
                 fields_by_h.setdefault(counts[m], []).append(m)
         _counts, _fields_by_h, _field_objects_by_h = counts, dict(sorted(fields_by_h.items())), {}
+        _fcc_keys, _fcc_counts = [], []
+        _past_sweep.clear()
     return _counts
+
+
+def _swept(disc_search_bound: int) -> int:
+    """Length of the retained sweep, swept again first if disc_search_bound
+    lies past it."""
+    if disc_search_bound < 3:
+        raise ValueError("disc_search_bound must be at least 3")
+    return len(_retained(disc_search_bound))
 
 
 def _field_objects(h: int, k: int) -> list[FundamentalDiscriminant]:
@@ -300,26 +327,40 @@ def _field_objects(h: int, k: int) -> list[FundamentalDiscriminant]:
 def form_class_counts(disc_bound: int) -> dict[int, int]:
     """Primitive reduced form counts for every discriminant -disc_bound <= disc < 0.
 
-    Read from the retained sweep, so a bound at or below the largest one
-    asked for so far costs only the copy; the dict is the caller's own.
+    Keys run from -disc_bound up to -3.  Read from the lists the retained
+    sweep keeps of its nonzero counts, so a bound at or below the largest one
+    asked for so far costs one bisect and the dict built from a slice of
+    each; the dict is the caller's own.
     """
+    global _fcc_keys, _fcc_counts
     if disc_bound < 3:
         raise ValueError(f"disc_bound must be at least 3, got {disc_bound}")
     counts = _retained(disc_bound)
-    return {-m: counts[m] for m in range(disc_bound, 2, -1) if counts[m]}
+    if not _fcc_keys:
+        ms = [m for m in range(len(counts) - 1, 2, -1) if counts[m]]
+        _fcc_keys, _fcc_counts = [-m for m in ms], [counts[m] for m in ms]
+    i = bisect_left(_fcc_keys, -disc_bound)
+    return dict(zip(_fcc_keys[i:], _fcc_counts[i:]))
 
 
 def class_number_field(delta_k: int) -> int:
     """h_K: read from the retained sweep when |Delta_K| lies inside it, else
-    counted by _count_forms_by_a; |Delta_K| past MAX_FIELD_DISC is refused."""
+    counted by _count_forms_by_a and kept in _past_sweep; |Delta_K| past
+    MAX_FIELD_DISC is refused."""
     if not is_fundamental_discriminant(delta_k):
         raise ValueError(f"{delta_k} is not a fundamental discriminant of an imaginary quadratic field")
     if -delta_k < len(_counts):
         h = _counts[-delta_k]
     elif -delta_k > MAX_FIELD_DISC:
         raise BudgetError(f"|Delta_K| = {-delta_k} is past the class number cap {MAX_FIELD_DISC}")
+    elif delta_k in _past_sweep:
+        return _past_sweep[delta_k]
     else:
         h = _count_forms_by_a(delta_k)
+        if h >= 1:
+            if len(_past_sweep) >= PAST_SWEEP_LIMIT:
+                _past_sweep.clear()
+            _past_sweep[delta_k] = h
     if h < 1:
         raise InternalCheckError(f"no reduced form of discriminant {delta_k}")
     return h
@@ -364,9 +405,7 @@ _value = attrgetter("value")
 def enumerate_fields_by_class_number(h_max: int, disc_search_bound: int) -> FieldSearch:
     """All fundamental Delta_K with |Delta_K| <= disc_search_bound and h_K <= h_max,
     in ascending |Delta_K|, read from the retained sweep."""
-    if disc_search_bound < 3:
-        raise ValueError("disc_search_bound must be at least 3")
-    _retained(disc_search_bound)
+    _swept(disc_search_bound)
     found = []
     for h, ms in _fields_by_h.items():
         if h > h_max:

@@ -11,3 +11,15 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 @pytest.fixture(autouse=True)
 def _src_on_subprocess_path(monkeypatch):
     monkeypatch.setenv("PYTHONPATH", os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+
+
+@pytest.fixture
+def fresh_session(monkeypatch):
+    """An empty retained sweep, past-sweep memo and set of census tables, as in
+    a new process; the session's own are put back afterwards."""
+    from cmbrauer import cm_census, quadratic
+
+    for name, empty in (("_counts", []), ("_fields_by_h", {}), ("_field_objects_by_h", {}),
+                        ("_fcc_keys", []), ("_fcc_counts", []), ("_past_sweep", {})):
+        monkeypatch.setattr(quadratic, name, empty)
+    monkeypatch.setattr(cm_census, "_census_tables", {})

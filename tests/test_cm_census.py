@@ -1,6 +1,8 @@
 """Conductor bounds, the CM j-invariant census, and singular K3 class counts."""
 
 import math
+import subprocess
+import sys
 import time
 
 import pytest
@@ -185,7 +187,7 @@ def _refined_triple_loop(d, disc_search_bound):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_singular_k3_refined_sum_matches_triple_loop(d):
-    for bound in (3, 50, 300, 1000):
+    for bound in (2500, 3, 7, 50, 162, 163, 300, 1000):
         assert singular_k3_refined_sum(d, bound) == _refined_triple_loop(d, bound), (d, bound)
 
 
@@ -196,6 +198,73 @@ def test_singular_k3_refined_sum_matches_the_class_number_sum(d):
                    for k in enumerate_fields_by_class_number(d, 1000).fields
                    for fa in range(1, cap + 1))
     assert singular_k3_refined_sum(d, 1000) == expected
+
+
+def _census_by_class_numbers(d, disc_search_bound):
+    # per field, the h(O_f) <= d over every f up to the conductor bound
+    out = []
+    for k in enumerate_fields_by_class_number(d, disc_search_bound).fields:
+        hs = (class_number_order(Order(k, f)) for f in range(1, conductor_bound(k, d).bound + 1))
+        out.append((k.value, sum(h for h in hs if h <= d)))
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_census_tables_match_the_class_number_oracles(d):
+    for bound in (2500, 3, 4, 7, 50, 162, 163, 300, 1000):
+        report = cm_count_total(d, bound)
+        expected = _census_by_class_numbers(d, bound)
+        assert list(report.per_field_counts) == expected, (d, bound)
+        assert report.total == sum(c for _, c in expected)
+        assert report.cube_bound == d ** 3 * len(expected)
+        assert report.certified_complete == (d == 1 and bound >= 163)
+
+
+def test_census_tables_follow_a_resweep(fresh_session):
+    small = {}
+    for d in (1, 2, 3):
+        assert list(cm_count_total(d, 300).per_field_counts) == _census_by_class_numbers(d, 300)
+        small[d] = cm_census._census_tables[d]
+        assert small[d].swept == 301
+    for d in (1, 2, 3):
+        report = cm_count_total(d, 3000)
+        expected = _census_by_class_numbers(d, 3000)
+        assert list(report.per_field_counts) == expected
+        assert cm_census._census_tables[d].swept == 3001
+        # no field with h_K = 1 lies past -163; every higher degree gains fields
+        assert (len(expected) > len(small[d].per_field)) == (d > 1)
+        assert singular_k3_refined_sum(d, 3000) == _refined_triple_loop(d, 3000)
+        assert cm_count_total(d, 300).per_field_counts == small[d].per_field
+        assert singular_k3_refined_sum(d, 300) == small[d].refined_sums[-1]
+
+
+_PATCHED_EXCEPTIONAL_COUNT = """
+from cmbrauer import cm_census
+from cmbrauer.errors import InternalCheckError
+
+cm_census.EXCEPTIONAL_CM_COUNTS[(-3, 2)] = 8
+out = []
+for census in (cm_census.cm_count_total, cm_census.singular_k3_refined_sum, cm_census.cm_count_total):
+    try:
+        census(2, 200)
+    except InternalCheckError:
+        out.append(sorted(cm_census._census_tables))
+    else:
+        out.append("answered")
+cm_census.EXCEPTIONAL_CM_COUNTS[(-3, 2)] = 9
+report = cm_census.cm_count_total(2, 200)
+out.append([report.per_field_counts[0], sorted(cm_census._census_tables)])
+print(out)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+def test_census_table_is_kept_only_once_checked(flags):
+    # a wrong known count raises while the table is built, on every call, and
+    # no table is kept until one passes
+    out = subprocess.run([sys.executable, *flags, "-c", _PATCHED_EXCEPTIONAL_COUNT],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == str([[], [], [], [(-3, 9), [2]]])
 
 
 def test_degree_twelve_censuses_are_prompt():

@@ -297,12 +297,28 @@ def test_caps_refuse_with_budget_error():
 
 
 def test_form_class_counts_is_the_callers_own():
+    form_class_counts(2000)
     counts = form_class_counts(500)
+    # keys from -500 up to -3, as from a sweep to 500 alone
+    keys = list(counts)
+    assert keys == sorted(keys) and keys[0] == -500 and keys[-1] == -3
     expected = dict(counts)
     counts[-23] = 99
     counts.clear()
     assert form_class_counts(500) == expected
+    assert list(form_class_counts(500)) == keys
     assert form_class_counts(500)[-23] == class_number_field(-23) == 3
+
+
+def test_form_class_counts_follow_a_resweep(fresh_session):
+    def expected(n):
+        counts = {-m: count_reduced_forms(-m) for m in range(n, 2, -1) if m % 4 in (0, 3)}
+        return {d: h for d, h in counts.items() if h}
+
+    assert form_class_counts(300) == expected(300)
+    for n in (3000, 300, 2999):
+        counts = form_class_counts(n)
+        assert counts == expected(n) and list(counts) == list(expected(n))
 
 
 _SWEEP_ANSWERS = """
@@ -312,11 +328,11 @@ out = []
 for n in json.loads(sys.argv[1]):
     counts = quadratic.form_class_counts(n)
     out.append({
-        "fcc": sorted(counts.items()),
+        "fcc": list(counts.items()),
         "fields": [[f.value for f in quadratic.enumerate_fields_by_class_number(h, n).fields]
                    for h in (1, 2, 3, 4, 10)],
-        "cm_count": cm_census.cm_count_total(2, n).total,
-        "refined": cm_census.singular_k3_refined_sum(2, n),
+        "cm_count": [cm_census.cm_count_total(d, n).per_field_counts for d in (1, 2, 3)],
+        "refined": [cm_census.singular_k3_refined_sum(d, n) for d in (1, 2, 3)],
         "h": [quadratic.class_number_field(d) for d in (-3, -23, -3299, -4003, -99995)],
     })
 print(json.dumps(out))
@@ -334,6 +350,31 @@ def test_large_sweep_then_smaller_bounds_match_cold_processes():
     warm = _sweep_answers([20000, *small])[1:]
     cold = [_sweep_answers([n])[0] for n in small]
     assert warm == cold
+
+
+def test_past_sweep_memo_stays_bounded(fresh_session, monkeypatch):
+    monkeypatch.setattr(quadratic, "PAST_SWEEP_LIMIT", 8)
+    counted = []
+    monkeypatch.setattr(quadratic, "_count_forms_by_a", lambda dk: counted.append(dk) or _count_forms_by_a(dk))
+    quadratic._retained(100)
+    fresh = [-m for m in range(101, 400) if is_fundamental_discriminant(-m)][:20]
+    for dk in fresh:
+        assert class_number_field(dk) == count_reduced_forms(dk)
+        assert 1 <= len(quadratic._past_sweep) <= 8
+    # emptied at the 9th and the 17th field, so the last four are kept
+    assert quadratic._past_sweep == {dk: count_reduced_forms(dk) for dk in fresh[16:]}
+    for dk in fresh[16:]:
+        assert class_number_field(dk) == count_reduced_forms(dk)
+    assert counted == fresh
+    # -108 = 4 * 27 is not fundamental: refused before the memo is read
+    quadratic._past_sweep[-108] = 3
+    with pytest.raises(ValueError, match="not a fundamental discriminant"):
+        class_number_field(-108)
+    # a sweep that grows empties the memo
+    quadratic._retained(500)
+    assert quadratic._past_sweep == {}
+    assert [class_number_field(dk) for dk in fresh] == [count_reduced_forms(dk) for dk in fresh]
+    assert counted == fresh
 
 
 def test_census_caches_stay_bounded():
