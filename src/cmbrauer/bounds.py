@@ -9,12 +9,10 @@ and are never rounded.
 
 from __future__ import annotations
 
-import inspect
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .errors import InternalCheckError, bounded_digits, bounded_power
+from .errors import Frozen, InternalCheckError, bounded_digits, bounded_power
 from .lattices import LatticeDescriptor, parse_lattice
 from .minkowski import minkowski_M
 from .quadratic import FundamentalDiscriminant
@@ -46,16 +44,17 @@ class LogFactor(NamedTuple):
     power: int
 
 
-@dataclass(frozen=True)
-class SymbolicProduct:
+class SymbolicProduct(Frozen):
     """Exact decomposition rational * pi^pi_exp * sqrt(sqrt_arg) * prod(log factors)."""
 
-    rational: Fraction
-    pi_exp: int = 0
-    sqrt_arg: int = 1
-    log_factors: tuple[LogFactor, ...] = ()
+    __slots__ = ("rational", "pi_exp", "sqrt_arg", "log_factors")
 
-    def __post_init__(self):
+    def __init__(self, rational: Fraction, pi_exp: int = 0, sqrt_arg: int = 1,
+                 log_factors: tuple[LogFactor, ...] = ()):
+        object.__setattr__(self, "rational", rational)
+        object.__setattr__(self, "pi_exp", pi_exp)
+        object.__setattr__(self, "sqrt_arg", sqrt_arg)
+        object.__setattr__(self, "log_factors", log_factors)
         if self.rational <= 0 or self.sqrt_arg < 1:
             raise InternalCheckError(f"rational {self.rational} or sqrt argument {self.sqrt_arg} is not positive")
         for lf in self.log_factors:
@@ -63,33 +62,40 @@ class SymbolicProduct:
                 raise InternalCheckError(f"log factor {lf} needs arg >= 1 and power >= 1")
 
 
-@dataclass(frozen=True)
-class BoundFormula:
+class BoundFormula(Frozen):
     """A registered bound; its inputs are the parameters of ``build``, in
     signature order, and ``optional`` are those with a default."""
 
-    bound_id: str
-    grh: bool
-    build: Callable[..., SymbolicProduct]
-    expression: str
-    params: tuple[str, ...] = field(init=False)
-    optional: tuple[str, ...] = field(init=False)
+    __slots__ = ("bound_id", "grh", "build", "expression", "params", "optional")
 
-    def __post_init__(self):
-        sig = inspect.signature(self.build).parameters.values()
-        object.__setattr__(self, "params", tuple(p.name for p in sig))
-        object.__setattr__(self, "optional", tuple(p.name for p in sig if p.default is not p.empty))
+    def __init__(self, bound_id: str, grh: bool, build: Callable[..., SymbolicProduct], expression: str):
+        object.__setattr__(self, "bound_id", bound_id)
+        object.__setattr__(self, "grh", grh)
+        object.__setattr__(self, "build", build)
+        object.__setattr__(self, "expression", expression)
+        # co_varnames starts with the positional parameters, then the
+        # keyword-only ones; __defaults__ belongs to the last positional ones
+        code = build.__code__
+        n = code.co_argcount
+        params = code.co_varnames[:n + code.co_kwonlyargcount]
+        optional = params[n - len(build.__defaults__ or ()):n] + tuple(build.__kwdefaults__ or ())
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "optional", optional)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    bound_id: str
-    inputs: dict
-    exact_symbolic: dict
-    integer_bound: int
-    conditional: bool
-    rounding_certificate: dict
-    cross_check: dict | None = None
+class BoundReport(Frozen):
+    __slots__ = ("bound_id", "inputs", "exact_symbolic", "integer_bound", "conditional",
+                 "rounding_certificate", "cross_check")
+
+    def __init__(self, bound_id: str, inputs: dict, exact_symbolic: dict, integer_bound: int,
+                 conditional: bool, rounding_certificate: dict, cross_check: dict | None = None):
+        object.__setattr__(self, "bound_id", bound_id)
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "exact_symbolic", exact_symbolic)
+        object.__setattr__(self, "integer_bound", integer_bound)
+        object.__setattr__(self, "conditional", conditional)
+        object.__setattr__(self, "rounding_certificate", rounding_certificate)
+        object.__setattr__(self, "cross_check", cross_check)
 
     @property
     def provenance(self) -> str:
@@ -370,8 +376,9 @@ def compose_intro_bound(disc_lambda: int, d: int, eps=None) -> BoundReport:
     identity_holds = Fraction(1, 2 ** 2) * (2 ** 9 * 3) ** 4 == 2 ** 34 * 3 ** 4
     if not identity_holds:
         raise InternalCheckError("2^-2 * (2^9*3)^4 != 2^34 * 3^4")
-    return replace(
-        intro,
+    return BoundReport(
+        intro.bound_id, intro.inputs, intro.exact_symbolic, intro.integer_bound,
+        intro.conditional, intro.rounding_certificate,
         cross_check={
             "specialized_bound_id": specialized.bound_id,
             "specialized_L_deg": l_deg,

@@ -4,10 +4,9 @@ the non-maximal case, and the divisibility / uniform bounds they feed."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import prod
 
-from .errors import BudgetError, InternalCheckError, bounded_digits, bounded_power
+from .errors import BudgetError, Frozen, InternalCheckError, bounded_digits, bounded_power
 from .primes import divisors, factorint, isprime
 from .quadratic import FundamentalDiscriminant, _kronecker_prime, unit_index
 
@@ -22,13 +21,15 @@ def _ord(ell: int, n: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class GaloisFlags:
+class GaloisFlags(Frozen):
     """Galois data of the base field k: whether K sits inside k, and whether
     the 2-torsion of E is k-rational."""
 
-    K_in_k: bool
-    two_torsion_rational: bool
+    __slots__ = ("K_in_k", "two_torsion_rational")
+
+    def __init__(self, K_in_k: bool, two_torsion_rational: bool):
+        object.__setattr__(self, "K_in_k", K_in_k)
+        object.__setattr__(self, "two_torsion_rational", two_torsion_rational)
 
     def check_two_torsion_consistency(self, f: int, delta_k: int) -> None:
         # rational 2-torsion with K outside k forces 2 | f * Delta_K
@@ -38,14 +39,14 @@ class GaloisFlags:
             )
 
 
-@dataclass(frozen=True)
-class BrauerShape:
+class BrauerShape(Frozen):
     """Finite abelian group with at most two cyclic factors at each prime, as
     (prime, exponent) pairs: ((p, e), ...) is the product of the Z/p^e."""
 
-    prime_powers: tuple[tuple[int, int], ...]
+    __slots__ = ("prime_powers",)
 
-    def __post_init__(self):
+    def __init__(self, prime_powers: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "prime_powers", prime_powers)
         for p, e in self.prime_powers:
             if not isprime(p) or e < 1:
                 raise InternalCheckError(f"factor Z/{p}^{e} of {self.prime_powers} is not a nontrivial prime power")
@@ -62,13 +63,13 @@ class BrauerShape:
         return prod(self.cyclic_factors)
 
 
-@dataclass(frozen=True)
-class MValuation:
+class MValuation(Frozen):
     """Map ell -> m_ell with the combined conductor c = prod ell^m_ell."""
 
-    valuations: tuple[tuple[int, int], ...] = field(default=())
+    __slots__ = ("valuations",)
 
-    def __post_init__(self):
+    def __init__(self, valuations: tuple[tuple[int, int], ...] = ()):
+        object.__setattr__(self, "valuations", valuations)
         for ell, m in self.valuations:
             if not isprime(ell):
                 raise ValueError(f"valuation key {ell} is not prime")

@@ -4,10 +4,9 @@ degree, plus the singular K3 census bounds built on them."""
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BudgetError, InternalCheckError, bounded_digits, bounded_power
+from .errors import BudgetError, Frozen, InternalCheckError, bounded_digits, bounded_power
 from .minkowski import minkowski_M
 from .primes import primerange
 from .quadratic import (
@@ -49,28 +48,31 @@ def _check_census_degree(d: int) -> None:
         raise BudgetError(f"degree {d} is past the census cap {MAX_CENSUS_DEGREE}")
 
 
-@dataclass(frozen=True)
-class ConductorBoundReport:
-    field: FundamentalDiscriminant | None  # None means the generic clause input
-    degree: int
-    bound: int
-    case_label: str
+class ConductorBoundReport(Frozen):
+    # field None means the generic clause input
+    __slots__ = ("field", "degree", "bound", "case_label")
 
-    def __post_init__(self):
+    def __init__(self, field: FundamentalDiscriminant | None, degree: int, bound: int, case_label: str):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "case_label", case_label)
         # the "in all cases" cap
         if self.bound > 3 * self.degree ** 2:
             raise InternalCheckError(f"conductor bound {self.bound} exceeds 3 d^2 at d = {self.degree}")
 
 
-@dataclass(frozen=True)
-class CensusReport:
-    degree: int
-    per_field_counts: tuple[tuple[int, int], ...]
-    total: int
-    certified_complete: bool
-    cube_bound: int  # d^3 * number of fields, for comparison
+class CensusReport(Frozen):
+    # cube_bound is d^3 * number of fields, for comparison
+    __slots__ = ("degree", "per_field_counts", "total", "certified_complete", "cube_bound")
 
-    def __post_init__(self):
+    def __init__(self, degree: int, per_field_counts: tuple[tuple[int, int], ...], total: int,
+                 certified_complete: bool, cube_bound: int):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "per_field_counts", per_field_counts)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "certified_complete", certified_complete)
+        object.__setattr__(self, "cube_bound", cube_bound)
         if self.total != sum(c for _, c in self.per_field_counts):
             raise InternalCheckError(f"census total {self.total} is not the sum of {self.per_field_counts}")
 
@@ -184,17 +186,20 @@ def cm_count_per_field(field: FundamentalDiscriminant, d: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class _CensusTable:
+class _CensusTable(Frozen):
     """The fields with h_K <= d in a retained sweep of the given length, in
     ascending |Delta_K|, with their cm_count_per_field counts and the prefix
     sums of those counts and of the per-field terms of singular_k3_refined_sum."""
 
-    swept: int
-    ms: list[int]
-    per_field: tuple[tuple[int, int], ...]
-    count_sums: list[int]
-    refined_sums: list[int]
+    __slots__ = ("swept", "ms", "per_field", "count_sums", "refined_sums")
+
+    def __init__(self, swept: int, ms: list[int], per_field: tuple[tuple[int, int], ...],
+                 count_sums: list[int], refined_sums: list[int]):
+        object.__setattr__(self, "swept", swept)
+        object.__setattr__(self, "ms", ms)
+        object.__setattr__(self, "per_field", per_field)
+        object.__setattr__(self, "count_sums", count_sums)
+        object.__setattr__(self, "refined_sums", refined_sums)
 
 
 # one census table per degree, each thrown away once the sweep it covers grows

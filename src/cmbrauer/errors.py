@@ -1,5 +1,6 @@
-"""The package's own exception types, and the digit budget that refuses an
-integer too long to render, a power before it is formed."""
+"""The package's own exception types, the digit budget that refuses an
+integer too long to render, a power before it is formed, and Frozen, the base
+of the package's immutable value classes."""
 
 from math import log10
 
@@ -21,6 +22,45 @@ class BudgetError(ValueError):
     number or a divisor walk past its cap, or a value with more digits than
     can be rendered, such as a bound, a Brauer group order or M(n) past
     n = 1331."""
+
+
+class Frozen:
+    """An immutable value.  A subclass names its fields, in order, in
+    __slots__, and its __init__ sets each one once with object.__setattr__,
+    then makes its checks, each an explicit raise.  Instances are equal when
+    their classes are the same and their fields are equal, hash by their
+    fields, show as Name(field=value, ...), and raise AttributeError when a
+    field is assigned or deleted; copy and pickle go through the fields."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self):
+        return self._fields()
+
+    def __setstate__(self, state):
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
 
 
 def bounded_digits(value: int, what: str) -> int:

@@ -18,13 +18,12 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple
 
 from .brauer import _ord
-from .errors import DIGIT_LIMIT, MAX_DIGITS, BudgetError, InternalCheckError
+from .errors import DIGIT_LIMIT, MAX_DIGITS, BudgetError, Frozen, InternalCheckError
 from .primes import isprime, primerange, sqrt_mod
 from .quadratic import FundamentalDiscriminant, _kronecker_prime
 
@@ -35,17 +34,17 @@ _CM_J_INVARIANTS = {-3: 0, -4: 1728, -7: -3375, -8: 8000, -11: -32768, -19: -884
                     -43: -884736000, -67: -147197952000, -163: -262537412640768000}
 
 
-@dataclass(frozen=True)
-class CurveOverQ:
+class CurveOverQ(Frozen):
     """Short Weierstrass curve y^2 = x^3 + a4 x + a6 over Q whose CM order
     discriminant the caller asserts (it is never derived from the model;
     estimate_m checks it against the j-invariant)."""
 
-    a4: int
-    a6: int
-    cm_disc: int
+    __slots__ = ("a4", "a6", "cm_disc")
 
-    def __post_init__(self):
+    def __init__(self, a4: int, a6: int, cm_disc: int):
+        object.__setattr__(self, "a4", a4)
+        object.__setattr__(self, "a6", a6)
+        object.__setattr__(self, "cm_disc", cm_disc)
         if self.weierstrass_disc == 0:
             raise ValueError("singular model: 4*a4^3 + 27*a6^2 = 0")
         if self.cm_disc >= 0 or self.cm_disc % 4 not in (0, 1):
@@ -60,18 +59,18 @@ class CurveOverQ:
         return p != 2 and self.weierstrass_disc % p != 0
 
 
-@dataclass(frozen=True)
-class PsiValue:
+class PsiValue(Frozen):
     """Character value psi = x + y*omega, omega = (Delta_K + sqrt(Delta_K))/2,
     of norm p.  Conjugation flips the sign of the sqrt term; valuations of y
     do not see the difference."""
 
-    x: int
-    y: int
-    p: int
-    delta_k: int
+    __slots__ = ("x", "y", "p", "delta_k")
 
-    def __post_init__(self):
+    def __init__(self, x: int, y: int, p: int, delta_k: int):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "delta_k", delta_k)
         if self.norm != self.p:
             raise InternalCheckError(f"norm of {(self.x, self.y)} over {self.delta_k} is not {self.p}")
 

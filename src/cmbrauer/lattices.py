@@ -3,12 +3,11 @@ product of CM elliptic curves, and of its Kummer surface, with inverses."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .errors import InternalCheckError, bounded_digits
+from .errors import Frozen, InternalCheckError, bounded_digits
 from .quadratic import FundamentalDiscriminant, fundamental_discriminant
 
 # the node lattice of a Kummer surface: fixed rank and discriminant
@@ -19,15 +18,15 @@ _ABELIAN_RANKS = (2, 3, 4)
 _K3_RANKS = (18, 19, 20)
 
 
-@dataclass(frozen=True)
-class CMPair:
+class CMPair(Frozen):
     """Two CM elliptic curves given by their common field and conductors f1, f2."""
 
-    field: FundamentalDiscriminant
-    f1: int
-    f2: int
+    __slots__ = ("field", "f1", "f2")
 
-    def __post_init__(self):
+    def __init__(self, field: FundamentalDiscriminant, f1: int, f2: int):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "f1", f1)
+        object.__setattr__(self, "f2", f2)
         if self.f1 < 1 or self.f2 < 1:
             raise ValueError(f"conductors must be positive, got {(self.f1, self.f2)}")
 
@@ -36,14 +35,14 @@ class CMPair:
         return lcm(self.f1, self.f2)
 
 
-@dataclass(frozen=True)
-class LatticeDescriptor:
+class LatticeDescriptor(Frozen):
     """Rank and discriminant of a Neron-Severi lattice (abelian surface or K3)."""
 
-    rank: int
-    disc: int
+    __slots__ = ("rank", "disc")
 
-    def __post_init__(self):
+    def __init__(self, rank: int, disc: int):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "disc", disc)
         if self.rank not in _ABELIAN_RANKS + _K3_RANKS:
             raise ValueError(f"rank must be one of {_ABELIAN_RANKS + _K3_RANKS}, got {self.rank}")
         if self.disc == 0:

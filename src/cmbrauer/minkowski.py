@@ -2,21 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 
-from .errors import MAX_DIGITS, BudgetError, InternalCheckError
+from .errors import MAX_DIGITS, BudgetError, Frozen, InternalCheckError
 from .primes import primerange
 
 
-@dataclass(frozen=True)
-class MinkowskiConstant:
-    n: int
-    value: int
-    factorization: tuple[tuple[int, int], ...]
+class MinkowskiConstant(Frozen):
+    __slots__ = ("n", "value", "factorization")
 
-    def __post_init__(self):
+    def __init__(self, n: int, value: int, factorization: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "factorization", factorization)
         if self.value != prod(p ** e for p, e in self.factorization):
             raise InternalCheckError(f"M({self.n}) differs from the product over its factorization")
 

@@ -3,8 +3,8 @@
 Discriminants, Kronecker symbols, class numbers, unit indices, and
 enumeration of fields by class number.  Class numbers of fields come from one
 retained sweep of reduced forms over a range of discriminants, or outside it
-from a per-field count of the forms by first coefficient; ``reduced_forms`` is
-the brute-force oracle for both.  Everything is exact integer arithmetic.
+from a per-field count of the forms by first coefficient.  Everything is exact
+integer arithmetic.
 
 A session keeps the sweep to the largest disc bound asked for (2.0 MiB at
 MAX_DISC_BOUND), the lists form_class_counts reads (2.4 MiB there) and a memo
@@ -15,12 +15,11 @@ entries, about 1 MiB); a sweep that grows throws the lists and the memo away.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 from operator import attrgetter
 
-from .errors import BudgetError, InternalCheckError, bounded_digits
+from .errors import BudgetError, Frozen, InternalCheckError, bounded_digits
 from .primes import factorint, isprime, primerange, sqrt_mod
 
 
@@ -44,62 +43,31 @@ def is_fundamental_discriminant(n: int) -> bool:
     return q % 4 in (2, 3) and _squarefree(q)
 
 
-@dataclass(frozen=True)
-class FundamentalDiscriminant:
+class FundamentalDiscriminant(Frozen):
     """Discriminant of an imaginary quadratic field."""
 
-    value: int
+    __slots__ = ("value",)
 
-    def __post_init__(self):
+    def __init__(self, value: int):
+        object.__setattr__(self, "value", value)
         if not is_fundamental_discriminant(self.value):
             raise ValueError(f"{self.value} is not a fundamental discriminant of an imaginary quadratic field")
 
 
-@dataclass(frozen=True)
-class Order:
+class Order(Frozen):
     """Order of conductor f in an imaginary quadratic field; disc = f^2 * Delta_K."""
 
-    field: FundamentalDiscriminant
-    conductor: int
+    __slots__ = ("field", "conductor")
 
-    def __post_init__(self):
+    def __init__(self, field: FundamentalDiscriminant, conductor: int):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "conductor", conductor)
         if self.conductor < 1:
             raise ValueError(f"conductor must be positive, got {self.conductor}")
 
     @property
     def discriminant(self) -> int:
         return bounded_digits(self.conductor ** 2 * self.field.value, "the order discriminant")
-
-
-@dataclass(frozen=True)
-class QuadraticForm:
-    """Positive definite integral binary quadratic form a*x^2 + b*x*y + c*y^2."""
-
-    a: int
-    b: int
-    c: int
-
-    def __post_init__(self):
-        if self.a <= 0 or self.discriminant >= 0:
-            raise ValueError(f"form {(self.a, self.b, self.c)} is not positive definite")
-
-    @property
-    def discriminant(self) -> int:
-        return self.b * self.b - 4 * self.a * self.c
-
-    @property
-    def is_primitive(self) -> bool:
-        return gcd(gcd(self.a, self.b), self.c) == 1
-
-    @property
-    def is_reduced(self) -> bool:
-        # |b| <= a <= c, with b >= 0 when either inequality is an equality
-        a, b, c = self.a, self.b, self.c
-        if not (abs(b) <= a <= c):
-            return False
-        if b < 0 and (abs(b) == a or a == c):
-            return False
-        return True
 
 
 def fundamental_discriminant(n: int) -> tuple[FundamentalDiscriminant, int]:
@@ -160,36 +128,6 @@ def unit_index(delta_k: int, f: int) -> int:
     if delta_k == -3:
         return 3
     return 1
-
-
-def reduced_forms(disc: int) -> list[QuadraticForm]:
-    """All primitive reduced positive definite forms of the given discriminant.
-
-    Enumeration is bounded by |b| <= a <= sqrt(|disc|/3), in O(|disc|).  For
-    fundamental discriminants every reduced form is automatically primitive;
-    for non-fundamental ones the primitivity filter matters (disc -12 drops
-    the imprimitive (2,2,2), for example).  No census path calls it: it is the
-    independent oracle for _count_forms_by_a and the retained sweep.
-    """
-    if disc >= 0 or disc % 4 not in (0, 1):
-        raise ValueError(f"{disc} is not a negative discriminant")
-    forms = []
-    a_max = isqrt(-disc // 3)
-    for a in range(1, a_max + 1):
-        # b = -a is never reduced, so scan -a < b <= a
-        for b in range(-a + 1, a + 1):
-            num = b * b - disc
-            c, rem = divmod(num, 4 * a)
-            if rem:
-                continue
-            if c < a:
-                continue
-            if b < 0 and a == c:
-                continue
-            if gcd(gcd(a, b), c) != 1:
-                continue
-            forms.append(QuadraticForm(a, b, c))
-    return forms
 
 
 def _count_forms_by_a(delta_k: int) -> int:
@@ -385,18 +323,21 @@ def class_number_order(order: Order) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class FieldSearch:
+class FieldSearch(Frozen):
     """Fields found with h_K <= h_max and |Delta_K| <= search_bound.
 
     certified_complete is always False: fields beyond the search bound are
     not ruled out by this enumeration.
     """
 
-    fields: tuple[FundamentalDiscriminant, ...]
-    h_max: int
-    search_bound: int
-    certified_complete: bool = False
+    __slots__ = ("fields", "h_max", "search_bound", "certified_complete")
+
+    def __init__(self, fields: tuple[FundamentalDiscriminant, ...], h_max: int, search_bound: int,
+                 certified_complete: bool = False):
+        object.__setattr__(self, "fields", fields)
+        object.__setattr__(self, "h_max", h_max)
+        object.__setattr__(self, "search_bound", search_bound)
+        object.__setattr__(self, "certified_complete", certified_complete)
 
 
 _value = attrgetter("value")

@@ -18,11 +18,10 @@ products need all four.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .errors import InternalCheckError
+from .errors import Frozen, InternalCheckError
 
 COARSE_EPS = Fraction(1, 10 ** 6)
 DEFAULT_EPS = Fraction(1, 10 ** 9)
@@ -33,14 +32,14 @@ _MIN_EPS = Fraction(1, 10 ** 18)
 _PI_20_DIGITS = Fraction(314159265358979323846, 10 ** 20)
 
 
-@dataclass(frozen=True)
-class Bracket:
+class Bracket(Frozen):
     """A closed rational interval [lo, hi] containing one real number."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
+    def __init__(self, lo: Fraction, hi: Fraction):
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
         if self.lo > self.hi:
             raise InternalCheckError(f"bracket [{self.lo}, {self.hi}] is empty")
 

@@ -3,6 +3,7 @@
 No production path calls them.
 """
 
+from dataclasses import dataclass
 from math import gcd, isqrt
 
 from cmbrauer.primes import divisors
@@ -28,3 +29,64 @@ def count_reduced_forms(disc: int) -> int:
             if a >= b and gcd(gcd(a, b), c) == 1:
                 h += 1 if b == 0 or b == a or a == c else 2
     return h
+
+
+@dataclass(frozen=True)
+class QuadraticForm:
+    """Positive definite integral binary quadratic form a*x^2 + b*x*y + c*y^2."""
+
+    a: int
+    b: int
+    c: int
+
+    def __post_init__(self):
+        if self.a <= 0 or self.discriminant >= 0:
+            raise ValueError(f"form {(self.a, self.b, self.c)} is not positive definite")
+
+    @property
+    def discriminant(self) -> int:
+        return self.b * self.b - 4 * self.a * self.c
+
+    @property
+    def is_primitive(self) -> bool:
+        return gcd(gcd(self.a, self.b), self.c) == 1
+
+    @property
+    def is_reduced(self) -> bool:
+        # |b| <= a <= c, with b >= 0 when either inequality is an equality
+        a, b, c = self.a, self.b, self.c
+        if not (abs(b) <= a <= c):
+            return False
+        if b < 0 and (abs(b) == a or a == c):
+            return False
+        return True
+
+
+def reduced_forms(disc: int) -> list[QuadraticForm]:
+    """All primitive reduced positive definite forms of the given discriminant.
+
+    Enumeration is bounded by |b| <= a <= sqrt(|disc|/3), in O(|disc|).  For
+    fundamental discriminants every reduced form is automatically primitive;
+    for non-fundamental ones the primitivity filter matters (disc -12 drops
+    the imprimitive (2,2,2), for example).  The independent oracle for
+    quadratic._count_forms_by_a and the retained sweep.
+    """
+    if disc >= 0 or disc % 4 not in (0, 1):
+        raise ValueError(f"{disc} is not a negative discriminant")
+    forms = []
+    a_max = isqrt(-disc // 3)
+    for a in range(1, a_max + 1):
+        # b = -a is never reduced, so scan -a < b <= a
+        for b in range(-a + 1, a + 1):
+            num = b * b - disc
+            c, rem = divmod(num, 4 * a)
+            if rem:
+                continue
+            if c < a:
+                continue
+            if b < 0 and a == c:
+                continue
+            if gcd(gcd(a, b), c) != 1:
+                continue
+            forms.append(QuadraticForm(a, b, c))
+    return forms

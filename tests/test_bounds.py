@@ -1,5 +1,6 @@
 """Bound formula registry: frozen values, rounding soundness, GRH gating."""
 
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from cmbrauer.bounds import (
     FORMULAS,
     GRH_IDS,
+    BoundFormula,
     BoundReport,
     compose_intro_bound,
     eval_bound,
@@ -53,6 +55,24 @@ def test_registry_complete():
         "isogeny_degree_GRH",
         "faltings_GRH",
     }
+
+
+def _signature_inputs(build):
+    params = inspect.signature(build).parameters.values()
+    return tuple(p.name for p in params), tuple(p.name for p in params if p.default is not p.empty)
+
+
+def test_formula_inputs_match_the_build_signature():
+    # BoundFormula reads its inputs from the code object of build; inspect is the oracle
+    assert len(FORMULAS) == 14
+    for bound_id, formula in FORMULAS.items():
+        assert (formula.params, formula.optional) == _signature_inputs(formula.build), bound_id
+    degree = FORMULAS["isogeny_degree"]  # delta_k is keyword-only
+    assert (degree.params, degree.optional) == (("f1", "f2", "delta_k"), ("f2",))
+    # keyword-only parameters with and without defaults, interleaved
+    formula = BoundFormula("x", False, lambda a, b=1, *, c, e=2, g: None, "")
+    assert (formula.params, formula.optional) == _signature_inputs(formula.build)
+    assert (formula.params, formula.optional) == (("a", "b", "c", "e", "g"), ("b", "e"))
 
 
 def test_isog_pair_frozen_values():

@@ -343,6 +343,20 @@ def test_cli_never_imports_sympy(flags):
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+def test_cli_never_imports_dataclasses_or_inspect(flags):
+    # with ast, dis and tokenize they would be over a tenth of a one-shot process
+    script = (
+        "import contextlib, io, sys\n"
+        "from cmbrauer import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main(argv) for argv in {list(_ONE_PER_COMMAND)!r}]\n"
+        "print(codes, sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    out = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True, check=True)
+    assert out.stdout == f"{[0] * len(_ONE_PER_COMMAND)} []\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
 def test_every_command_answers_with_sympy_unimportable(flags):
     script = (
         "import contextlib, io, sys\n"

@@ -26,11 +26,10 @@ from cmbrauer.quadratic import (
     fundamental_discriminant,
     is_fundamental_discriminant,
     kronecker_symbol,
-    reduced_forms,
     unit_index,
 )
 
-from oracles import count_reduced_forms
+from oracles import count_reduced_forms, reduced_forms
 
 CLASS_NUMBER_ONE_DISCS = (-3, -4, -7, -8, -11, -19, -43, -67, -163)
 
