@@ -13,9 +13,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .errors import Frozen, InternalCheckError, bounded_digits, bounded_power
-from .lattices import LatticeDescriptor, parse_lattice
 from .minkowski import minkowski_M
-from .quadratic import FundamentalDiscriminant
 from .rounding import (
     Bracket,
     COARSE_EPS,
@@ -115,6 +113,8 @@ def _nonzero(name: str, v) -> int:
 
 
 def _fundamental(name: str, v) -> int:
+    from .quadratic import FundamentalDiscriminant
+
     return FundamentalDiscriminant(v).value
 
 
@@ -348,6 +348,8 @@ def field_tower_constants() -> dict[str, TowerConstant]:
 
 def unit_group_order(delta_k: int) -> int:
     """#O_K^x: 6 for Delta_K = -3, 4 for -4, else 2."""
+    from .quadratic import FundamentalDiscriminant
+
     dk = FundamentalDiscriminant(delta_k).value
     return {-3: 6, -4: 4}.get(dk, 2)
 
@@ -360,6 +362,8 @@ def compose_intro_bound(disc_lambda: int, d: int, eps=None) -> BoundReport:
     form 3 * |Delta_K|^-1 times the headline one, so for |Delta_K| >= 3 the
     specialization can only be tighter.  Both integer values are reported.
     """
+    from .lattices import LatticeDescriptor, parse_lattice
+
     data = parse_lattice(LatticeDescriptor(rank=20, disc=disc_lambda), "kummer")
     intro = eval_bound("uncond_lattice", {"disc_lambda": disc_lambda, "d": d}, eps=eps)
     l_deg = field_tower_constants()["kummer_full"].value * d

@@ -10,11 +10,14 @@ A session keeps the sweep to the largest disc bound asked for (2.0 MiB at
 MAX_DISC_BOUND), the lists form_class_counts reads (2.4 MiB there) and a memo
 of the class numbers counted past the sweep (at most PAST_SWEEP_LIMIT
 entries, about 1 MiB); a sweep that grows throws the lists and the memo away.
+A form_class_counts answer is a view of those lists, not a copy, so one that
+is still held and has not been written keeps its sweep's lists alive.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import ItemsView, MutableMapping, ValuesView
 from functools import lru_cache
 from math import gcd, isqrt
 from operator import attrgetter
@@ -32,8 +35,10 @@ def _squarefree(n: int) -> bool:
     return all(e == 1 for e in factorint(abs(n)).values())
 
 
-# bounded: every Order and class number validates its field through here
-@lru_cache(maxsize=1 << 12)
+# bounded: every Order and class number validates its field through here;
+# census_session cycles about 8,300 distinct fields through it, which a
+# cache of 4,096 missed on every revisit
+@lru_cache(maxsize=1 << 14)
 def is_fundamental_discriminant(n: int) -> bool:
     if n >= 0 or n % 4 not in (0, 1):
         return False
@@ -199,8 +204,9 @@ def _sweep(bound: int) -> list[int]:
 # The retained sweep: primitive reduced form counts indexed by m = -disc, and
 # for each class number (keys ascending) the fundamental m in ascending order,
 # with the validated field objects of a prefix of them (see _field_objects).
-# _fcc_keys and _fcc_counts are the nonzero counts as form_class_counts hands
-# them out, keys -m in descending m, made on its first call after each sweep.
+# _fcc_keys and _fcc_counts are the nonzero counts that form_class_counts
+# answers view, keys -m in descending m, made on its first call after each
+# sweep and replaced, never changed in place.
 # A bound past the table sweeps again to that bound; every smaller bound reads it.
 _counts: list[int] = []
 _fields_by_h: dict[int, list[int]] = {}
@@ -262,13 +268,96 @@ def _field_objects(h: int, k: int) -> list[FundamentalDiscriminant]:
     return objects[:k]
 
 
-def form_class_counts(disc_bound: int) -> dict[int, int]:
+class FormClassCounts(MutableMapping):
+    """form_class_counts's answer: discriminant -> count, keys ascending.
+
+    Until its first write it reads the retained lists from index start on,
+    a bisect per lookup; the first write copies that range into a dict of its
+    own.  The lists are replaced by a sweep that grows, never changed in
+    place, so an answer taken earlier still gives its own bound's counts."""
+
+    __slots__ = ("_keys", "_counts", "_start", "_own")
+
+    def __init__(self, keys: list[int], counts: list[int], start: int = 0, own: dict[int, int] | None = None):
+        self._keys, self._counts, self._start, self._own = keys, counts, start, own
+
+    def __getitem__(self, key):
+        if self._own is not None:
+            return self._own[key]
+        keys = self._keys
+        try:
+            i = bisect_left(keys, key, self._start)
+        except TypeError:
+            raise KeyError(key) from None
+        if i < len(keys) and keys[i] == key:
+            return self._counts[i]
+        raise KeyError(key)
+
+    def __len__(self) -> int:
+        return len(self._own) if self._own is not None else len(self._keys) - self._start
+
+    def __iter__(self):
+        return iter(self._own) if self._own is not None else iter(self._keys[self._start:])
+
+    def values(self):
+        return _Values(self)
+
+    def items(self):
+        return _Items(self)
+
+    def _mine(self) -> dict[int, int]:
+        # the first write copies the range and lets go of the shared lists
+        if self._own is None:
+            self._own = dict(zip(self._keys[self._start:], self._counts[self._start:]))
+            self._keys = self._counts = None
+        return self._own
+
+    def __setitem__(self, key, value):
+        self._mine()[key] = value
+
+    def __delitem__(self, key):
+        del self._mine()[key]
+
+    def popitem(self):
+        return self._mine().popitem()
+
+    def clear(self):
+        self._own, self._keys, self._counts = {}, None, None
+
+    def __reduce__(self):
+        # copy.copy and pickle both take this: a dict of the range, owned
+        return FormClassCounts, ([], [], 0, dict(self.items()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+class _Values(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):
+        m = self._mapping
+        return iter(m._own.values()) if m._own is not None else iter(m._counts[m._start:])
+
+
+class _Items(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        m = self._mapping
+        return iter(m._own.items()) if m._own is not None else zip(m._keys[m._start:], m._counts[m._start:])
+
+
+def form_class_counts(disc_bound: int) -> FormClassCounts:
     """Primitive reduced form counts for every discriminant -disc_bound <= disc < 0.
 
-    Keys run from -disc_bound up to -3.  Read from the lists the retained
-    sweep keeps of its nonzero counts, so a bound at or below the largest one
-    asked for so far costs one bisect and the dict built from a slice of
-    each; the dict is the caller's own.
+    Keys run from -disc_bound up to -3.  The answer is a Mapping, not a dict
+    (dict(...) it for JSON): a view of the lists the retained sweep keeps of
+    its nonzero counts, so a bound at or below the largest one asked for so
+    far costs one bisect and copies nothing.  It is the caller's own: its
+    first write copies the range into a dict of its own.  While it has not
+    been written it keeps the lists of the sweep it came from alive (2.4 MiB
+    at MAX_DISC_BOUND).
     """
     global _fcc_keys, _fcc_counts
     if disc_bound < 3:
@@ -277,8 +366,7 @@ def form_class_counts(disc_bound: int) -> dict[int, int]:
     if not _fcc_keys:
         ms = [m for m in range(len(counts) - 1, 2, -1) if counts[m]]
         _fcc_keys, _fcc_counts = [-m for m in ms], [counts[m] for m in ms]
-    i = bisect_left(_fcc_keys, -disc_bound)
-    return dict(zip(_fcc_keys[i:], _fcc_counts[i:]))
+    return FormClassCounts(_fcc_keys, _fcc_counts, bisect_left(_fcc_keys, -disc_bound))
 
 
 def class_number_field(delta_k: int) -> int:

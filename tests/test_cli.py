@@ -356,6 +356,24 @@ def test_cli_never_imports_dataclasses_or_inspect(flags):
     assert out.stdout == f"{[0] * len(_ONE_PER_COMMAND)} []\n"
 
 
+_NO_FIELD_INPUT = (["constants"], ["bound", "--id", "ab_GRH", "--set", "L_deg=5", "--assume-grh"])
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+def test_bounds_without_a_field_never_import_quadratic_or_lattices(flags):
+    # bounds imports them only where a delta_k or a lattice is read
+    script = (
+        "import contextlib, io, sys\n"
+        "from cmbrauer import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main(argv) for argv in {list(_NO_FIELD_INPUT)!r}]\n"
+        "print(codes, *sorted(m for m in sys.modules if m.startswith('cmbrauer.')))\n"
+    )
+    out = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True, check=True)
+    modules = " ".join(f"cmbrauer.{m}" for m in ("bounds", "cli", "errors", "minkowski", "primes", "rounding"))
+    assert out.stdout == f"{[0] * len(_NO_FIELD_INPUT)} {modules}\n"
+
+
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
 def test_every_command_answers_with_sympy_unimportable(flags):
     script = (

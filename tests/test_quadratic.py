@@ -1,8 +1,12 @@
 """Class numbers of imaginary quadratic orders against the reduced-form oracle."""
 
+import copy
 import json
+import pickle
 import subprocess
 import sys
+import tracemalloc
+from collections.abc import Mapping
 from fractions import Fraction
 from unittest import mock
 
@@ -385,3 +389,91 @@ def test_census_caches_stay_bounded():
     for dk in fresh[:300]:
         assert class_number_field(dk) >= 1
     assert is_fundamental_discriminant.cache_info().currsize <= maxsize
+
+
+def _fcc_oracle(n):
+    # the same retained lists read by a filter instead of a bisect
+    return {k: h for k, h in zip(quadratic._fcc_keys, quadratic._fcc_counts) if k >= -n}
+
+
+@pytest.mark.parametrize("n", [20000, 2000, 300, 3])
+def test_form_class_counts_view_matches_a_dict(n):
+    counts = form_class_counts(n)
+    oracle = _fcc_oracle(n)
+    assert counts == oracle and oracle == counts and len(counts) == len(oracle)
+    assert list(counts) == list(oracle)
+    for k, h in oracle.items():
+        assert k in counts and counts[k] == counts.get(k) == h
+    for _ in range(2):
+        assert list(counts.keys()) == list(oracle.keys())
+        assert list(counts.values()) == list(oracle.values())
+        assert list(counts.items()) == list(oracle.items())
+    items = counts.items()
+    assert len(items) == len(counts.keys()) == len(counts.values()) == len(oracle)
+    assert (-3, 1) in items and (-3, 2) not in items and 1 in counts.values()
+    assert counts.keys() & {-3, -4, 5} == {-3, -4} & oracle.keys()
+
+
+@pytest.mark.parametrize("n", [20000, 2000, 300, 3])
+def test_form_class_counts_missing_keys_raise_key_error(n):
+    counts = form_class_counts(n)
+    for key in (-1, -2, -5, 0, -(n + 4), "x", 1.5, None):
+        assert key not in counts and counts.get(key, "absent") == "absent"
+        with pytest.raises(KeyError):
+            counts[key]
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda m: m.__setitem__(-23, 99),
+    lambda m: m.__delitem__(-23),
+    lambda m: m.pop(-23),
+    lambda m: m.popitem(),
+    lambda m: m.setdefault(-1, 7),
+    lambda m: m.update({-23: 0, 5: 1}),
+    lambda m: m.clear(),
+], ids=["setitem", "delitem", "pop", "popitem", "setdefault", "update", "clear"])
+def test_form_class_counts_writes_touch_one_answer(mutate):
+    oracle = _fcc_oracle(500)
+    mine, other = form_class_counts(500), form_class_counts(500)
+    mirror = dict(oracle)
+    assert mutate(mine) == mutate(mirror)
+    assert list(mine.items()) == list(mirror.items()) and len(mine) == len(mirror)
+    assert other == oracle and list(other.items()) == list(oracle.items())
+    assert form_class_counts(500) == oracle == _fcc_oracle(500)
+
+
+def test_form_class_counts_view_outlives_a_resweep(fresh_session):
+    counts = form_class_counts(300)
+    oracle = dict(counts.items())
+    assert form_class_counts(3000) == _fcc_oracle(3000)
+    assert counts == oracle and list(counts.items()) == list(oracle.items())
+    assert counts[-299] == oracle[-299] and -304 not in counts
+
+
+def test_form_class_counts_copies_are_independent():
+    counts = form_class_counts(300)
+    oracle = dict(counts.items())
+    copied, pickled = copy.copy(counts), pickle.loads(pickle.dumps(counts))
+    assert copied == pickled == oracle and isinstance(pickled, Mapping)
+    copied[-23], pickled[-3] = 0, 0
+    del pickled[-4]
+    assert counts == oracle and form_class_counts(300) == oracle
+    assert copied[-23] == 0 and pickled[-3] == 0 and -4 not in pickled
+    # a copy of a written answer does not share its dict
+    counts[-23] = 5
+    again = copy.copy(counts)
+    again[-23] = 6
+    assert counts[-23] == 5 and pickle.loads(pickle.dumps(counts))[-23] == 5
+
+
+def test_form_class_counts_call_copies_nothing():
+    form_class_counts(20000)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        counts = form_class_counts(20000)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # a dict of the range would hold about 295 KiB
+    assert len(counts) == len(_fcc_oracle(20000)) and kept < 4096, kept
