@@ -7,18 +7,8 @@ from __future__ import annotations
 from math import prod
 
 from .errors import BudgetError, Frozen, InternalCheckError, bounded_digits, bounded_power
-from .primes import divisors, factorint, isprime
+from .primes import _ord, divisors, factorint, isprime
 from .quadratic import FundamentalDiscriminant, _kronecker_prime, unit_index
-
-
-def _ord(ell: int, n: int) -> int:
-    if n == 0:
-        raise InternalCheckError(f"ord_{ell}(0) is not finite")
-    v = 0
-    while n % ell == 0:
-        n //= ell
-        v += 1
-    return v
 
 
 class GaloisFlags(Frozen):

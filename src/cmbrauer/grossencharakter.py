@@ -10,21 +10,24 @@ count (Cohen, GTM 138, Alg. 1.5.3; Ireland & Rosen, GTM 84, ch. 18).
 Everything but the residue symbol depends on the field alone, and only the
 nine fields of class number one occur, so each field keeps one table of its
 odd split primes with their Cornacchia data (_SplitPrimes), grown on demand
-and retained for the life of the process; a scan reads it and does only the
-curve's own work per prime.
+and retained for the life of the process.  A scan reads the table a chunk at
+a time: one pass per chunk (_curve_ts) tells the field apart once and gives
+the curve's |t| at each of its good primes, and the running minimum of the
+valuations is kept as a power of ell, so a |t| it divides, which cannot lower
+the minimum, costs one remainder and no valuation.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
 from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple
 
-from .brauer import _ord
 from .errors import DIGIT_LIMIT, MAX_DIGITS, BudgetError, Frozen, InternalCheckError
-from .primes import isprime, primerange, sqrt_mod
+from .primes import _ord, isprime, primerange, sqrt_mod
 from .quadratic import FundamentalDiscriminant, _kronecker_prime
 
 _POINT_COUNT_CAP = 10 ** 6
@@ -169,29 +172,42 @@ def _field_entry(delta_k: int, q: int) -> tuple[int, ...]:
     return (y,)
 
 
-def _curve_t(curve: CurveOverQ, q: int, data: tuple, i: int) -> int:
-    """|t| with 4q = a_q^2 + |Delta_K| t^2 for the curve, from the field entry
-    at index i of the columns data (see _field_entry): the one step that
-    depends on the curve picks among the field's candidates."""
+def _curve_ts(curve: CurveOverQ, primes: array, data: tuple, i: int, j: int, ell: int,
+              disc: int) -> Iterator[int]:
+    """|t| with 4q = a_q^2 + |Delta_K| t^2 for the curve at each prime q =
+    primes[k], i <= k < j, other than ell and the primes dividing disc, from
+    the field entries in the columns data (see _field_entry).  Picking among
+    the field's candidates is the one step that depends on the curve; the
+    field is told apart once for the whole range."""
     d = curve.cm_disc
     if d == -4:
         # t is the even one iff -a4 is a square mod q, the quadratic part of
         # the quartic symbol of -a4
-        return data[0 if _kronecker_prime(-curve.a4, q) == 1 else 1][i]
-    if d == -3:
+        a = -curve.a4
+        even, odd = data
+        for q, t_even, t_odd in zip(primes[i:j], even[i:j], odd[i:j]):
+            if q != ell and disc % q:
+                yield t_even if pow(a % q, q >> 1, q) == 1 else t_odd
+    elif d == -3:
         # the cubic symbol (4 a6 / pi)_3 = omega^k, read off as
         # (4 a6)^((q-1)/3) = w^k mod q, makes psi(q) = omega^k pi up to sign,
         # whose |B| is that of the k-th rotation
-        w = data[0][i]
-        chi = pow(4 * curve.a6 % q, (q - 1) // 3, q)
-        if chi == 1:
-            return data[1][i]
-        if chi == w:
-            return data[2][i]
-        if chi == w * w % q:
-            return data[3][i]
-        raise InternalCheckError(f"(4*{curve.a6})^(({q}-1)/3) is not a cube root of unity mod {q}")
-    return data[0][i]
+        a = 4 * curve.a6
+        for q, w, t0, t1, t2 in zip(primes[i:j], *(column[i:j] for column in data)):
+            if q != ell and disc % q:
+                chi = pow(a % q, (q - 1) // 3, q)
+                if chi == 1:
+                    yield t0
+                elif chi == w:
+                    yield t1
+                elif chi == w * w % q:
+                    yield t2
+                else:
+                    raise InternalCheckError(f"(4*{curve.a6})^(({q}-1)/3) is not a cube root of unity mod {q}")
+    else:
+        for q, t in zip(primes[i:j], data[0][i:j]):
+            if q != ell and disc % q:
+                yield t
 
 
 # columns of a field entry, 1 outside Q(i) and Q(zeta_3)
@@ -253,7 +269,8 @@ def _frobenius_t(curve: CurveOverQ, q: int) -> int:
     i = bisect_left(table.primes, q)
     if i == len(table.primes) or table.primes[i] != q:
         raise ValueError(f"{q} is not an odd prime split in the field of discriminant {curve.cm_disc}")
-    return _curve_t(curve, q, table.data, i)
+    # ell = 0 and disc = 1 skip no prime
+    return next(_curve_ts(curve, table.primes, table.data, i, i + 1, 0, 1))
 
 
 def _check_cm(curve: CurveOverQ) -> None:
@@ -293,12 +310,16 @@ def estimate_m(curve: CurveOverQ, ell: int, prime_budget: int) -> MEstimate:
     of unity w mod q and the |B| of the three rotations of the primary pi.
     Per prime the curve adds only the skip of q = ell and of the primes
     dividing its discriminant, one Legendre symbol of -a4 (Q(i)) or a
-    comparison of (4 a6)^((q-1)/3) with 1, w, w^2 (Q(zeta_3)), and the
-    valuation.  A scan that reaches the end of the table extends it by one
-    chunk, to twice its reach (at least _FIRST_REACH), never past
-    min(prime_budget, 10^6); a chunk is committed only once all of it is
-    built.  The columns are 32-bit arrays: at the 10^6 cap the Q(i) table
-    holds 39,175 primes in 0.5 MiB, and all nine tables together 3.5 MiB.
+    comparison of (4 a6)^((q-1)/3) with 1, w, w^2 (Q(zeta_3)), and one
+    divisibility test: |t| mod ell^best is 0 exactly when ord_ell(|t|) >=
+    best, so only a |t| that lowers the minimum (or a zero |t|, refused as an
+    internal error) is given its valuation.  The scan takes the primes up to
+    the budget from the table in one bisection per chunk; one that reaches
+    the end of the table extends it by one chunk, to twice its reach (at
+    least _FIRST_REACH), never past min(prime_budget, 10^6); a chunk is
+    committed only once all of it is built.  The columns are 32-bit arrays:
+    at the 10^6 cap the Q(i) table holds 39,175 primes in 0.5 MiB, and all
+    nine tables together 3.5 MiB.
     """
     if not isprime(ell):
         raise ValueError(f"ell must be prime, got {ell}")
@@ -308,28 +329,28 @@ def estimate_m(curve: CurveOverQ, ell: int, prime_budget: int) -> MEstimate:
     _check_cm(curve)
     limit = min(prime_budget, _POINT_COUNT_CAP)
     table = _split_primes(curve.cm_disc)
-    primes, data = table.primes, table.data
+    primes = table.primes
     disc = curve.weierstrass_disc
     best: int | None = None
+    floor = 0   # ell**best once a sample has set best
     samples = 0
     i = 0
     while True:
-        if i == len(primes):
-            if table.reach >= limit:
-                break
-            table.grow(limit)
-            continue
-        q = primes[i]
-        if q > limit:
-            break
-        if q != ell and disc % q:
-            v = _ord(ell, _curve_t(curve, q, data, i))
+        j = bisect_right(primes, limit, i)
+        for t in _curve_ts(curve, primes, table.data, i, j, ell, disc):
             samples += 1
-            if best is None or v < best:
-                best = v
+            # ell**best | t says ord_ell(t) >= best: only a t that lowers the
+            # minimum, or a zero t, which _ord rejects, needs the valuation
+            if floor and t and not t % floor:
+                continue
+            best = _ord(ell, t)
             if best == 0:
                 break
-        i += 1
+            floor = ell ** best
+        if best == 0 or j < len(primes) or table.reach >= limit:
+            break
+        table.grow(limit)
+        i = j
     if best != 0 and prime_budget > _POINT_COUNT_CAP:
         # bounds the scan's time; the message is the point count's own, at the
         # first good prime q != ell past the cap, split in K or not

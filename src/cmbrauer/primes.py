@@ -18,7 +18,7 @@ from itertools import compress, count
 from math import gcd, isqrt, prod
 from operator import index
 
-from .errors import BudgetError
+from .errors import BudgetError, InternalCheckError
 
 _TABLE = 1 << 16
 _SEGMENT = 1 << 16
@@ -28,6 +28,17 @@ _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
        341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
        3825123056546413051, 318665857834031151167461, PSI_13)
+
+
+def _ord(ell: int, n: int) -> int:
+    """The ell-adic valuation of a nonzero integer n."""
+    if n == 0:
+        raise InternalCheckError(f"ord_{ell}(0) is not finite")
+    v = 0
+    while n % ell == 0:
+        n //= ell
+        v += 1
+    return v
 
 
 def _sieve(n: int) -> bytearray:

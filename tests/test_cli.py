@@ -374,6 +374,28 @@ def test_bounds_without_a_field_never_import_quadratic_or_lattices(flags):
     assert out.stdout == f"{[0] * len(_NO_FIELD_INPUT)} {modules}\n"
 
 
+_MELL_ESTIMATES = (
+    ["mell-estimate", "--a4", "-1", "--a6", "0", "--cm-disc", "-4", "--ell", "2", "--budget", "500"],
+    ["mell-estimate", "--a4", "0", "--a6", "1", "--cm-disc", "-3", "--ell", "3", "--budget", "300"],
+    ["mell-estimate", "--a4", "-35", "--a6", "-98", "--cm-disc", "-7", "--ell", "2", "--budget", "2"],
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+def test_mell_estimate_never_imports_brauer(flags):
+    # the scan's valuation lives in primes, so brauer is neither loaded nor compiled
+    script = (
+        "import contextlib, io, sys\n"
+        "from cmbrauer import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main(argv) for argv in {list(_MELL_ESTIMATES)!r}]\n"
+        "print(codes, *sorted(m for m in sys.modules if m.startswith('cmbrauer.')))\n"
+    )
+    out = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True, check=True)
+    modules = " ".join(f"cmbrauer.{m}" for m in ("cli", "errors", "grossencharakter", "primes", "quadratic"))
+    assert out.stdout == f"[0, 0, 2] {modules}\n"
+
+
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
 def test_every_command_answers_with_sympy_unimportable(flags):
     script = (

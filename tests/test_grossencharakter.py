@@ -254,17 +254,64 @@ def test_frobenius_t_on_random_twists(coeff, quartic):
             _check_frobenius_t(curve, p)
 
 
+def _check_against_point_count_scan(curve, ell, budget):
+    try:
+        expected = _reference_estimate_m(curve, ell, budget)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            estimate_m(curve, ell, budget)
+    else:
+        assert estimate_m(curve, ell, budget) == expected, (curve.a4, curve.a6, ell, budget)
+
+
 @pytest.mark.parametrize("curve", CM_CURVES, ids=lambda c: f"{c.a4},{c.a6},{c.cm_disc}")
 def test_estimate_m_matches_point_count_scan(curve):
     for ell in (2, 3, 5, 7):
         for budget in (10, 60, 250, 700, 1500):
-            try:
-                expected = _reference_estimate_m(curve, ell, budget)
-            except ValueError as exc:
-                with pytest.raises(ValueError, match=str(exc)):
-                    estimate_m(curve, ell, budget)
-            else:
-                assert estimate_m(curve, ell, budget) == expected, (ell, budget)
+            _check_against_point_count_scan(curve, ell, budget)
+
+
+# each side of the first chunk's end (256) and of the first doubling (512)
+_EDGE_BUDGETS = (255, 256, 257, 511, 513, 1100)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=-10 ** 12, max_value=10 ** 12).filter(bool), st.booleans(),
+       st.sampled_from((2, 3, 5, 7, 13)), st.sampled_from(_EDGE_BUDGETS))
+def test_scan_matches_point_counts_on_random_twists(coeff, quartic, ell, budget):
+    curve = CurveOverQ(coeff, 0, -4) if quartic else CurveOverQ(0, coeff, -3)
+    # on empty tables, which the scan grows chunk by chunk, then on the
+    # process's own, which earlier scans have grown
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(grossencharakter, "_SPLIT_PRIMES", {})
+        _check_against_point_count_scan(curve, ell, budget)
+    _check_against_point_count_scan(curve, ell, budget)
+
+
+# ell is the first good split prime, so the scan reaches it and skips it
+@pytest.mark.parametrize("curve, ell", [(CurveOverQ(5, 0, -4), 13), (CurveOverQ(-5, 0, -4), 13), (EI, 5),
+                                        (EZ, 7), (CurveOverQ(0, 2, -3), 7)],
+                         ids=lambda v: f"{v.a4},{v.a6},{v.cm_disc}" if isinstance(v, CurveOverQ) else f"ell={v}")
+def test_scan_skips_an_ell_that_splits(fresh_tables, curve, ell):
+    for budget in (ell - 1, ell, ell + 3, *_EDGE_BUDGETS):
+        _check_against_point_count_scan(curve, ell, budget)
+    assert ell in fresh_tables[curve.cm_disc].primes
+    # 5 is bad for y^2 = x^3 + 5x and q = ell = 13 is skipped: no sample up to 16
+    with pytest.raises(ValueError, match="no ordinary good prime <= 16"):
+        estimate_m(CurveOverQ(5, 0, -4), 13, 16)
+    assert estimate_m(CurveOverQ(5, 0, -4), 13, 17) == MEstimate(m_hat=0, samples_used=1)
+
+
+def test_a_zero_t_past_the_first_sample_is_refused(fresh_tables):
+    # y^2 = x^3 - x at ell = 2: the first sample, q = 5 with |t| = 2, sets
+    # best = 1; then both candidates at q = 13 are forged to 0
+    assert estimate_m(EI, 2, 256).m_hat == 1
+    table = fresh_tables[-4]
+    k = list(table.primes).index(13)
+    for column in table.data:
+        column[k] = 0
+    with pytest.raises(InternalCheckError, match=r"ord_2\(0\) is not finite"):
+        estimate_m(EI, 2, 256)
 
 
 _COHERENCE_CURVES = (EI, EZ, E7, CurveOverQ(0, -432, -3), CurveOverQ(-8697680, 9873093538, -163))
@@ -385,14 +432,26 @@ _BROKEN_IDENTITIES = textwrap.dedent("""
             return True
         return False
 
+    def scan_past_a_forged_zero_t():
+        # y^2 = x^3 - x at ell = 2: the first sample (q = 5, |t| = 2) sets
+        # best = 1, then both candidates at q = 13 are forged to 0
+        ei = grossencharakter.CurveOverQ(-1, 0, -4)
+        grossencharakter.estimate_m(ei, 2, 256)
+        table = grossencharakter._SPLIT_PRIMES[-4]
+        k = list(table.primes).index(13)
+        for column in table.data:
+            column[k] = 0
+        grossencharakter.estimate_m(ei, 2, 256)
+
     checks = [
         raises_internal(lambda: grossencharakter.PsiValue(3, 2, 7, -4)),
         raises_internal(lambda: brauer._ord(2, 0)),
         raises_internal(lambda: grossencharakter._cornacchia_4q(-7, 3)),
         # a forged Q(zeta_3) entry at q = 7 with w = 6, not a cube root of
         # unity: (4*1)^2 = 2 mod 7 is none of 1, w, w^2 = 1
-        raises_internal(lambda: grossencharakter._curve_t(
-            grossencharakter.CurveOverQ(0, 1, -3), 7, ([6], [0], [3], [3]), 0)),
+        raises_internal(lambda: next(grossencharakter._curve_ts(
+            grossencharakter.CurveOverQ(0, 1, -3), [7], ([6], [0], [3], [3]), 0, 1, 0, 1))),
+        raises_internal(scan_past_a_forged_zero_t),
     ]
     print(checks)
 """)
@@ -402,4 +461,4 @@ _BROKEN_IDENTITIES = textwrap.dedent("""
 def test_internal_checks_survive_python_O(flags):
     out = subprocess.run([sys.executable, *flags, "-c", _BROKEN_IDENTITIES],
                          capture_output=True, text=True, check=True).stdout
-    assert out.strip() == str([True] * 4)
+    assert out.strip() == str([True] * 5)
