@@ -3,7 +3,10 @@
 Every bound here is a rational number times powers of pi, a square root, and
 affine-in-log factors.  The rational part is exact; pi, ln and sqrt are
 replaced by rational enclosures oriented so the floored output is a true
-upper bound for the real value.  Degree-descent constants are exact integers
+upper bound for the real value.  Every factor is positive, so that upper
+bound is the product of upper endpoints (the lower endpoint of pi for a
+negative power of pi), formed in integers as one numerator and one
+denominator and floored once.  Degree-descent constants are exact integers
 and are never rounded.
 """
 
@@ -14,16 +17,7 @@ from typing import Callable, NamedTuple
 
 from .errors import Frozen, InternalCheckError, bounded_digits, bounded_power
 from .minkowski import minkowski_M
-from .rounding import (
-    Bracket,
-    COARSE_EPS,
-    DEFAULT_EPS,
-    check_eps,
-    floor_upper,
-    ln_bracket,
-    pi_bracket,
-    sqrt_bracket,
-)
+from .rounding import COARSE_EPS, DEFAULT_EPS, check_eps, ln_bracket, pi_bracket, sqrt_bracket
 
 # certified height constants, exact rationals by fiat
 _C34 = Fraction(34, 10)
@@ -34,7 +28,7 @@ _HEIGHT_SHIFT = 109
 
 
 class LogFactor(NamedTuple):
-    """(coeff * ln(arg) + shift) ** power, with arg a rational >= 1."""
+    """(coeff * ln(arg) + shift) ** power, with arg a rational >= 1 and coeff >= 0."""
 
     coeff: Fraction
     arg: Fraction
@@ -58,6 +52,8 @@ class SymbolicProduct(Frozen):
         for lf in self.log_factors:
             if lf.arg < 1 or lf.power < 1:
                 raise InternalCheckError(f"log factor {lf} needs arg >= 1 and power >= 1")
+            if lf.coeff < 0:
+                raise InternalCheckError(f"log factor {lf} needs coeff >= 0, so that it is largest at ln.hi")
 
 
 class BoundFormula(Frozen):
@@ -249,30 +245,36 @@ FORMULAS: dict[str, BoundFormula] = {
 GRH_IDS = frozenset(k for k, f in FORMULAS.items() if f.grh)
 
 
-def _evaluate(sym: SymbolicProduct, eps) -> tuple[Bracket, dict]:
+def _evaluate(sym: SymbolicProduct, eps) -> tuple[int, dict]:
     # eps None means the documented default: coarse pi pair, ln and sqrt to 1e-9
     pi_eps = COARSE_EPS if eps is None else eps
     fn_eps = DEFAULT_EPS if eps is None else eps
     cert: dict = {"pi_eps": str(pi_eps), "fn_eps": str(fn_eps)}
-    b = Bracket.exact(sym.rational)
+    # every factor is positive, so the product's upper endpoint is the product
+    # of the factors' upper endpoints (pi.lo for pi^-1); it is kept as num / den
+    num, den = sym.rational.numerator, sym.rational.denominator
     if sym.pi_exp != 0:
         p = pi_bracket(pi_eps)
         cert["pi"] = [str(p.lo), str(p.hi)]
+        e = abs(sym.pi_exp)
         if sym.pi_exp < 0:
-            p = p.inv()
-        b = b * p ** abs(sym.pi_exp)
+            num, den = num * p.lo.denominator ** e, den * p.lo.numerator ** e
+        else:
+            num, den = num * p.hi.numerator ** e, den * p.hi.denominator ** e
     if sym.sqrt_arg != 1:
         s = sqrt_bracket(sym.sqrt_arg, fn_eps)
         cert["sqrt"] = [str(s.lo), str(s.hi)]
-        b = b * s
+        num, den = num * s.hi.numerator, den * s.hi.denominator
     for i, lf in enumerate(sym.log_factors):
         ln_b = ln_bracket(lf.arg, fn_eps)
         cert[f"ln_{i}"] = [str(ln_b.lo), str(ln_b.hi)]
-        affine = ln_b.scale(lf.coeff) + Bracket.exact(lf.shift)
-        if affine.lo <= 0:
+        # coeff * ln + shift = (c * l * sd + sh * cd * ld) / (cd * sd * ld), a positive denominator
+        c, cd, sh, sd = lf.coeff.numerator, lf.coeff.denominator, lf.shift.numerator, lf.shift.denominator
+        if c * ln_b.lo.numerator * sd + sh * cd * ln_b.lo.denominator <= 0:
             raise InternalCheckError(f"log factor {lf} may be nonpositive, so its power is not monotone")
-        b = b * affine ** lf.power
-    return b, cert
+        num *= (c * ln_b.hi.numerator * sd + sh * cd * ln_b.hi.denominator) ** lf.power
+        den *= (cd * sd * ln_b.hi.denominator) ** lf.power
+    return num // den, cert
 
 
 def eval_bound(bound_id: str, inputs: dict, eps=None, assume_grh: bool = False) -> BoundReport:
@@ -301,7 +303,7 @@ def eval_bound(bound_id: str, inputs: dict, eps=None, assume_grh: bool = False) 
                     *(("log argument", lf.arg) for lf in sym.log_factors)):
         bounded_digits(max(q.numerator, q.denominator), f"the {name} of {bound_id}")
     # after the inputs, which are reported first; the brackets check eps too, but a formula may use none
-    bracket, cert = _evaluate(sym, None if eps is None else check_eps(eps))
+    bound, cert = _evaluate(sym, None if eps is None else check_eps(eps))
     return BoundReport(
         bound_id=bound_id,
         inputs=dict(inputs),
@@ -315,7 +317,7 @@ def eval_bound(bound_id: str, inputs: dict, eps=None, assume_grh: bool = False) 
             ],
             "expression": formula.expression,
         },
-        integer_bound=bounded_digits(floor_upper(bracket), f"the {bound_id} bound"),
+        integer_bound=bounded_digits(bound, f"the {bound_id} bound"),
         conditional=formula.grh,
         rounding_certificate=cert,
     )

@@ -57,12 +57,12 @@ class _Parser(argparse.ArgumentParser):
 def _canonical_payload(x):
     if x is None or isinstance(x, (bool, str)):
         return x
-    if isinstance(x, (int, Fraction)):
-        return str(x)
     if isinstance(x, dict):
         return {str(k): _canonical_payload(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_canonical_payload(v) for v in x]
+    if isinstance(x, (int, Fraction)):
+        return str(x)
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 

@@ -3,9 +3,11 @@
 Every approximation here is a pair of rationals (lo, hi) enclosing the true
 value.  Directed rounding keeps integer bounds sound: evaluate the bound's
 expression on upper endpoints (lower endpoints for reciprocal factors) and
-floor at the very end.  Brackets at a finer eps are subsets of brackets at a
-coarser eps by construction, so reported bounds never increase when the
-precision is tightened.
+floor at the very end.  cmbrauer.bounds does this on the numerators and
+denominators of the endpoints, forming the product as one integer pair that
+it floors once; Bracket arithmetic serves the other callers.  Brackets at a
+finer eps are subsets of brackets at a coarser eps by construction, so
+reported bounds never increase when the precision is tightened.
 
 ln x is summed in integers: x = y * 2^k with y in [1, 2), ln y = 2 atanh t
 as a fixed-point series in t = (y - 1) / (y + 1) <= 1/3 with 128 fraction
@@ -82,13 +84,15 @@ def check_eps(eps: Fraction) -> Fraction:
     return eps
 
 
+# the two tiers of pi_bracket: the classical 355/113 bound, narrowed below
+# by COARSE_EPS relative, and the 20-digit truncation
+_PI_COARSE = Bracket(Fraction(355, 113) * (1 - COARSE_EPS), Fraction(355, 113))
+_PI_FINE = Bracket(_PI_20_DIGITS, _PI_20_DIGITS + Fraction(1, 10 ** 20))
+
+
 def pi_bracket(eps: Fraction = DEFAULT_EPS) -> Bracket:
     """Certified enclosure of pi. The coarse tier is the classical 355/113 bound."""
-    eps = check_eps(eps)
-    if eps >= COARSE_EPS:
-        hi = Fraction(355, 113)
-        return Bracket(hi * (1 - COARSE_EPS), hi)
-    return Bracket(_PI_20_DIGITS, _PI_20_DIGITS + Fraction(1, 10 ** 20))
+    return _PI_COARSE if check_eps(eps) >= COARSE_EPS else _PI_FINE
 
 
 def _outward(b: Bracket, grid: Fraction) -> Bracket:
@@ -182,8 +186,9 @@ def sqrt_bracket(x, eps: Fraction = DEFAULT_EPS) -> Bracket:
     x = Fraction(x)
     if x < 0:
         raise ValueError(f"sqrt bracket needs x >= 0, got {x}")
+    # the least s >= 1 with 10^-s <= eps
     s = 1
-    while Fraction(1, 10 ** s) > eps:
+    while eps.denominator > 10 ** s * eps.numerator:
         s += 1
     scale = 10 ** s
     m = (x.numerator * scale * scale) // x.denominator  # floor(x * 10^(2s))

@@ -6,7 +6,9 @@ No production path calls them.
 from dataclasses import dataclass
 from math import gcd, isqrt
 
+from cmbrauer.errors import InternalCheckError
 from cmbrauer.primes import divisors
+from cmbrauer.rounding import COARSE_EPS, DEFAULT_EPS, Bracket, ln_bracket, pi_bracket, sqrt_bracket
 
 
 def count_reduced_forms(disc: int) -> int:
@@ -90,3 +92,35 @@ def reduced_forms(disc: int) -> list[QuadraticForm]:
                 continue
             forms.append(QuadraticForm(a, b, c))
     return forms
+
+
+def bracket_product(sym, eps) -> tuple[Bracket, dict]:
+    """The enclosure of a bounds.SymbolicProduct as a product of Brackets, and
+    its rounding certificate; the bound is the floor of its upper endpoint.
+
+    Formed in Fraction arithmetic, factor by factor, with every endpoint
+    carried along; the oracle for bounds._evaluate, which forms only the
+    upper endpoint, in integers.
+    """
+    pi_eps = COARSE_EPS if eps is None else eps
+    fn_eps = DEFAULT_EPS if eps is None else eps
+    cert: dict = {"pi_eps": str(pi_eps), "fn_eps": str(fn_eps)}
+    b = Bracket.exact(sym.rational)
+    if sym.pi_exp != 0:
+        p = pi_bracket(pi_eps)
+        cert["pi"] = [str(p.lo), str(p.hi)]
+        if sym.pi_exp < 0:
+            p = p.inv()
+        b = b * p ** abs(sym.pi_exp)
+    if sym.sqrt_arg != 1:
+        s = sqrt_bracket(sym.sqrt_arg, fn_eps)
+        cert["sqrt"] = [str(s.lo), str(s.hi)]
+        b = b * s
+    for i, lf in enumerate(sym.log_factors):
+        ln_b = ln_bracket(lf.arg, fn_eps)
+        cert[f"ln_{i}"] = [str(ln_b.lo), str(ln_b.hi)]
+        affine = ln_b.scale(lf.coeff) + Bracket.exact(lf.shift)
+        if affine.lo <= 0:
+            raise InternalCheckError(f"log factor {lf} may be nonpositive, so its power is not monotone")
+        b = b * affine ** lf.power
+    return b, cert

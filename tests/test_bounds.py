@@ -1,22 +1,30 @@
 """Bound formula registry: frozen values, rounding soundness, GRH gating."""
 
 import inspect
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cmbrauer import bounds
 from cmbrauer.bounds import (
     FORMULAS,
     GRH_IDS,
     BoundFormula,
     BoundReport,
+    LogFactor,
+    SymbolicProduct,
     compose_intro_bound,
     eval_bound,
     field_tower_constants,
     unit_group_order,
 )
+from cmbrauer.errors import InternalCheckError
 from cmbrauer.minkowski import minkowski_M
-from cmbrauer.rounding import COARSE_EPS, DEFAULT_EPS, FINE_EPS
+from cmbrauer.quadratic import is_fundamental_discriminant
+from cmbrauer.rounding import COARSE_EPS, DEFAULT_EPS, FINE_EPS, floor_upper, ln_bracket
+from oracles import bracket_product
 
 PI_REF = Fraction(3141592653589793238462643383279502884197, 10 ** 39)
 
@@ -283,3 +291,113 @@ def test_compose_specialization_never_worse():
             assert Fraction(r.cross_check["ratio_specialized_over_intro"]) <= 1
             assert r.cross_check["specialized_le_intro"]
             assert r.cross_check["specialized_integer_bound"] <= r.integer_bound
+
+
+# the eps forms a caller passes: the default, the four decimal tiers and one
+# that is not a power of ten
+_EPS = st.sampled_from([None, COARSE_EPS, DEFAULT_EPS, FINE_EPS, Fraction(1, 10 ** 18), Fraction(3, 10 ** 7)])
+_POSITIVE = st.integers(1, 60) | st.integers(1, 10 ** 40)
+_BY_NAME = {
+    "disc_lambda": st.integers(-10 ** 40, 10 ** 40).filter(bool),
+    "delta_k": st.sampled_from([-3, -4, -7, -8, -163]) | st.integers(-10 ** 12, -3).filter(is_fundamental_discriminant),
+    "class_number_one": st.booleans(),
+}
+
+
+def _valid_inputs(bound_id):
+    if bound_id == "isogeny_brauer_multiplier":
+        return st.integers(1, 4).flatmap(lambda g: st.fixed_dictionaries(
+            {"d": st.integers(1, 10 ** 6), "g": st.just(g), "rho": st.integers(1, g * g)}))
+    f = FORMULAS[bound_id]
+    return st.fixed_dictionaries({p: _BY_NAME.get(p, _POSITIVE) for p in f.params if p not in f.optional},
+                                 optional={p: _BY_NAME.get(p, _POSITIVE) for p in f.optional})
+
+
+def _rendered(sym, expression):
+    return {
+        "rational": str(sym.rational),
+        "pi_exp": sym.pi_exp,
+        "sqrt_arg": sym.sqrt_arg,
+        "log_factors": [{"coeff": str(lf.coeff), "arg": str(lf.arg), "shift": str(lf.shift), "power": lf.power}
+                        for lf in sym.log_factors],
+        "expression": expression,
+    }
+
+
+@pytest.mark.parametrize("bound_id", sorted(FORMULAS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_every_formula_matches_the_bracket_oracle(bound_id, data):
+    inputs, eps = data.draw(_valid_inputs(bound_id)), data.draw(_EPS)
+    report = _run(bound_id, inputs, eps=eps)
+    sym = FORMULAS[bound_id].build(**inputs)
+    bracket, cert = bracket_product(sym, eps)
+    assert report.integer_bound == floor_upper(bracket)
+    assert report.rounding_certificate == cert
+    assert report.exact_symbolic == _rendered(sym, FORMULAS[bound_id].expression)
+
+
+_LOG_FACTOR = st.builds(
+    LogFactor,
+    coeff=st.fractions(0, 10, max_denominator=1000),
+    arg=st.fractions(1, 10 ** 12, max_denominator=10 ** 6),
+    shift=st.fractions(-100, 400, max_denominator=1000),
+    power=st.integers(1, 24),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions(Fraction(1, 10 ** 12), 10 ** 12, max_denominator=10 ** 12), st.integers(-3, 3),
+       st.integers(1, 10 ** 12), st.lists(_LOG_FACTOR, max_size=3), _EPS)
+def test_any_product_matches_the_bracket_oracle(rational, pi_exp, sqrt_arg, log_factors, eps):
+    # positive powers of pi and shifts that leave a log factor nonpositive
+    # occur in no formula; the integer product must still agree with the oracle
+    sym = SymbolicProduct(rational, pi_exp, sqrt_arg, tuple(log_factors))
+    try:
+        bracket, cert = bracket_product(sym, eps)
+    except InternalCheckError as e:
+        with pytest.raises(InternalCheckError, match=re.escape(str(e))):
+            bounds._evaluate(sym, eps)
+        return
+    assert bounds._evaluate(sym, eps) == (floor_upper(bracket), cert)
+
+
+def test_a_log_factor_with_a_negative_coefficient_is_refused():
+    # its upper endpoint would sit at ln.lo, not ln.hi
+    with pytest.raises(InternalCheckError, match="needs coeff >= 0"):
+        SymbolicProduct(Fraction(1), log_factors=(LogFactor(Fraction(-1), Fraction(2), Fraction(5), 1),))
+
+
+def _count_fractions(monkeypatch):
+    # every Fraction made from here on, by a call or by arithmetic
+    made = []
+    real_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(cls)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12 on: arithmetic bypasses __new__
+        real_coprime = Fraction._from_coprime_ints.__func__
+
+        def counting_coprime(cls, numerator, denominator):
+            made.append(cls)
+            return real_coprime(cls, numerator, denominator)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
+    return made
+
+
+def test_evaluation_makes_no_fraction_past_the_builder_and_the_enclosures(monkeypatch):
+    # the Fractions of one bound are those its builder and its ln enclosure
+    # make; the product and the floor are formed in integers
+    inputs = {"d": 3}
+    eval_bound("kummer_nonisog_GRH", inputs, assume_grh=True)
+    made = _count_fractions(monkeypatch)
+    sym = FORMULAS["kummer_nonisog_GRH"].build(**inputs)
+    ln_bracket(sym.log_factors[0].arg, DEFAULT_EPS)
+    parts = len(made)
+    made.clear()
+    eval_bound("kummer_nonisog_GRH", inputs, assume_grh=True)
+    assert len(made) == parts

@@ -7,6 +7,7 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -572,6 +573,38 @@ def test_error_payload_is_canonical(capsys):
     env = json.loads(out)
     assert set(env) == {"command", "error"}
     assert set(env["error"]) == {"type", "message"}
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+def test_canonical_payload_of_every_kind():
+    payload = {
+        "int": 10 ** 30, "str": "x", "true": True, "false": False, "none": None, "frac": Fraction(-3, 7),
+        "list": [1, "a", None], "tuple": (2, Fraction(1, 2)), 5: {"nested": [[-4]]},
+        "sub": _Dict(i=_Int(7), s=_Str("y"), lst=_List([_Int(8), (True,)])),
+    }
+    assert cli._canonical_payload(payload) == {
+        "int": str(10 ** 30), "str": "x", "true": True, "false": False, "none": None, "frac": "-3/7",
+        "list": ["1", "a", None], "tuple": ["2", "1/2"], "5": {"nested": [["-4"]]},
+        "sub": {"i": "7", "s": "y", "lst": ["8", [True]]},
+    }
+    for bad in (1.5, {1}, b"x", [1, object()], {"k": frozenset()}):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            cli._canonical_payload(bad)
 
 
 def test_commands_registry():

@@ -123,6 +123,24 @@ def test_sqrt_certified():
     assert exact.lo <= 7 <= exact.hi
 
 
+@pytest.mark.parametrize("eps", [COARSE_EPS, DEFAULT_EPS, FINE_EPS, Fraction(1, 10 ** 18), Fraction(3, 10 ** 7),
+                                 Fraction(1, 3), Fraction(999, 10 ** 9), Fraction(7, 10 ** 18)])
+def test_sqrt_grid_is_the_least_power_of_ten_below_eps(eps):
+    # the width is 10^-s for the s the Fraction comparison picked before
+    s = 1
+    while Fraction(1, 10 ** s) > eps:
+        s += 1
+    for x in (2, 163, Fraction(1, 4), 10 ** 30 + 7):
+        b = sqrt_bracket(x, eps)
+        assert b.hi - b.lo == Fraction(1, 10 ** s)
+
+
+def test_pi_tiers_are_shared_brackets():
+    assert pi_bracket(COARSE_EPS) is pi_bracket(Fraction(1, 2))
+    assert pi_bracket(COARSE_EPS) == Bracket(Fraction(355, 113) * (1 - COARSE_EPS), Fraction(355, 113))
+    assert pi_bracket(DEFAULT_EPS) is pi_bracket(Fraction(1, 10 ** 18))
+
+
 def test_sqrt_domain():
     with pytest.raises(ValueError):
         sqrt_bracket(-1, DEFAULT_EPS)
