@@ -23,14 +23,6 @@ from functools import cache
 from typing import Callable, NamedTuple
 
 
-def __getattr__(name: str):
-    # PEP 562: PROVENANCE_IDS builds every TABLE entry, so it is made on first read
-    if name != "PROVENANCE_IDS":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals()[name] = frozenset(pid for command in COMMANDS for pid in _command(command)[0].provenance)
-    return globals()[name]
-
-
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_UNKNOWN_COMMAND = 64

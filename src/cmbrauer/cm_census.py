@@ -4,7 +4,6 @@ degree, plus the singular K3 census bounds built on them."""
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import lru_cache
 
 from .errors import BudgetError, Frozen, InternalCheckError, bounded_digits, bounded_power
 from .minkowski import minkowski_M
@@ -30,14 +29,15 @@ _EXCEPTIONAL_FLOOR = {-7: 2, -4: 5, -3: 7}
 # (Delta_K, d) pairs whose census counts are known exactly, with their values
 EXCEPTIONAL_CM_COUNTS = {(-7, 1): 2, (-4, 1): 2, (-3, 1): 3, (-3, 2): 9}
 
-# cap on the degree of a census over fields.  With Python 3.11 at the 10^5
-# disc cap, after the sweep, the first census at a degree builds its table:
-# 11-18 ms in process at degree 12 (703 fields), 37-57 ms at degree 24 and
-# 0.14-0.18 s at degree 48.  A repeat cm_count_total then takes 0.03-0.04 ms
-# at degree 12, 0.07-0.13 ms at 24 and 0.25-0.55 ms at 48, and a repeat
-# singular_k3_refined_sum 2-15 us.  As a process, `cm-count` and `k3-census`
-# at degree 12 take 0.33-0.43 s.  A higher cap buys little while fields with
-# h_K <= d past the 10^5 disc cap go unsearched (certified_complete stays False).
+# cap on the degree of a census over fields.  With Python 3.11 on 2 vCPU at
+# the 10^5 disc cap, after the sweep, the first census at a degree builds its
+# table: 13-14 ms in process at degree 12 (703 fields), 28-44 ms at degree 24
+# and 0.12-0.19 s at degree 48.  A repeat cm_count_total then takes
+# 0.03-0.04 ms at degree 12, 0.07-0.11 ms at 24 and 0.25-0.53 ms at 48, and a
+# repeat singular_k3_refined_sum 1-2 us.  As a process, `cm-count` and
+# `k3-census` at degree 12 take 0.22-0.36 s.  A higher cap buys little while
+# fields with h_K <= d past the 10^5 disc cap go unsearched (certified_complete
+# stays False).
 MAX_CENSUS_DEGREE = 12
 
 
@@ -49,10 +49,9 @@ def _check_census_degree(d: int) -> None:
 
 
 class ConductorBoundReport(Frozen):
-    # field None means the generic clause input
     __slots__ = ("field", "degree", "bound", "case_label")
 
-    def __init__(self, field: FundamentalDiscriminant | None, degree: int, bound: int, case_label: str):
+    def __init__(self, field: FundamentalDiscriminant, degree: int, bound: int, case_label: str):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "bound", bound)
@@ -85,51 +84,37 @@ def conductor_bound(field: FundamentalDiscriminant, ring_class_degree: int) -> C
     conductors above 3 are impossible, capping the bound at 3.  A d^2 past
     MAX_DIGITS digits is refused.
     """
-    clause = _clause_bound(ring_class_degree, _EXCEPTIONAL_FLOOR.get(field.value))
-    return ConductorBoundReport(field, clause.degree, clause.bound, clause.case_label)
-
-
-@lru_cache(maxsize=64)
-def _clause_bound(d: int, floor_val: int | None) -> ConductorBoundReport:
-    # the bound sees the field only through its floor, so a census forms it
-    # once per degree, not once per field
+    d = ring_class_degree
     if d < 1:
         raise ValueError(f"degree must be positive, got {d}")
     bound = bounded_power(d, 2, "the conductor bound d^2")
+    label = "d^2"
+    floor_val = _EXCEPTIONAL_FLOOR.get(field.value)
     if floor_val is not None:
         bound = max(bound, floor_val)
         label = f"max(d^2, {floor_val})"
-    else:
-        label = "d^2"
     if d == 1 and bound > _DEGREE_ONE_CAP:
         bound = _DEGREE_ONE_CAP
         label += ", capped at 3 for degree 1"
-    return ConductorBoundReport(None, d, bound, label)
+    return ConductorBoundReport(field, d, bound, label)
 
 
 def conductor_bound_over_degree(d: int) -> int:
-    """Conductor bound in terms of the base field degree alone: min{3d^2, max{d^2, 7}}.
-    A d^2 past MAX_DIGITS digits is refused."""
-    if d < 1:
-        raise ValueError(f"degree must be positive, got {d}")
-    sq = bounded_power(d, 2, "the conductor bound d^2")
-    return min(3 * sq, max(sq, 7))
-
-
-@lru_cache(maxsize=16)
-def _walk_primes(d: int) -> tuple[int, ...]:
-    # a prime p dividing an f > 1 with h(O_f) <= d has h_K (p - 1) <= d u <= 3d
-    return tuple(primerange(2, 3 * d + 2))
+    """Conductor bound in terms of the base field degree alone: min{3d^2, max{d^2, 7}},
+    the clause over Q(zeta_3), whose floor 7 is the largest.  A d^2 past
+    MAX_DIGITS digits is refused."""
+    return conductor_bound(FundamentalDiscriminant(-3), d).bound
 
 
 def _permissible(dk: int, hk: int, d: int, cap: int) -> list[tuple[int, int]]:
     """The walk of d_permissible_conductors over the field (dk, hk), up to cap."""
     u = unit_index(dk, 2)  # u_f for every f > 1
     room = d * u  # f > 1 is permissible iff h_K g(f) <= room
-    # (p, g(p)) for the primes that can divide a permissible f at all
+    # (p, g(p)) for the primes that can divide a permissible f at all: a p
+    # dividing an f > 1 with h(O_f) <= d has h_K (p - 1) <= d u <= 3d
     steps = []
-    for p in _walk_primes(d):
-        if p > cap or hk * (p - 1) > room:
+    for p in primerange(2, min(cap, 3 * d + 1) + 1):
+        if hk * (p - 1) > room:
             break
         steps.append((p, p - _kronecker_prime(dk, p)))
     out = [(1, hk)] if hk <= d else []
@@ -172,18 +157,28 @@ def d_permissible_conductors(field: FundamentalDiscriminant, d: int) -> list[tup
     permissible f are visited, each h is checked to be an integer, and
     (Delta_K/p) is taken once per prime.
     """
-    cap = _clause_bound(d, _EXCEPTIONAL_FLOOR.get(field.value)).bound
+    cap = conductor_bound(field, d).bound
     return _permissible(field.value, class_number_field(field.value), d, cap)
+
+
+def _field_census(field: FundamentalDiscriminant, d: int) -> tuple[list[tuple[int, int]], int]:
+    """The walk of the field to 3d^2, and the field's count: the sum of h(O_f)
+    over the walk's prefix up to the conductor bound, checked against
+    EXCEPTIONAL_CM_COUNTS."""
+    # the bound first: it refuses a bad or oversized degree before any walk
+    bound = conductor_bound(field, d).bound
+    walk = _permissible(field.value, class_number_field(field.value), d, 3 * d * d)
+    count = sum(h for f, h in walk if f <= bound)
+    known = EXCEPTIONAL_CM_COUNTS.get((field.value, d))
+    if known is not None and count != known:
+        raise InternalCheckError(f"census over {field.value} at degree {d} gave {count}, known {known}")
+    return walk, count
 
 
 def cm_count_per_field(field: FundamentalDiscriminant, d: int) -> int:
     """Number of C-isomorphism classes of curves with CM by an order in the field,
     admitting a model over some degree-d field: sum of h(O_f) over permissible f."""
-    total = sum(h for _, h in d_permissible_conductors(field, d))
-    known = EXCEPTIONAL_CM_COUNTS.get((field.value, d))
-    if known is not None and total != known:
-        raise InternalCheckError(f"census over {field.value} at degree {d} gave {total}, known {known}")
-    return total
+    return _field_census(field, d)[1]
 
 
 class _CensusTable(Frozen):
@@ -211,9 +206,10 @@ def _census_table(d: int, disc_search_bound: int) -> tuple[_CensusTable, int]:
     and how many of its fields lie at or below that bound.
 
     The table is built on the first call at its degree after each sweep, over
-    every field of the sweep, through cm_count_per_field and _permissible, so
-    every check they make runs on every field; it is kept only once all of
-    them have passed."""
+    every field of the sweep, through _field_census: one walk per field, to
+    3d^2, gives both the field's count and its refined-sum term, and every
+    check of the bound, the walk and the count runs on every field.  The
+    table is kept only once all of them have passed."""
     _check_census_degree(d)
     swept = _swept(disc_search_bound)
     table = _census_tables.get(d)
@@ -223,8 +219,7 @@ def _census_table(d: int, disc_search_bound: int) -> tuple[_CensusTable, int]:
         fields = enumerate_fields_by_class_number(d, swept - 1).fields
         per_field, count_sums, refined_sums = [], [0], [0]
         for k in fields:
-            count = cm_count_per_field(k, d)
-            walk = _permissible(k.value, class_number_field(k.value), d, cap)
+            walk, count = _field_census(k, d)
             per_field.append((k.value, count))
             count_sums.append(count_sums[-1] + count)
             refined_sums.append(refined_sums[-1] + full - sum((d - h) * (cap // fa) for fa, h in walk))

@@ -20,7 +20,7 @@ the minimum, costs one remainder and no valuation.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections.abc import Iterator
 from fractions import Fraction
 from math import isqrt
@@ -255,22 +255,6 @@ def _split_primes(delta_k: int) -> _SplitPrimes:
     if table is None:
         table = _SPLIT_PRIMES[delta_k] = _SplitPrimes(delta_k)
     return table
-
-
-def _frobenius_t(curve: CurveOverQ, q: int) -> int:
-    """|t| with 4q = a_q^2 + |Delta_K| t^2 at a good prime q split in K, the
-    field of class number one by which the curve has CM, read from the
-    field's table as estimate_m reads it."""
-    if q > _POINT_COUNT_CAP:
-        raise BudgetError(f"point-count budget is p <= {_POINT_COUNT_CAP}, got {q}")
-    table = _split_primes(curve.cm_disc)
-    while table.reach < q:
-        table.grow(q)
-    i = bisect_left(table.primes, q)
-    if i == len(table.primes) or table.primes[i] != q:
-        raise ValueError(f"{q} is not an odd prime split in the field of discriminant {curve.cm_disc}")
-    # ell = 0 and disc = 1 skip no prime
-    return next(_curve_ts(curve, table.primes, table.data, i, i + 1, 0, 1))
 
 
 def _check_cm(curve: CurveOverQ) -> None:

@@ -35,6 +35,11 @@ def run_json(args, capsys):
     return code, json.loads(out)
 
 
+def provenance_ids():
+    # every provenance id some subcommand declares
+    return frozenset(pid for name in cli.COMMANDS for pid in cli._command(name)[0].provenance)
+
+
 def test_classnum_envelope(capsys):
     code, env = run_json(["classnum", "--disc", "-4", "--conductor", "4"], capsys)
     assert code == 0
@@ -259,10 +264,11 @@ def test_provenance_membership(capsys):
         ["bound", "--id", "faltings_GRH", "--set", "d=2", "--assume-grh"],
         ["constants"],
     )
+    declared = provenance_ids()
     for args in samples:
         code, env = run_json(args, capsys)
         assert code == 0, args
-        assert env["provenance"] in cli.PROVENANCE_IDS, args
+        assert env["provenance"] in declared, args
 
 
 def test_output_sink(tmp_path, capsys):
@@ -611,7 +617,7 @@ def test_commands_registry():
     assert len(cli.COMMANDS) == 12
     assert len(set(cli.COMMANDS)) == len(cli.COMMANDS) == len(cli.TABLE)
     assert set(cli.TABLE) == set(cli.COMMANDS)
-    for pid in cli.PROVENANCE_IDS:
+    for pid in provenance_ids():
         area, _, name = pid.partition(":")
         assert area and name
 
@@ -658,7 +664,7 @@ def test_every_provenance_id_is_emitted(capsys):
         code, env = run_json(args, capsys)
         assert code == 0, (args, env)
         emitted.add(env["provenance"])
-    assert emitted == cli.PROVENANCE_IDS
+    assert emitted == provenance_ids()
 
 
 def _bound_argv(bound_id):

@@ -220,6 +220,22 @@ def test_census_tables_match_the_class_number_oracles(d):
         assert report.certified_complete == (d == 1 and bound >= 163)
 
 
+def test_census_tables_match_the_per_field_counts_to_degree_twelve():
+    # the table counts the part of a walk to 3d^2 up to the conductor bound,
+    # and 3d^2 lies furthest past that bound (about d^2) at high degree; the
+    # expected counts come from the walk that stops at the bound
+    for d in range(1, MAX_CENSUS_DEGREE + 1):
+        expected = []
+        for k in enumerate_fields_by_class_number(d, 20000).fields:
+            capped = d_permissible_conductors(k, d)
+            count = sum(h for _, h in capped)
+            assert cm_count_per_field(k, d) == count, (k.value, d)
+            # the clause: the walk to 3d^2 finds no permissible f past the bound
+            assert cm_census._field_census(k, d)[0] == capped, (k.value, d)
+            expected.append((k.value, count))
+        assert list(cm_count_total(d, 20000).per_field_counts) == expected, d
+
+
 def test_census_tables_follow_a_resweep(fresh_session):
     small = {}
     for d in (1, 2, 3):

@@ -18,7 +18,6 @@ from cmbrauer.errors import InternalCheckError
 from cmbrauer.grossencharakter import (
     CurveOverQ,
     MEstimate,
-    _frobenius_t,
     count_points_ap,
     estimate_m,
     psi_from_ap,
@@ -229,6 +228,17 @@ def _reference_estimate_m(curve, ell, prime_budget):
     if best is None:
         raise ValueError("no ordinary good prime")
     return MEstimate(best, samples)
+
+
+def _frobenius_t(curve, q):
+    # |t| with 4q = a_q^2 + |Delta_K| t^2 at a split prime q, read from the
+    # field's split-prime table as estimate_m reads it
+    table = grossencharakter._split_primes(curve.cm_disc)
+    while table.reach < q:
+        table.grow(q)
+    i = table.primes.index(q)
+    # ell = 0 and disc = 1 skip no prime
+    return next(grossencharakter._curve_ts(curve, table.primes, table.data, i, i + 1, 0, 1))
 
 
 def _check_frobenius_t(curve, p):

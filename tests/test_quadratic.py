@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from collections.abc import Mapping
 from fractions import Fraction
+from itertools import count
 from unittest import mock
 
 import pytest
@@ -292,9 +293,10 @@ def test_caps_refuse_with_budget_error():
     for call in (form_class_counts, lambda n: enumerate_fields_by_class_number(1, n)):
         with pytest.raises(BudgetError, match="census cap"):
             call(MAX_DISC_BOUND + 1)
-    # 10^9 + 7 is prime and 3 mod 4, so -(10^9 + 7) is fundamental
+    # the least fundamental discriminant past the cap, whatever the cap is
+    m = next(m for m in count(MAX_FIELD_DISC + 1) if is_fundamental_discriminant(-m))
     with pytest.raises(BudgetError, match="class number cap"):
-        class_number_field(-(MAX_FIELD_DISC + 7))
+        class_number_field(-m)
     with pytest.raises(ValueError, match="at least 3"):
         form_class_counts(2)
 
