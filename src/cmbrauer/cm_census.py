@@ -4,6 +4,7 @@ degree, plus the singular K3 census bounds built on them."""
 from __future__ import annotations
 
 from bisect import bisect_right
+from typing import NamedTuple
 
 from .errors import BudgetError, Frozen, InternalCheckError, bounded_digits, bounded_power
 from .minkowski import minkowski_M
@@ -17,7 +18,7 @@ from .quadratic import (
     enumerate_fields_by_class_number,
     unit_index,
 )
-from .rounding import DEFAULT_EPS, Bracket, floor_upper, ln_bracket
+from .rounding import DEFAULT_EPS, ln_bracket
 
 # max conductor with ring class degree 1 in the exceptional fields: the
 # exceptional cases with f > degree^2 all have f <= 7, and f > 3 forces degree 2
@@ -163,12 +164,14 @@ def d_permissible_conductors(field: FundamentalDiscriminant, d: int) -> list[tup
 
 def _field_census(field: FundamentalDiscriminant, d: int) -> tuple[list[tuple[int, int]], int]:
     """The walk of the field to 3d^2, and the field's count: the sum of h(O_f)
-    over the walk's prefix up to the conductor bound, checked against
+    over the walk, checked to end at or below the conductor bound and against
     EXCEPTIONAL_CM_COUNTS."""
     # the bound first: it refuses a bad or oversized degree before any walk
     bound = conductor_bound(field, d).bound
     walk = _permissible(field.value, class_number_field(field.value), d, 3 * d * d)
-    count = sum(h for f, h in walk if f <= bound)
+    if walk and walk[-1][0] > bound:
+        raise InternalCheckError(f"conductor {walk[-1][0]} over {field.value} at degree {d} is past the bound {bound}")
+    count = sum(h for _, h in walk)
     known = EXCEPTIONAL_CM_COUNTS.get((field.value, d))
     if known is not None and count != known:
         raise InternalCheckError(f"census over {field.value} at degree {d} gave {count}, known {known}")
@@ -181,20 +184,16 @@ def cm_count_per_field(field: FundamentalDiscriminant, d: int) -> int:
     return _field_census(field, d)[1]
 
 
-class _CensusTable(Frozen):
+class _CensusTable(NamedTuple):
     """The fields with h_K <= d in a retained sweep of the given length, in
     ascending |Delta_K|, with their cm_count_per_field counts and the prefix
     sums of those counts and of the per-field terms of singular_k3_refined_sum."""
 
-    __slots__ = ("swept", "ms", "per_field", "count_sums", "refined_sums")
-
-    def __init__(self, swept: int, ms: list[int], per_field: tuple[tuple[int, int], ...],
-                 count_sums: list[int], refined_sums: list[int]):
-        object.__setattr__(self, "swept", swept)
-        object.__setattr__(self, "ms", ms)
-        object.__setattr__(self, "per_field", per_field)
-        object.__setattr__(self, "count_sums", count_sums)
-        object.__setattr__(self, "refined_sums", refined_sums)
+    swept: int
+    ms: list[int]
+    per_field: tuple[tuple[int, int], ...]
+    count_sums: list[int]
+    refined_sums: list[int]
 
 
 # one census table per degree, each thrown away once the sweep it covers grows
@@ -259,7 +258,9 @@ def singular_k3_bound(d: int, field_count: int, eps=DEFAULT_EPS) -> int:
         return 0
     what = "the singular K3 bound"
     scale = bounded_digits(3 * d ** 3 * field_count, what)
-    return bounded_digits(floor_upper((ln_bracket(3 * d * d, eps) + Bracket.exact(1)).scale(scale)), what)
+    # (ln + 1) * scale on the upper endpoint of ln, floored in integers
+    ln = ln_bracket(3 * d * d, eps).hi
+    return bounded_digits(scale * (ln.numerator + ln.denominator) // ln.denominator, what)
 
 
 def singular_k3_refined_sum(d: int, disc_search_bound: int) -> int:

@@ -3,19 +3,17 @@
 Every approximation here is a pair of rationals (lo, hi) enclosing the true
 value.  Directed rounding keeps integer bounds sound: evaluate the bound's
 expression on upper endpoints (lower endpoints for reciprocal factors) and
-floor at the very end.  cmbrauer.bounds does this on the numerators and
-denominators of the endpoints, forming the product as one integer pair that
-it floors once; Bracket arithmetic serves the other callers.  Brackets at a
-finer eps are subsets of brackets at a coarser eps by construction, so
-reported bounds never increase when the precision is tightened.
+floor at the very end.  cmbrauer.bounds and cmbrauer.cm_census do this on
+the numerators and denominators of the endpoints, forming the product as one
+integer pair that they floor once.  Brackets at a finer eps are subsets of
+brackets at a coarser eps by construction, so reported bounds never increase
+when the precision is tightened.
 
 ln x is summed in integers: x = y * 2^k with y in [1, 2), ln y = 2 atanh t
 as a fixed-point series in t = (y - 1) / (y + 1) <= 1/3 with 128 fraction
 bits, widened by the error bound proven in _ln_fixed, plus k times a ln 2
 enclosure 64 bits finer.  Every such master enclosure is checked to be at
-most 10^-30 wide before it is rounded outward to the eps grid.  Products and
-powers of nonnegative brackets take the two like endpoints; only signed
-products need all four.
+most 10^-30 wide before it is rounded outward to the eps grid.
 """
 
 from __future__ import annotations
@@ -45,37 +43,6 @@ class Bracket(Frozen):
         if self.lo > self.hi:
             raise InternalCheckError(f"bracket [{self.lo}, {self.hi}] is empty")
 
-    @classmethod
-    def exact(cls, x) -> "Bracket":
-        x = Fraction(x)
-        return cls(x, x)
-
-    def __add__(self, other: "Bracket") -> "Bracket":
-        return Bracket(self.lo + other.lo, self.hi + other.hi)
-
-    def __mul__(self, other: "Bracket") -> "Bracket":
-        if self.lo >= 0 and other.lo >= 0:
-            return Bracket(self.lo * other.lo, self.hi * other.hi)
-        ends = (self.lo * other.lo, self.lo * other.hi, self.hi * other.lo, self.hi * other.hi)
-        return Bracket(min(ends), max(ends))
-
-    def __pow__(self, e: int) -> "Bracket":
-        if e < 0:
-            raise ValueError(f"bracket powers need e >= 0, got {e}")
-        # only needed for positive quantities (pi, affine ln factors)
-        if self.lo < 0:
-            raise InternalCheckError(f"power of [{self.lo}, {self.hi}], which is not nonnegative")
-        return Bracket(self.lo ** e, self.hi ** e)
-
-    def inv(self) -> "Bracket":
-        # only needed for positive quantities (pi powers)
-        if self.lo <= 0:
-            raise InternalCheckError(f"inverting [{self.lo}, {self.hi}], which is not positive")
-        return Bracket(1 / self.hi, 1 / self.lo)
-
-    def scale(self, r) -> "Bracket":
-        return self * Bracket.exact(r)
-
 
 def check_eps(eps: Fraction) -> Fraction:
     eps = Fraction(eps)
@@ -95,12 +62,18 @@ def pi_bracket(eps: Fraction = DEFAULT_EPS) -> Bracket:
     return _PI_COARSE if check_eps(eps) >= COARSE_EPS else _PI_FINE
 
 
-def _outward(b: Bracket, grid: Fraction) -> Bracket:
-    # widen to multiples of grid; nested grids give nested outputs
-    g, h = grid.numerator, grid.denominator
-    lo = b.lo.numerator * h // (b.lo.denominator * g)
-    hi = -(-b.hi.numerator * h // (b.hi.denominator * g))
-    return Bracket(Fraction(lo * g, h), Fraction(hi * g, h))
+def _decimal_places(eps: Fraction) -> int:
+    # the least s >= 1 with 10^-s <= eps: the number of digits of c - 1, for
+    # c = ceil(1/eps) >= 2.  Grids of 10^-s nest, so enclosures on them at a
+    # finer eps lie inside those at a coarser one
+    return len(str(-(-eps.denominator // eps.numerator) - 1))
+
+
+def _outward(b: Bracket, h: int) -> Bracket:
+    # widen to multiples of 1/h; nested grids give nested outputs
+    lo = b.lo.numerator * h // b.lo.denominator
+    hi = -(-b.hi.numerator * h // b.hi.denominator)
+    return Bracket(Fraction(lo, h), Fraction(hi, h))
 
 
 _LN_MASTER = Fraction(1, 10 ** 30)
@@ -170,14 +143,15 @@ def _ln_master(x: Fraction) -> Bracket:
 def ln_bracket(x, eps: Fraction = DEFAULT_EPS) -> Bracket:
     """Certified enclosure of ln(x) for rational x >= 1, width at most eps.
 
-    Computed once at master precision and widened outward to a grid of
-    eps/4, so enclosures at finer eps are contained in coarser ones.
+    Computed once at master precision and widened outward to the grid of
+    10^-s / 4 for the least s >= 1 with 10^-s <= eps, so enclosures at finer
+    eps are contained in coarser ones.
     """
     eps = check_eps(eps)
     x = Fraction(x)
     if x < 1:
         raise ValueError(f"ln bracket only supports x >= 1, got {x}")
-    return _outward(_ln_master(x), eps / 4)
+    return _outward(_ln_master(x), 4 * 10 ** _decimal_places(eps))
 
 
 def sqrt_bracket(x, eps: Fraction = DEFAULT_EPS) -> Bracket:
@@ -186,16 +160,8 @@ def sqrt_bracket(x, eps: Fraction = DEFAULT_EPS) -> Bracket:
     x = Fraction(x)
     if x < 0:
         raise ValueError(f"sqrt bracket needs x >= 0, got {x}")
-    # the least s >= 1 with 10^-s <= eps
-    s = 1
-    while eps.denominator > 10 ** s * eps.numerator:
-        s += 1
-    scale = 10 ** s
+    scale = 10 ** _decimal_places(eps)
     m = (x.numerator * scale * scale) // x.denominator  # floor(x * 10^(2s))
     r = isqrt(m)
     return Bracket(Fraction(r, scale), Fraction(r + 1, scale))
 
-
-def floor_upper(b: Bracket) -> int:
-    """Floor of the certified upper endpoint: a sound integer upper bound."""
-    return b.hi.__floor__()

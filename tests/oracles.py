@@ -4,6 +4,7 @@ No production path calls them.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd, isqrt
 
 from cmbrauer.errors import InternalCheckError
@@ -95,32 +96,37 @@ def reduced_forms(disc: int) -> list[QuadraticForm]:
 
 
 def bracket_product(sym, eps) -> tuple[Bracket, dict]:
-    """The enclosure of a bounds.SymbolicProduct as a product of Brackets, and
-    its rounding certificate; the bound is the floor of its upper endpoint.
+    """The enclosure of a bounds.SymbolicProduct, and its rounding certificate;
+    the bound is the floor of its upper endpoint.
 
-    Formed in Fraction arithmetic, factor by factor, with every endpoint
-    carried along; the oracle for bounds._evaluate, which forms only the
-    upper endpoint, in integers.
+    Formed in Fraction arithmetic, factor by factor, with both endpoints
+    carried along; every factor is positive, so a product's endpoints are the
+    products of like endpoints, and 1/pi is enclosed by (1/pi.hi, 1/pi.lo).
+    The oracle for bounds._evaluate, which forms only the upper endpoint, in
+    integers.
     """
     pi_eps = COARSE_EPS if eps is None else eps
     fn_eps = DEFAULT_EPS if eps is None else eps
     cert: dict = {"pi_eps": str(pi_eps), "fn_eps": str(fn_eps)}
-    b = Bracket.exact(sym.rational)
+    lo = hi = Fraction(sym.rational)
     if sym.pi_exp != 0:
         p = pi_bracket(pi_eps)
         cert["pi"] = [str(p.lo), str(p.hi)]
+        e = abs(sym.pi_exp)
         if sym.pi_exp < 0:
-            p = p.inv()
-        b = b * p ** abs(sym.pi_exp)
+            lo, hi = lo / p.hi ** e, hi / p.lo ** e
+        else:
+            lo, hi = lo * p.lo ** e, hi * p.hi ** e
     if sym.sqrt_arg != 1:
         s = sqrt_bracket(sym.sqrt_arg, fn_eps)
         cert["sqrt"] = [str(s.lo), str(s.hi)]
-        b = b * s
+        lo, hi = lo * s.lo, hi * s.hi
     for i, lf in enumerate(sym.log_factors):
         ln_b = ln_bracket(lf.arg, fn_eps)
         cert[f"ln_{i}"] = [str(ln_b.lo), str(ln_b.hi)]
-        affine = ln_b.scale(lf.coeff) + Bracket.exact(lf.shift)
-        if affine.lo <= 0:
+        # coeff >= 0, so coeff * ln + shift is increasing in ln
+        affine_lo, affine_hi = lf.coeff * ln_b.lo + lf.shift, lf.coeff * ln_b.hi + lf.shift
+        if affine_lo <= 0:
             raise InternalCheckError(f"log factor {lf} may be nonpositive, so its power is not monotone")
-        b = b * affine ** lf.power
-    return b, cert
+        lo, hi = lo * affine_lo ** lf.power, hi * affine_hi ** lf.power
+    return Bracket(lo, hi), cert

@@ -23,7 +23,7 @@ from cmbrauer.bounds import (
 from cmbrauer.errors import InternalCheckError
 from cmbrauer.minkowski import minkowski_M
 from cmbrauer.quadratic import is_fundamental_discriminant
-from cmbrauer.rounding import COARSE_EPS, DEFAULT_EPS, FINE_EPS, floor_upper, ln_bracket
+from cmbrauer.rounding import COARSE_EPS, DEFAULT_EPS, FINE_EPS, ln_bracket
 from oracles import bracket_product
 
 PI_REF = Fraction(3141592653589793238462643383279502884197, 10 ** 39)
@@ -332,7 +332,7 @@ def test_every_formula_matches_the_bracket_oracle(bound_id, data):
     report = _run(bound_id, inputs, eps=eps)
     sym = FORMULAS[bound_id].build(**inputs)
     bracket, cert = bracket_product(sym, eps)
-    assert report.integer_bound == floor_upper(bracket)
+    assert report.integer_bound == bracket.hi.__floor__()
     assert report.rounding_certificate == cert
     assert report.exact_symbolic == _rendered(sym, FORMULAS[bound_id].expression)
 
@@ -359,7 +359,7 @@ def test_any_product_matches_the_bracket_oracle(rational, pi_exp, sqrt_arg, log_
         with pytest.raises(InternalCheckError, match=re.escape(str(e))):
             bounds._evaluate(sym, eps)
         return
-    assert bounds._evaluate(sym, eps) == (floor_upper(bracket), cert)
+    assert bounds._evaluate(sym, eps) == (bracket.hi.__floor__(), cert)
 
 
 def test_a_log_factor_with_a_negative_coefficient_is_refused():

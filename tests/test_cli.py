@@ -403,6 +403,29 @@ def test_mell_estimate_never_imports_brauer(flags):
     assert out.stdout == f"[0, 0, 2] {modules}\n"
 
 
+_CENSUSES = (
+    ["k3-census", "--degree", "12", "--field-count", "9"],
+    ["k3-census", "--degree", "2", "--refined-disc-bound", "200"],
+    ["cm-count", "--degree", "2", "--disc-bound", "200"],
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+def test_census_commands_never_import_bounds(flags):
+    # the singular K3 bound floors its ln enclosure inline, so bounds is neither loaded nor compiled
+    script = (
+        "import contextlib, io, sys\n"
+        "from cmbrauer import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main(argv) for argv in {list(_CENSUSES)!r}]\n"
+        "print(codes, *sorted(m for m in sys.modules if m.startswith('cmbrauer.')))\n"
+    )
+    out = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True, check=True)
+    modules = " ".join(f"cmbrauer.{m}" for m in ("cli", "cm_census", "errors", "minkowski", "primes", "quadratic",
+                                                 "rounding"))
+    assert out.stdout == f"[0, 0, 0] {modules}\n"
+
+
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
 def test_every_command_answers_with_sympy_unimportable(flags):
     script = (

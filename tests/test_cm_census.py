@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +30,8 @@ from cmbrauer.quadratic import (
     is_fundamental_discriminant,
 )
 from cmbrauer.errors import BudgetError
-from cmbrauer.rounding import COARSE_EPS, FINE_EPS, ln_bracket
+from cmbrauer.minkowski import minkowski_M
+from cmbrauer.rounding import COARSE_EPS, DEFAULT_EPS, FINE_EPS, ln_bracket
 
 
 def test_conductor_bound_clauses():
@@ -148,6 +150,30 @@ def test_singular_k3_log_bound():
     fine = singular_k3_bound(1, 9, eps=FINE_EPS)
     assert fine <= coarse
     assert singular_k3_bound(1, 9) <= coarse
+
+
+# the three tiers with 3e-7 and 1e-18, from coarse to fine
+_K3_EPS = (COARSE_EPS, Fraction(3, 10 ** 7), DEFAULT_EPS, FINE_EPS, Fraction(1, 10 ** 18))
+
+
+def _assert_k3_bound_matches_fractions(bound, d, n):
+    # bound(eps) is floor((ln(3d^2) + 1) 3 d^3 n) at ln's upper endpoint, at
+    # least the same at its lower endpoint, and never rises as eps tightens
+    above = None
+    for eps in _K3_EPS:
+        ln, value = ln_bracket(3 * d * d, eps), bound(eps)
+        assert value == ((ln.hi + 1) * 3 * d ** 3 * n).__floor__(), (d, n, eps)
+        assert value >= ((ln.lo + 1) * 3 * d ** 3 * n).__floor__(), (d, n, eps)
+        assert above is None or value <= above, (d, n, eps)
+        above = value
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10 ** 6), st.integers(0, 10 ** 30))
+def test_singular_k3_bounds_match_the_fraction_oracle(d, n):
+    _assert_k3_bound_matches_fractions(lambda eps: singular_k3_bound(d, n, eps), d, n)
+    # the strong bound is the log bound at degree M(20) d
+    _assert_k3_bound_matches_fractions(lambda eps: singular_k3_strong_bound(d, n, eps), minkowski_M(20).value * d, n)
 
 
 def test_singular_k3_bound_past_the_digit_limit_is_refused(monkeypatch):

@@ -60,7 +60,6 @@ _BROKEN_INVARIANTS = textwrap.dedent("""
     field = quadratic.FundamentalDiscriminant(-3)
     checks = [
         raises_internal(lambda: rounding.Bracket(Fraction(2), Fraction(1))),
-        raises_internal(lambda: rounding.Bracket(Fraction(-1), Fraction(1)).inv()),
         raises_internal(lambda: rounding._ln_fixed(1, 2, 64)),
         raises_internal(lambda: bounds.SymbolicProduct(rational=Fraction(0))),
         raises_internal(lambda: bounds.SymbolicProduct(Fraction(1), log_factors=(
@@ -74,6 +73,9 @@ _BROKEN_INVARIANTS = textwrap.dedent("""
     lattices.disc_hom = lambda p: Fraction(1)
     checks += [raises_internal(lambda: lattices.disc_ns_product(pair)),
                raises_internal(lambda: lattices.disc_ns_kummer(pair))]
+    # at degree 2 the walk over Q(zeta_3) reaches f = 7, past a clause bound of 4
+    cm_census._EXCEPTIONAL_FLOOR = {-3: 4}
+    checks += [raises_internal(lambda: cm_census.cm_count_per_field(field, 2))]
     cm_census.class_number_field = lambda dk: 2
     checks += [raises_internal(lambda: cm_census.cm_count_per_field(field, 1))]
     cm_census._field_census = lambda k, d: ([], 1)

@@ -183,7 +183,6 @@ _WRONG_ARITHMETIC = textwrap.dedent("""
         raises_internal(lambda: brauer.BrauerShape(((6, 1),))),
         raises_internal(lambda: brauer.BrauerShape(((3, 2), (3, 1), (3, 3)))),
         raises_internal(lambda: brauer.BrauerShape(((2, 0),))),
-        raises_internal(lambda: rounding.Bracket(Fraction(-1), Fraction(1)) ** 2),
     ]
     # a series too coarse for its promised width is caught, not returned
     rounding._B = 16
@@ -196,4 +195,4 @@ _WRONG_ARITHMETIC = textwrap.dedent("""
 def test_checks_on_a_wrong_factorization_survive_python_O(flags):
     out = subprocess.run([sys.executable, *flags, "-c", _WRONG_ARITHMETIC],
                          capture_output=True, text=True, check=True).stdout
-    assert out.strip() == str([True] * 8)
+    assert out.strip() == str([True] * 7)
