@@ -10,17 +10,21 @@ unknown subcommand; 70 internal failure: a violated internal identity, or a
 valid result that cannot be rendered.  Each subcommand is one entry of
 ``TABLE``.  A runner imports the library names it calls in its own body, so a
 process loads only the library modules of the subcommand it runs.
+
+``_parse`` reads argv from the entry's options as argparse 3.11 would, with
+its abbreviations, ``--opt=value`` forms, negative values and error messages,
+so envelopes stay as they were under argparse; argparse itself is imported
+only to format a help text, at 80 columns whatever the terminal.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
 from fractions import Fraction
 from functools import cache
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 
 EXIT_OK = 0
@@ -35,15 +39,6 @@ class _CliError(Exception):
 
 class _InternalError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse prints and exits on its own; route errors and help through _CliError instead
-    def error(self, message):
-        raise _CliError(message)
-
-    def print_help(self, file=None):
-        raise _CliError(self.format_help())
 
 
 def _canonical_payload(x):
@@ -109,9 +104,12 @@ class _Answer(NamedTuple):
 
 
 class _Command(NamedTuple):
-    """``run`` takes the parsed arguments as keywords and returns the result,
-    which carries ``provenance[0]``, or an _Answer.  It imports the library
-    names it calls when it runs."""
+    """``args`` maps each long option to its ``argparse.add_argument``
+    keywords: ``_parse`` reads dest, action (store_true or append), type,
+    choices, required and default, and help and metavar go to the help text
+    alone.  ``run`` takes the parsed arguments as keywords and returns the
+    result, which carries ``provenance[0]``, or an _Answer.  It imports the
+    library names it calls when it runs."""
 
     help: str
     args: dict[str, dict]
@@ -349,17 +347,152 @@ TABLE: dict[str, _Command | Callable[[], _Command]] = {
 COMMANDS = tuple(TABLE)
 
 
+# every subcommand's options besides its own and -h/--help
+_COMMON_ARGS = {"--format": {"choices": ("json", "table"), "default": "json"},
+                "--output": {"metavar": "PATH", "default": None}}
+
+
+class _Option(NamedTuple):
+    """One option as argparse would hold it.  ``action`` is None (store the
+    one value), "store_true", "append" or "help"; ``name`` is how a message
+    names it."""
+
+    name: str
+    dest: str
+    action: str | None
+    type: Callable | None
+    choices: Sequence[str] | None
+    required: bool
+    default: object
+
+
 @cache
-def _command(name: str) -> tuple[_Command, _Parser]:
-    """TABLE[name], built if it is a builder, and its parser; both once per process."""
+def _command(name: str) -> tuple[_Command, dict[str, _Option]]:
+    """TABLE[name], built if it is a builder, and its options by option
+    string in argparse's order; both once per process."""
     entry = TABLE[name]
     spec = entry() if callable(entry) else entry
-    parser = _Parser(prog=f"cmbrauer {name}", description=spec.help)
-    parser.add_argument("--format", choices=("json", "table"), default="json")
-    parser.add_argument("--output", metavar="PATH", default=None)
-    for flag, kwargs in spec.args.items():
+    help_option = _Option("-h/--help", "help", "help", None, None, False, None)
+    options = {"-h": help_option, "--help": help_option}
+    for flag, kwargs in {**_COMMON_ARGS, **spec.args}.items():
+        action = kwargs.get("action")
+        options[flag] = _Option(flag, kwargs.get("dest", flag[2:].replace("-", "_")), action, kwargs.get("type"),
+                                kwargs.get("choices"), kwargs.get("required", False),
+                                kwargs.get("default", False if action == "store_true" else None))
+    return spec, options
+
+
+def _help(name: str) -> str:
+    """The help text of subcommand ``name``: argparse formats it from the same
+    table, at 80 columns whatever the terminal, and never sees argv."""
+    import argparse
+    spec = _command(name)[0]
+    parser = argparse.ArgumentParser(prog=f"cmbrauer {name}", description=spec.help,
+                                     formatter_class=lambda prog: argparse.HelpFormatter(prog, width=78))
+    for flag, kwargs in {**_COMMON_ARGS, **spec.args}.items():
         parser.add_argument(flag, **kwargs)
-    return spec, parser
+    return parser.format_help()
+
+
+# a token like these is a value, never an option: argparse 3.11's rule
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _classify(options: dict[str, _Option], token: str):
+    """None if ``token`` is a value, else (option, option string, explicit
+    value or None); the option is None if it is unknown.  An abbreviation
+    that fits more than one option is refused."""
+    if not token or token[0] != "-":
+        return None
+    if token in options:
+        return options[token], token, None
+    if len(token) == 1:
+        return None
+    flag, sep, explicit = token.partition("=")
+    if sep and flag in options:
+        return options[flag], flag, explicit
+    if token[1] == "-":  # a unique prefix of a long option, with or without its =value
+        hits = [(options[f], f, explicit if sep else None) for f in options if f.startswith(flag)]
+    else:  # a short option with its value glued on
+        hits = [(options[f], f, token[2:] if f == token[:2] else None)
+                for f in options if f == token[:2] or f.startswith(token)]
+    if len(hits) > 1:
+        raise _CliError(f"ambiguous option: {token} could match {', '.join(f for _, f, _ in hits)}")
+    if hits:
+        return hits[0]
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return None, token, None
+
+
+def _parse(name: str, argv: list[str]) -> dict:
+    """The arguments of subcommand ``name`` by dest, read from argv as
+    argparse 3.11 reads it.  An error, or a help request, is a _CliError
+    carrying argparse's message: an ambiguous abbreviation anywhere before
+    the first "--" comes first, then each option's own error in argv order,
+    the help text where -h is read, missing required options and, last,
+    the tokens no option took."""
+    options = _command(name)[1]
+    end = argv.index("--") if "--" in argv else len(argv)
+    found = [_classify(options, token) for token in argv[:end]]
+    args = {o.dest: o.default for o in options.values() if o.action != "help"}
+    seen = set()
+    extras = []
+    i = 0
+    while i < len(argv):
+        if i >= end or found[i] is None or found[i][0] is None:
+            extras.append(argv[i])
+            i += 1
+            continue
+        option, flag, explicit = found[i]
+        i += 1
+        if option.action in (None, "append"):
+            if explicit is not None:
+                token = explicit
+            elif i < end and found[i] is None:
+                token = argv[i]
+                i += 1
+            else:
+                raise _CliError(f"argument {option.name}: expected one argument")
+            seen.add(option.dest)
+            value = _value(option, token)
+            args[option.dest] = value if option.action is None else [*(args[option.dest] or ()), value]
+            continue
+        glued = [option]
+        while explicit is not None:
+            # -h is the one short option, and -hh reads as -h -h
+            after = "-" + explicit[0] if flag[1] != "-" and explicit else None
+            if after not in options:
+                raise _CliError(f"argument {option.name}: ignored explicit argument {explicit!r}")
+            option, flag, explicit = options[after], after, explicit[1:] or None
+            glued.append(option)
+        for option in glued:
+            seen.add(option.dest)
+            if option.action == "help":
+                raise _CliError(_help(name))
+            args[option.dest] = True
+    missing = [o.name for o in options.values() if o.required and o.dest not in seen]
+    if missing:
+        raise _CliError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise _CliError(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
+def _value(option: _Option, token: str):
+    """An option's value token converted and checked as argparse does."""
+    if token == "--":  # argparse drops it and stores no value: an empty list
+        return []
+    value = token
+    if option.type is not None:
+        try:
+            value = option.type(token)
+        except ValueError:
+            raise _CliError(f"argument {option.name}: invalid {option.type.__name__} value: {token!r}") from None
+    if option.choices is not None and value not in option.choices:
+        raise _CliError(f"argument {option.name}: invalid choice: {value!r} "
+                        f"(choose from {', '.join(map(repr, option.choices))})")
+    return value
 
 
 def _emit_error(command, exc, code: int) -> int:
@@ -376,9 +509,9 @@ def main(argv=None) -> int:
     command = argv.pop(at)
     if command not in TABLE:
         return _emit_error(command, _CliError(f"unknown subcommand {command!r}"), EXIT_UNKNOWN_COMMAND)
-    spec, parser = _command(command)
+    spec = _command(command)[0]
     try:
-        args = vars(parser.parse_args(argv))
+        args = _parse(command, argv)
         fmt, output = args.pop("format"), args.pop("output")
         answer = spec.run(**args)
         if not isinstance(answer, _Answer):

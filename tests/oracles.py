@@ -3,10 +3,12 @@
 No production path calls them.
 """
 
+import argparse
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
+from cmbrauer import cli
 from cmbrauer.errors import InternalCheckError
 from cmbrauer.primes import divisors
 from cmbrauer.rounding import COARSE_EPS, DEFAULT_EPS, Bracket, ln_bracket, pi_bracket, sqrt_bracket
@@ -130,3 +132,34 @@ def bracket_product(sym, eps) -> tuple[Bracket, dict]:
             raise InternalCheckError(f"log factor {lf} may be nonpositive, so its power is not monotone")
         lo, hi = lo * affine_lo ** lf.power, hi * affine_hi ** lf.power
     return Bracket(lo, hi), cert
+
+
+class _Refused(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse prints and exits on its own; raise its error or help text instead
+    def error(self, message):
+        raise _Refused(message)
+
+    def print_help(self, file=None):
+        raise _Refused(self.format_help())
+
+
+def argparse_reference(command: str, argv: list[str]) -> tuple[dict | None, str | None]:
+    """argv parsed by the argparse parser the CLI once built for subcommand
+    command from cli.TABLE: the arguments by dest and None, or None and the
+    error message, which is the help text for a help request.  Matches the
+    argparse of Python 3.11.7, at 80 columns.  The oracle for cli._parse."""
+    spec = cli._command(command)[0]
+    parser = _Parser(prog=f"cmbrauer {command}", description=spec.help,
+                     formatter_class=lambda prog: argparse.HelpFormatter(prog, width=78))
+    parser.add_argument("--format", choices=("json", "table"), default="json")
+    parser.add_argument("--output", metavar="PATH", default=None)
+    for flag, kwargs in spec.args.items():
+        parser.add_argument(flag, **kwargs)
+    try:
+        return vars(parser.parse_args(list(argv))), None
+    except _Refused as e:
+        return None, str(e)

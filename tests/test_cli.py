@@ -1,9 +1,9 @@
 """CLI envelopes: canonical JSON, exit codes, determinism, provenance."""
 
-import argparse
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from cmbrauer import cli, cm_census, quadratic
 from cmbrauer.bounds import FORMULAS, field_tower_constants
 from cmbrauer.quadratic import IntegralityError
+from oracles import argparse_reference
 
 
 # each needs a primality verdict for 2^89 - 1, which lies past psi_13
@@ -469,6 +470,26 @@ def test_a_process_imports_only_its_subcommands_library(argv):
     assert ("bounds" in loaded) == (argv[0] in ("bound", "constants")), loaded
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+def test_only_a_help_request_imports_argparse(flags):
+    # argv is read from the command table; argparse, and gettext with it, formats help alone
+    script = (
+        "import contextlib, io, sys\n"
+        "from cmbrauer import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main(argv) for argv in {[*_ONE_PER_COMMAND, _USAGE_ERROR]!r}]\n"
+        "print(codes, sorted({'argparse', 'gettext'} & set(sys.modules)))\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    code = cli.main(['classnum', '--help'])\n"
+        "print(code, out.getvalue())\n"
+    )
+    out = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True, check=True)
+    codes, helped = out.stdout.split("\n", 1)
+    assert codes == f"{[0] * len(_ONE_PER_COMMAND) + [2]} []"
+    code, envelope = helped.split(" ", 1)
+    assert code == "2" and json.loads(envelope)["error"]["message"].startswith("usage: cmbrauer classnum [-h]")
+
+
 def test_multiplier_past_the_digit_limit_is_refused(capsys):
     # d^(g(2g-1) - rho) at 4300 digits renders; from 4301 on it is refused
     # before the power is formed, so even g = 10^6 ends at once
@@ -718,17 +739,32 @@ def test_a_help_request_gives_the_subcommands_help_wherever_it_stands(command, c
 
 def test_one_main_call_parses_argv_once(capsys, monkeypatch):
     parses = []
-    parse_known_args = argparse.ArgumentParser.parse_known_args
+    parse = cli._parse
 
-    def counted(parser, *args, **kwargs):
-        parses.append(parser.prog)
-        return parse_known_args(parser, *args, **kwargs)
+    def counted(command, argv):
+        parses.append(command)
+        return parse(command, argv)
 
-    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    monkeypatch.setattr(cli, "_parse", counted)
     for argv in (*_ONE_PER_COMMAND, ["classnum"], ["--disc", "-4", "classnum"], ["bound", "--help"]):
         parses.clear()
         run_cli(argv, capsys)
-        assert parses == [f"cmbrauer {next(a for a in argv if not a.startswith('-'))}"], argv
+        assert parses == [next(a for a in argv if not a.startswith('-'))], argv
+
+
+@pytest.mark.parametrize("command", ["classnum", "lattice", "bound"])
+def test_help_does_not_depend_on_the_terminal(command):
+    # argparse would wrap at the terminal's width; help is rendered at 80 columns
+    def help_text(columns):
+        env = {k: v for k, v in os.environ.items() if k != "COLUMNS"}
+        if columns is not None:
+            env["COLUMNS"] = columns
+        return subprocess.run([sys.executable, "-m", "cmbrauer", command, "-h"], env=env,
+                              capture_output=True, text=True).stdout
+
+    piped = help_text(None)
+    assert json.loads(piped)["error"]["message"].startswith(f"usage: cmbrauer {command} [-h]")
+    assert help_text("40") == help_text("200") == piped
 
 
 def test_integers_past_the_digit_limit_are_refused(capsys):
@@ -841,3 +877,56 @@ def test_every_argv_ends_in_one_documented_envelope(argv):
     assert out.endswith("\n") and out.count("\n") == 1, argv
     envelope = json.loads(out)
     assert ("result" in envelope) == (code == 0) != ("error" in envelope), argv
+
+
+def _table_parse(command, argv):
+    try:
+        return cli._parse(command, list(argv)), None
+    except cli._CliError as e:
+        return None, str(e)
+
+
+def _split_command(argv):
+    # main's split: the first token not starting with "-" names the subcommand
+    at = next((i for i, a in enumerate(argv) if not a.startswith("-")), None)
+    return (None, argv) if at is None else (argv[at], [*argv[:at], *argv[at + 1:]])
+
+
+@settings(max_examples=600, deadline=2000, derandomize=True)
+@given(_fuzz_argv())
+def test_the_table_parser_answers_as_argparse_does(argv):
+    command, rest = _split_command(argv)
+    if command in cli.TABLE:
+        assert _table_parse(command, rest) == argparse_reference(command, rest), argv
+
+
+_EDGE_ARGV = (
+    # abbreviations, unique and ambiguous, and = forms
+    "classnum --dis -4", "classnum --dis=-4", "classnum --he", "classnum --disc -4 --fo table", "cm-count --d 3",
+    "cm-count --degree 2 --di=50", "lattice --f 1", "fields-by-h --h 1 --d 9", "fields-by-h --h 1 --disc-b 9",
+    "classnum --disc -4 --format=table", "classnum --disc -4 --format=tab", "classnum --disc=", "classnum --disc=--",
+    "brauer-shape --ell 3 --m 2 --k-in-k=1", "brauer-shape --ell 3 --m 2 --k-in=", "brauer-shape --ell 3 --m 2 --t",
+    # negative values and option-like junk
+    "classnum --disc -4", "classnum --disc -.5", "classnum --disc -1.", "bound --id ab_GRH --eps -1e-9",
+    "classnum --disc -4 -1e-9", "classnum --disc -x", "classnum --disc -4 ---x", "classnum --disc -4 -=",
+    "classnum --disc -4 --=", "classnum --disc -4 --=x", "classnum --disc -4 -",
+    # repeats, the appending --set, and --
+    "classnum --disc -4 --disc -7", "classnum --disc=x --disc -4", "bound --set d=1 --id ab_GRH --set=L_deg=2 --set",
+    "bound --id ab_GRH --set=-- --set d=3", "classnum --disc -4 --", "classnum --disc -4 -- --disc", "classnum --disc -- -4",
+    # help where -h is read, and its glued forms
+    "classnum -h", "classnum -hh", "classnum -hx", "classnum -hhx", "classnum -h= --disc -4", "classnum --help=x",
+    "classnum -help", "classnum --disc x -h", "classnum -h --disc x", "classnum --d -h", "cm-count -h --d",
+    # the order of errors
+    "classnum --conductor x", "classnum x --conductor y", "classnum --frob --disc -4 x", "lattice --kind x --rank y",
+    "bound --id nope --set", "constants --name", "constants --name ab_endo --name x",
+)
+
+
+@pytest.mark.parametrize("argv", [a.split(" ") for a in _EDGE_ARGV] + [
+    ["--disc", "-4", "classnum"], ["--disc=-4", "classnum", "--conductor", "3"], ["-h", "lattice"],
+    ["--k-in-k", "brauer-shape", "--ell", "3", "--m", "2"], ["classnum", "--disc", " -4"], ["classnum", "--disc", "-4\n"],
+    ["classnum", "--disc", "-4 x"], ["classnum", "--disc", "1_0"], ["classnum", "--disc", "1" + "0" * 4400],
+    ["classnum", "", "--disc", "-4"]], ids=lambda argv: repr(argv)[:72])
+def test_the_table_parser_answers_edge_argv_as_argparse_does(argv):
+    command, rest = _split_command(argv)
+    assert _table_parse(command, rest) == argparse_reference(command, rest)
