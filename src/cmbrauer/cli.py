@@ -481,8 +481,8 @@ def _parse(name: str, argv: list[str]) -> dict:
 
 def _value(option: _Option, token: str):
     """An option's value token converted and checked as argparse does."""
-    if token == "--":  # argparse drops it and stores no value: an empty list
-        return []
+    if token == "--":  # --opt=--: argparse would store [], which no runner takes
+        raise _CliError(f"argument {option.name}: expected one argument")
     value = token
     if option.type is not None:
         try:

@@ -6,10 +6,11 @@ retained sweep of reduced forms over a range of discriminants, or outside it
 from a per-field count of the forms by first coefficient.  Everything is exact
 integer arithmetic.
 
-A session keeps the sweep to the largest disc bound asked for (2.0 MiB at
-MAX_DISC_BOUND), the lists form_class_counts reads (2.4 MiB there) and a memo
-of the class numbers counted past the sweep (at most PAST_SWEEP_LIMIT
-entries, about 1 MiB); a sweep that grows throws the lists and the memo away.
+A session keeps the sweep to the largest disc bound asked for (1.9 MiB at
+MAX_DISC_BOUND; 2.8 MiB at its peak, while the count of all forms is still
+beside it), the lists form_class_counts reads (2.4 MiB there) and a memo of
+the class numbers counted past the sweep (at most PAST_SWEEP_LIMIT entries,
+about 1 MiB); a sweep that grows throws the lists and the memo away.
 A form_class_counts answer is a view of those lists, not a copy, so one that
 is still held and has not been written keeps its sweep's lists alive.
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import ItemsView, MutableMapping, ValuesView
 from functools import lru_cache
-from math import gcd, isqrt
+from math import isqrt
 from operator import attrgetter
 
 from .errors import BudgetError, Frozen, InternalCheckError, bounded_digits
@@ -169,36 +170,32 @@ def _count_forms_by_a(delta_k: int) -> int:
     return h
 
 
-def _squarefree_divisors(n: int) -> list[tuple[int, int]]:
-    """(e, mu(e)) for the squarefree divisors e of n >= 1."""
-    out = [(1, 1)]
-    for p in factorint(n):
-        out += [(e * p, -mu) for e, mu in out]
-    return out
-
-
-def _sweep(bound: int) -> list[int]:
-    """Primitive reduced form counts indexed by m = -disc for 0 <= m <= bound.
+def _sweep(bound: int) -> tuple[list[int], list[int]]:
+    """Reduced form counts indexed by m = -disc for 0 <= m <= bound: the
+    primitive ones h(m), and all of them N(m).
 
     For each reduced (a, b) with b >= 0, the discriminants b^2 - 4ac over
-    c >= a step by 4a, so a whole run is one slice of the table.  Primitivity
-    is Moebius inversion over the squarefree divisors e of gcd(a, b): the run
-    over the c divisible by e gets weight mu(e).
+    c >= a step by 4a, so a whole run is one slice of N.  A form of content g
+    is g times a primitive form of disc/g^2, so N(m) is the sum of h(m/g^2)
+    over g^2 | m, and h(m) the sum of mu(g) N(m/g^2).  As mu is multiplicative,
+    that Moebius inversion is one step per prime p <= sqrt(bound): h(p^2 k) -=
+    h(k) for every k at once, one slice formed from the values before it.
     """
-    counts = [0] * (bound + 1)
+    forms = [0] * (bound + 1)
     for a in range(1, isqrt(bound // 3) + 1):
         four_a = 4 * a
         for b in range(a + 1):
-            g = gcd(a, b)
+            start = four_a * a - b * b
             # (a, -b, c) is reduced too when 0 < b < a, save at c = a
             w = 2 if 0 < b < a else 1
-            for e, mu in _squarefree_divisors(g):
-                run = slice(four_a * -(-a // e) * e - b * b, None, four_a * e)
-                v = mu * w
-                counts[run] = [x + v for x in counts[run]]
-            if w == 2 and g == 1 and 4 * a * a - b * b <= bound:
-                counts[4 * a * a - b * b] -= 1
-    return counts
+            forms[start::four_a] = [x + w for x in forms[start::four_a]]
+            if w == 2 and start <= bound:
+                forms[start] -= 1
+    counts = forms.copy()
+    for p in primerange(2, isqrt(bound) + 1):
+        pp = p * p
+        counts[pp::pp] = [x - y for x, y in zip(counts[pp::pp], counts[1:bound // pp + 1])]
+    return counts, forms
 
 
 # The retained sweep: primitive reduced form counts indexed by m = -disc, and
@@ -221,7 +218,7 @@ _past_sweep: dict[int, int] = {}
 PAST_SWEEP_LIMIT = 1 << 14
 
 # caps on the census inputs, by the time each protects (Python 3.11, 2 vCPU,
-# in process): a sweep to 10^5 takes 0.15-0.23 s, and _count_forms_by_a
+# in process): a sweep to 10^5 takes 0.09-0.15 s, and _count_forms_by_a
 # 6-32 ms on the fundamental discs -999999995, -999999991 and -999999959
 # (`classnum --disc -999999959` takes 0.16 s as a process)
 MAX_DISC_BOUND = 10 ** 5
@@ -233,15 +230,13 @@ def _retained(disc_bound: int) -> list[int]:
     if disc_bound > MAX_DISC_BOUND:
         raise BudgetError(f"disc bound {disc_bound} is past the census cap {MAX_DISC_BOUND}")
     if disc_bound >= len(_counts):
-        counts = _sweep(disc_bound)
-        # fundamental -m: m = 3 (mod 4) squarefree, or m = 4q with q = 1, 2 (mod 4) squarefree
-        squarefree = bytearray([1]) * (disc_bound + 1)
-        for p in primerange(2, isqrt(disc_bound) + 1):
-            squarefree[p * p::p * p] = bytes(disc_bound // (p * p))
+        counts, forms = _sweep(disc_bound)
+        # -m is fundamental when it has forms and all of them are primitive:
+        # were -m = g^2 D with g > 1, g times the principal form of D would not be
         fields_by_h: dict[int, list[int]] = {}
-        for m in range(3, disc_bound + 1):
-            if squarefree[m] if m % 4 == 3 else m % 16 in (4, 8) and squarefree[m // 4]:
-                fields_by_h.setdefault(counts[m], []).append(m)
+        for m, (h, n) in enumerate(zip(counts, forms)):
+            if h and h == n:
+                fields_by_h.setdefault(h, []).append(m)
         _counts, _fields_by_h, _field_objects_by_h = counts, dict(sorted(fields_by_h.items())), {}
         _fcc_keys, _fcc_counts = [], []
         _past_sweep.clear()

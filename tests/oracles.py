@@ -146,12 +146,20 @@ class _Parser(argparse.ArgumentParser):
     def print_help(self, file=None):
         raise _Refused(self.format_help())
 
+    def _get_values(self, action, arg_strings):
+        # the one carve-out from argparse: --opt=-- is refused as a missing
+        # value, where argparse drops the "--" and stores []
+        if action.option_strings and arg_strings == ["--"]:
+            raise argparse.ArgumentError(action, "expected one argument")
+        return super()._get_values(action, arg_strings)
+
 
 def argparse_reference(command: str, argv: list[str]) -> tuple[dict | None, str | None]:
     """argv parsed by the argparse parser the CLI once built for subcommand
     command from cli.TABLE: the arguments by dest and None, or None and the
     error message, which is the help text for a help request.  Matches the
-    argparse of Python 3.11.7, at 80 columns.  The oracle for cli._parse."""
+    argparse of Python 3.11.7, at 80 columns, save that --opt=-- is refused as
+    a missing value.  The oracle for cli._parse."""
     spec = cli._command(command)[0]
     parser = _Parser(prog=f"cmbrauer {command}", description=spec.help,
                      formatter_class=lambda prog: argparse.HelpFormatter(prog, width=78))

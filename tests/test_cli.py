@@ -930,3 +930,24 @@ _EDGE_ARGV = (
 def test_the_table_parser_answers_edge_argv_as_argparse_does(argv):
     command, rest = _split_command(argv)
     assert _table_parse(command, rest) == argparse_reference(command, rest)
+
+
+def _explicit_dash_dash_argv():
+    # each option of each subcommand given "=--" after a valid argv, and the
+    # argv that once handed a runner the [] argparse stores for that value
+    for argv in _ONE_PER_COMMAND:
+        for flag in cli._command(argv[0])[1]:
+            yield [*argv, f"{flag}=--"]
+    for argv in ("bound --id ab_GRH --set=--", "classnum --disc=--", "fields-by-h --h=-- --disc-bound 10",
+                 "cm-count --degree 1 --disc-bound=--", "classnum --dis=-- --disc -4"):
+        yield argv.split(" ")
+
+
+@pytest.mark.parametrize("argv", _explicit_dash_dash_argv(), ids=" ".join)
+def test_an_explicit_dash_dash_value_is_refused(argv, capsys):
+    code, out = run_cli(argv, capsys)
+    assert code == 2 and out.endswith("\n") and out.count("\n") == 1, (code, out)
+    token = next(t for t in argv if t.endswith("=--"))
+    option = cli._classify(cli._command(argv[0])[1], token)[0]
+    expected = "ignored explicit argument '--'" if option.action in ("store_true", "help") else "expected one argument"
+    assert json.loads(out)["error"] == {"type": "_CliError", "message": f"argument {option.name}: {expected}"}

@@ -326,6 +326,31 @@ def test_form_class_counts_follow_a_resweep(fresh_session):
         assert counts == expected(n) and list(counts) == list(expected(n))
 
 
+def test_the_sweeps_fields_are_the_fundamental_discriminants():
+    # the sweep reads a field off its form counts (every form primitive);
+    # the factoring rule, uncached, reads it off the factors of |Delta_K|
+    form_class_counts(MAX_DISC_BOUND)
+    swept = sorted(m for ms in quadratic._fields_by_h.values() for m in ms)
+    assert swept == [m for m in range(MAX_DISC_BOUND + 1) if is_fundamental_discriminant.__wrapped__(-m)]
+
+
+# bounds at g^2, g^2 +- 1 and 4g^2 +- 1 for squarefree g: the Moebius pass
+# takes one slice per p^2, and a bound divisible by p^2 ends that slice on it
+_SQUARE_EDGES = sorted({n for g in (2, 3, 5, 6, 7, 10, 30, 101, 158, 313)
+                        for n in (g * g - 1, g * g, g * g + 1, 4 * g * g - 1, 4 * g * g + 1) if n <= MAX_DISC_BOUND})
+
+
+def test_cold_sweeps_at_square_edges_are_prefixes_of_the_full_sweep(fresh_session, monkeypatch):
+    quadratic._retained(MAX_DISC_BOUND)
+    counts, fields_by_h = quadratic._counts, quadratic._fields_by_h
+    for n in _SQUARE_EDGES:
+        monkeypatch.setattr(quadratic, "_counts", [])
+        quadratic._retained(n)
+        assert quadratic._counts == counts[:n + 1], n
+        prefix = {h: [m for m in ms if m <= n] for h, ms in fields_by_h.items()}
+        assert list(quadratic._fields_by_h.items()) == [(h, ms) for h, ms in prefix.items() if ms], n
+
+
 _SWEEP_ANSWERS = """
 import json, sys
 from cmbrauer import cm_census, quadratic
