@@ -532,7 +532,7 @@ def main(argv=None) -> int:
         except (ValueError, TypeError) as e:
             # the input was valid, so a result that cannot be rendered is not a usage error
             raise _InternalError(f"cannot render the result: {e}") from e
-        if output:
+        if output is not None:
             try:
                 with open(output, "w", encoding="utf-8") as fh:
                     fh.write(canonical + "\n")

@@ -8,17 +8,16 @@ integer arithmetic.
 
 A session keeps the sweep to the largest disc bound asked for (1.9 MiB at
 MAX_DISC_BOUND; 2.8 MiB at its peak, while the count of all forms is still
-beside it), the lists form_class_counts reads (2.4 MiB there) and a memo of
-the class numbers counted past the sweep (at most PAST_SWEEP_LIMIT entries,
-about 1 MiB); a sweep that grows throws the lists and the memo away.
-A form_class_counts answer is a view of those lists, not a copy, so one that
-is still held and has not been written keeps its sweep's lists alive.
+beside it) and an lru_cache of the class numbers counted past the sweep (at
+most PAST_SWEEP_LIMIT entries, about 1.8 MiB).  A form_class_counts answer
+is a view of the sweep's counts, not a copy, so one that is still held and
+has not been written keeps its sweep's list alive.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from collections.abc import ItemsView, MutableMapping, ValuesView
+from bisect import bisect_right
+from collections.abc import MutableMapping
 from functools import lru_cache
 from math import isqrt
 from operator import attrgetter
@@ -136,6 +135,11 @@ def unit_index(delta_k: int, f: int) -> int:
     return 1
 
 
+# h_K of the fields past the sweep that class_number_field has counted
+PAST_SWEEP_LIMIT = 1 << 14
+
+
+@lru_cache(maxsize=PAST_SWEEP_LIMIT)
 def _count_forms_by_a(delta_k: int) -> int:
     """h_K for a fundamental delta_k < 0 by the first coefficients a of its
     reduced forms (Cox, Lemma 2.5).  The b mod 2a with b^2 = delta_k (mod 4a)
@@ -201,21 +205,11 @@ def _sweep(bound: int) -> tuple[list[int], list[int]]:
 # The retained sweep: primitive reduced form counts indexed by m = -disc, and
 # for each class number (keys ascending) the fundamental m in ascending order,
 # with the validated field objects of a prefix of them (see _field_objects).
-# _fcc_keys and _fcc_counts are the nonzero counts that form_class_counts
-# answers view, keys -m in descending m, made on its first call after each
-# sweep and replaced, never changed in place.
-# A bound past the table sweeps again to that bound; every smaller bound reads it.
+# A bound past the table sweeps again to that bound and replaces all three,
+# never changing them in place; every smaller bound reads them.
 _counts: list[int] = []
 _fields_by_h: dict[int, list[int]] = {}
 _field_objects_by_h: dict[int, list[FundamentalDiscriminant]] = {}
-_fcc_keys: list[int] = []
-_fcc_counts: list[int] = []
-
-# h_K of the validated fields past the sweep that _count_forms_by_a has
-# counted, emptied when it reaches PAST_SWEEP_LIMIT entries (about 1 MiB) and
-# when the sweep grows
-_past_sweep: dict[int, int] = {}
-PAST_SWEEP_LIMIT = 1 << 14
 
 # caps on the census inputs, by the time each protects (Python 3.11, 2 vCPU,
 # in process): a sweep to 10^5 takes 0.09-0.15 s, and _count_forms_by_a
@@ -226,11 +220,14 @@ MAX_FIELD_DISC = 10 ** 9
 
 
 def _retained(disc_bound: int) -> list[int]:
-    global _counts, _fields_by_h, _field_objects_by_h, _fcc_keys, _fcc_counts
+    global _counts, _fields_by_h, _field_objects_by_h
     if disc_bound > MAX_DISC_BOUND:
         raise BudgetError(f"disc bound {disc_bound} is past the census cap {MAX_DISC_BOUND}")
     if disc_bound >= len(_counts):
         counts, forms = _sweep(disc_bound)
+        # every m = 0, 3 (mod 4) from 3 on has its principal form: the views rely on it
+        if 0 in counts[3::4] or 0 in counts[4::4]:
+            raise InternalCheckError(f"the sweep to {disc_bound} missed the principal form of a discriminant")
         # -m is fundamental when it has forms and all of them are primitive:
         # were -m = g^2 D with g > 1, g times the principal form of D would not be
         fields_by_h: dict[int, list[int]] = {}
@@ -238,8 +235,6 @@ def _retained(disc_bound: int) -> list[int]:
             if h and h == n:
                 fields_by_h.setdefault(h, []).append(m)
         _counts, _fields_by_h, _field_objects_by_h = counts, dict(sorted(fields_by_h.items())), {}
-        _fcc_keys, _fcc_counts = [], []
-        _past_sweep.clear()
     return _counts
 
 
@@ -266,45 +261,42 @@ def _field_objects(h: int, k: int) -> list[FundamentalDiscriminant]:
 class FormClassCounts(MutableMapping):
     """form_class_counts's answer: discriminant -> count, keys ascending.
 
-    Until its first write it reads the retained lists from index start on,
-    a bisect per lookup; the first write copies that range into a dict of its
-    own.  The lists are replaced by a sweep that grows, never changed in
-    place, so an answer taken earlier still gives its own bound's counts."""
+    Until its first write it views the sweep's counts up to its bound n.  Its
+    keys are the D = 0, 1 (mod 4) with -n <= D <= -3, each of which has its
+    principal form, and no other D has a form (Cox, Section 2), so a lookup is
+    a range and residue test and one list read.  The first write copies the
+    range into a dict of its own.  A sweep that grows replaces the counts
+    list, never changes it in place, so an answer taken earlier still gives
+    its own bound's counts."""
 
-    __slots__ = ("_keys", "_counts", "_start", "_own")
+    __slots__ = ("_counts", "_n", "_own")
 
-    def __init__(self, keys: list[int], counts: list[int], start: int = 0, own: dict[int, int] | None = None):
-        self._keys, self._counts, self._start, self._own = keys, counts, start, own
+    def __init__(self, counts: list[int], n: int, own: dict[int, int] | None = None):
+        self._counts, self._n, self._own = counts, n, own
 
     def __getitem__(self, key):
         if self._own is not None:
             return self._own[key]
-        keys = self._keys
+        # found as a dict of the range finds it: -4.0 and Fraction(-23) are keys;
+        # d & 2 is 0 exactly when d = 0, 1 (mod 4)
         try:
-            i = bisect_left(keys, key, self._start)
-        except TypeError:
+            d = int(key)
+        except (TypeError, ValueError, OverflowError):
             raise KeyError(key) from None
-        if i < len(keys) and keys[i] == key:
-            return self._counts[i]
-        raise KeyError(key)
+        if d != key or d & 2 or not -self._n <= d <= -3:
+            raise KeyError(key)
+        return self._counts[-d]
 
     def __len__(self) -> int:
-        return len(self._own) if self._own is not None else len(self._keys) - self._start
+        return len(self._own) if self._own is not None else self._n // 4 + (self._n + 1) // 4
 
     def __iter__(self):
-        return iter(self._own) if self._own is not None else iter(self._keys[self._start:])
-
-    def values(self):
-        return _Values(self)
-
-    def items(self):
-        return _Items(self)
+        return iter(self._own) if self._own is not None else (d for d in range(-self._n, -2) if not d & 2)
 
     def _mine(self) -> dict[int, int]:
-        # the first write copies the range and lets go of the shared lists
+        # the first write copies the range and lets go of the shared list
         if self._own is None:
-            self._own = dict(zip(self._keys[self._start:], self._counts[self._start:]))
-            self._keys = self._counts = None
+            self._own, self._counts = dict(self.items()), None
         return self._own
 
     def __setitem__(self, key, value):
@@ -317,71 +309,44 @@ class FormClassCounts(MutableMapping):
         return self._mine().popitem()
 
     def clear(self):
-        self._own, self._keys, self._counts = {}, None, None
+        self._own, self._counts = {}, None
 
     def __reduce__(self):
         # copy.copy and pickle both take this: a dict of the range, owned
-        return FormClassCounts, ([], [], 0, dict(self.items()))
+        return FormClassCounts, ([], 0, dict(self.items()))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({dict(self.items())!r})"
 
 
-class _Values(ValuesView):
-    __slots__ = ()
-
-    def __iter__(self):
-        m = self._mapping
-        return iter(m._own.values()) if m._own is not None else iter(m._counts[m._start:])
-
-
-class _Items(ItemsView):
-    __slots__ = ()
-
-    def __iter__(self):
-        m = self._mapping
-        return iter(m._own.items()) if m._own is not None else zip(m._keys[m._start:], m._counts[m._start:])
-
-
 def form_class_counts(disc_bound: int) -> FormClassCounts:
     """Primitive reduced form counts for every discriminant -disc_bound <= disc < 0.
 
-    Keys run from -disc_bound up to -3.  The answer is a Mapping, not a dict
-    (dict(...) it for JSON): a view of the lists the retained sweep keeps of
-    its nonzero counts, so a bound at or below the largest one asked for so
-    far costs one bisect and copies nothing.  It is the caller's own: its
-    first write copies the range into a dict of its own.  While it has not
-    been written it keeps the lists of the sweep it came from alive (2.4 MiB
-    at MAX_DISC_BOUND).
+    Keys run from -disc_bound up to -3, over the discriminants 0 or 1 mod 4.
+    The answer is a Mapping, not a dict (dict(...) it for JSON): a view of
+    the retained sweep's counts, so a bound at or below the largest one asked
+    for so far copies nothing.  It is the caller's own: its first write
+    copies the range into a dict of its own.  While it has not been written
+    it keeps the counts of the sweep it came from alive (1.9 MiB at
+    MAX_DISC_BOUND).
     """
-    global _fcc_keys, _fcc_counts
     if disc_bound < 3:
         raise ValueError(f"disc_bound must be at least 3, got {disc_bound}")
-    counts = _retained(disc_bound)
-    if not _fcc_keys:
-        ms = [m for m in range(len(counts) - 1, 2, -1) if counts[m]]
-        _fcc_keys, _fcc_counts = [-m for m in ms], [counts[m] for m in ms]
-    return FormClassCounts(_fcc_keys, _fcc_counts, bisect_left(_fcc_keys, -disc_bound))
+    return FormClassCounts(_retained(disc_bound), disc_bound)
 
 
 def class_number_field(delta_k: int) -> int:
     """h_K: read from the retained sweep when |Delta_K| lies inside it, else
-    counted by _count_forms_by_a and kept in _past_sweep; |Delta_K| past
-    MAX_FIELD_DISC is refused."""
+    counted by _count_forms_by_a, which keeps the PAST_SWEEP_LIMIT last asked for;
+    |Delta_K| past MAX_FIELD_DISC is refused."""
     if not is_fundamental_discriminant(delta_k):
         raise ValueError(f"{delta_k} is not a fundamental discriminant of an imaginary quadratic field")
     if -delta_k < len(_counts):
         h = _counts[-delta_k]
     elif -delta_k > MAX_FIELD_DISC:
         raise BudgetError(f"|Delta_K| = {-delta_k} is past the class number cap {MAX_FIELD_DISC}")
-    elif delta_k in _past_sweep:
-        return _past_sweep[delta_k]
     else:
         h = _count_forms_by_a(delta_k)
-        if h >= 1:
-            if len(_past_sweep) >= PAST_SWEEP_LIMIT:
-                _past_sweep.clear()
-            _past_sweep[delta_k] = h
     if h < 1:
         raise InternalCheckError(f"no reduced form of discriminant {delta_k}")
     return h

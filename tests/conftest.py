@@ -16,10 +16,11 @@ def _src_on_subprocess_path(monkeypatch):
 @pytest.fixture
 def fresh_session(monkeypatch):
     """An empty retained sweep, past-sweep memo and set of census tables, as in
-    a new process; the session's own are put back afterwards."""
+    a new process; the session's sweep and tables are put back afterwards,
+    and its memo fills again as fields past the sweep are asked for."""
     from cmbrauer import cm_census, quadratic
 
-    for name, empty in (("_counts", []), ("_fields_by_h", {}), ("_field_objects_by_h", {}),
-                        ("_fcc_keys", []), ("_fcc_counts", []), ("_past_sweep", {})):
+    for name, empty in (("_counts", []), ("_fields_by_h", {}), ("_field_objects_by_h", {})):
         monkeypatch.setattr(quadratic, name, empty)
+    quadratic._count_forms_by_a.cache_clear()
     monkeypatch.setattr(cm_census, "_census_tables", {})

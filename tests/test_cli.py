@@ -286,9 +286,10 @@ def test_output_sink(tmp_path, capsys):
     assert "{" not in table
     assert "classnum" in table
     assert sink2.read_text() == out
-    # a sink that cannot be written is an error envelope, not a traceback
-    code, env = run_json(["classnum", "--disc", "-8", "--output", str(tmp_path / "no" / "x.json")], capsys)
-    assert code == 2 and env["error"]["type"] == "FileNotFoundError"
+    # a sink that cannot be written, an empty path included, is an error envelope, not a traceback
+    for sink_args in (["--output", str(tmp_path / "no" / "x.json")], ["--output", ""], ["--output="]):
+        code, env = run_json(["classnum", "--disc", "-8", *sink_args], capsys)
+        assert code == 2 and env["error"]["type"] == "FileNotFoundError", sink_args
 
 
 def test_table_format(capsys):

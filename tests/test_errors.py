@@ -83,6 +83,10 @@ _BROKEN_INVARIANTS = textwrap.dedent("""
     # -211 lies past the sweep to 200 above, so the per-field count answers
     quadratic._count_forms_by_a = lambda delta_k: 0
     checks += [raises_internal(lambda: quadratic.class_number_field(-211))]
+    # a sweep past the current one in which -23 has no form at all
+    sweep = quadratic._sweep
+    quadratic._sweep = lambda bound: [[0 if m == 23 else h for m, h in enumerate(c)] for c in sweep(bound)]
+    checks += [raises_internal(lambda: quadratic._retained(300))]
     print(checks)
 """)
 
@@ -91,4 +95,4 @@ _BROKEN_INVARIANTS = textwrap.dedent("""
 def test_soundness_checks_survive_python_O(flags):
     out = subprocess.run([sys.executable, *flags, "-c", _BROKEN_INVARIANTS],
                          capture_output=True, text=True, check=True).stdout
-    assert out.strip() == str([True] * 14)
+    assert out.strip() == str([True] * 15)

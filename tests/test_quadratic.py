@@ -382,29 +382,21 @@ def test_large_sweep_then_smaller_bounds_match_cold_processes():
     assert warm == cold
 
 
-def test_past_sweep_memo_stays_bounded(fresh_session, monkeypatch):
-    monkeypatch.setattr(quadratic, "PAST_SWEEP_LIMIT", 8)
-    counted = []
-    monkeypatch.setattr(quadratic, "_count_forms_by_a", lambda dk: counted.append(dk) or _count_forms_by_a(dk))
+def test_past_sweep_memo_stays_bounded(fresh_session):
+    memo = quadratic._count_forms_by_a
+    assert memo.cache_info().maxsize == quadratic.PAST_SWEEP_LIMIT
     quadratic._retained(100)
     fresh = [-m for m in range(101, 400) if is_fundamental_discriminant(-m)][:20]
-    for dk in fresh:
-        assert class_number_field(dk) == count_reduced_forms(dk)
-        assert 1 <= len(quadratic._past_sweep) <= 8
-    # emptied at the 9th and the 17th field, so the last four are kept
-    assert quadratic._past_sweep == {dk: count_reduced_forms(dk) for dk in fresh[16:]}
-    for dk in fresh[16:]:
-        assert class_number_field(dk) == count_reduced_forms(dk)
-    assert counted == fresh
+    for expected_hits in (0, 20):
+        assert [class_number_field(dk) for dk in fresh] == [count_reduced_forms(dk) for dk in fresh]
+        assert memo.cache_info()[:2] == (expected_hits, 20)  # (hits, misses)
     # -108 = 4 * 27 is not fundamental: refused before the memo is read
-    quadratic._past_sweep[-108] = 3
     with pytest.raises(ValueError, match="not a fundamental discriminant"):
         class_number_field(-108)
-    # a sweep that grows empties the memo
+    # past a sweep that grows over them, the sweep answers and the memo is not read
     quadratic._retained(500)
-    assert quadratic._past_sweep == {}
     assert [class_number_field(dk) for dk in fresh] == [count_reduced_forms(dk) for dk in fresh]
-    assert counted == fresh
+    assert memo.cache_info()[:2] == (20, 20)
 
 
 def test_census_caches_stay_bounded():
@@ -419,11 +411,12 @@ def test_census_caches_stay_bounded():
 
 
 def _fcc_oracle(n):
-    # the same retained lists read by a filter instead of a bisect
-    return {k: h for k, h in zip(quadratic._fcc_keys, quadratic._fcc_counts) if k >= -n}
+    # the retained counts read by their nonzero entries instead of the mod-4 rule
+    counts = quadratic._retained(n)
+    return {-m: counts[m] for m in range(n, 2, -1) if counts[m]}
 
 
-@pytest.mark.parametrize("n", [20000, 2000, 300, 3])
+@pytest.mark.parametrize("n", [20000, 2000, 300, 6, 5, 4, 3])
 def test_form_class_counts_view_matches_a_dict(n):
     counts = form_class_counts(n)
     oracle = _fcc_oracle(n)
@@ -431,6 +424,10 @@ def test_form_class_counts_view_matches_a_dict(n):
     assert list(counts) == list(oracle)
     for k, h in oracle.items():
         assert k in counts and counts[k] == counts.get(k) == h
+    # keys equal to an int are found, as in a dict
+    for key in (-4.0, Fraction(-23)):
+        assert (key in counts) == (key in oracle) == (n >= -key)
+        assert counts.get(key) == oracle.get(key)
     for _ in range(2):
         assert list(counts.keys()) == list(oracle.keys())
         assert list(counts.values()) == list(oracle.values())
@@ -441,10 +438,10 @@ def test_form_class_counts_view_matches_a_dict(n):
     assert counts.keys() & {-3, -4, 5} == {-3, -4} & oracle.keys()
 
 
-@pytest.mark.parametrize("n", [20000, 2000, 300, 3])
+@pytest.mark.parametrize("n", [20000, 2000, 300, 6, 5, 4, 3])
 def test_form_class_counts_missing_keys_raise_key_error(n):
     counts = form_class_counts(n)
-    for key in (-1, -2, -5, 0, -(n + 4), "x", 1.5, None):
+    for key in (-1, -2, -5, 0, -(n + 4), "x", "-4", 1.5, -4.5, None, True):
         assert key not in counts and counts.get(key, "absent") == "absent"
         with pytest.raises(KeyError):
             counts[key]
@@ -493,14 +490,16 @@ def test_form_class_counts_copies_are_independent():
     assert counts[-23] == 5 and pickle.loads(pickle.dumps(counts))[-23] == 5
 
 
-def test_form_class_counts_call_copies_nothing():
-    form_class_counts(20000)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        counts = form_class_counts(20000)
-        kept = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    # a dict of the range would hold about 295 KiB
-    assert len(counts) == len(_fcc_oracle(20000)) and kept < 4096, kept
+def test_form_class_counts_call_copies_nothing(fresh_session):
+    quadratic._retained(20000)
+    # the first call after a fresh sweep, then a later one
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            counts = form_class_counts(20000)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # a dict of the range would hold about 295 KiB
+        assert len(counts) == len(_fcc_oracle(20000)) and kept < 4096, kept
