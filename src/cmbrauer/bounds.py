@@ -6,25 +6,34 @@ replaced by rational enclosures oriented so the floored output is a true
 upper bound for the real value.  Every factor is positive, so that upper
 bound is the product of upper endpoints (the lower endpoint of pi for a
 negative power of pi), formed in integers as one numerator and one
-denominator and floored once.  Degree-descent constants are exact integers
-and are never rounded.
+denominator and floored once.  The enclosures are integer pairs (lo, hi)
+over the eps grid's denominator h, from cmbrauer.rounding: eval_bound checks
+eps once, _evaluate reads the grid once and multiplies the integer
+endpoints straight into the product, and the rounding certificate is
+written from each (n, h) as str(Fraction(n, h)) would write it, with no
+Fraction made past the builder.  Degree-descent constants are exact
+integers and are never rounded.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Callable, NamedTuple
 
 from .errors import Frozen, InternalCheckError, bounded_digits, bounded_power
 from .minkowski import minkowski_M
-from .rounding import COARSE_EPS, DEFAULT_EPS, check_eps, ln_bracket, pi_bracket, sqrt_bracket
+from .rounding import COARSE_EPS, DEFAULT_EPS, _decimal_places, _ln_grid, _pi_tier, _sqrt_grid, check_eps
 
-# certified height constants, exact rationals by fiat
-_C34 = Fraction(34, 10)
+# certified height constants, exact rationals by fiat, and the products the
+# builders take of them: (3.4)^2 10^8, (3.4) 10^4, (2.73) 109 and (5.46) 109 + 3
+_C34_SQUARED_E8 = 1156000000
+_C34_E4 = 34000
 _C323 = Fraction(323, 100)
 _C273 = Fraction(273, 100)
 _C546 = Fraction(546, 100)
-_HEIGHT_SHIFT = 109
+_C273_SHIFT = _C273 * 109
+_C546_SHIFT = _C546 * 109 + 3
 
 
 class LogFactor(NamedTuple):
@@ -47,12 +56,13 @@ class SymbolicProduct(Frozen):
         object.__setattr__(self, "pi_exp", pi_exp)
         object.__setattr__(self, "sqrt_arg", sqrt_arg)
         object.__setattr__(self, "log_factors", log_factors)
-        if self.rational <= 0 or self.sqrt_arg < 1:
+        # on numerators: every denominator is positive
+        if self.rational.numerator <= 0 or self.sqrt_arg < 1:
             raise InternalCheckError(f"rational {self.rational} or sqrt argument {self.sqrt_arg} is not positive")
         for lf in self.log_factors:
-            if lf.arg < 1 or lf.power < 1:
+            if lf.arg.numerator < lf.arg.denominator or lf.power < 1:
                 raise InternalCheckError(f"log factor {lf} needs arg >= 1 and power >= 1")
-            if lf.coeff < 0:
+            if lf.coeff.numerator < 0:
                 raise InternalCheckError(f"log factor {lf} needs coeff >= 0, so that it is largest at ln.hi")
 
 
@@ -128,11 +138,11 @@ _CHECKED_LAST = ("delta_k", "class_number_one")
 
 def _grh_log(arg, power: int = 4) -> LogFactor:
     # the recurring height factor (3.23) ln(arg) + (2.73)*109
-    return LogFactor(coeff=_C323, arg=Fraction(arg), shift=_C273 * _HEIGHT_SHIFT, power=power)
+    return LogFactor(coeff=_C323, arg=Fraction(arg), shift=_C273_SHIFT, power=power)
 
 
 def _build_uncond_lattice(disc_lambda, d) -> SymbolicProduct:
-    r = Fraction(2 ** 34 * 3 ** 3) * minkowski_M(20).value ** 4 * disc_lambda * disc_lambda * d ** 4
+    r = Fraction(2 ** 34 * 3 ** 3 * minkowski_M(20).value ** 4 * disc_lambda * disc_lambda * d ** 4)
     return SymbolicProduct(rational=r, pi_exp=-2)
 
 
@@ -153,13 +163,14 @@ def _build_ab_lattice(disc_lambda, L_deg, delta_k, class_number_one=False) -> Sy
 
 
 def _build_degree_grh(L_deg) -> SymbolicProduct:
-    r = _C34 ** 2 * 10 ** 8 * L_deg ** 12
+    r = Fraction(_C34_SQUARED_E8 * L_deg ** 12)
     return SymbolicProduct(rational=r, log_factors=(_grh_log(L_deg),))
 
 
 def _build_singular_cover_grh(d) -> SymbolicProduct:
     m20 = minkowski_M(20).value
-    r = Fraction(2 ** 130 * 3 ** 12 * 5 ** 8) * _C34 ** 2 * m20 ** 12 * d ** 12
+    # 2^130 * 5^8 * (3.4)^2 = 2^122 * (3.4)^2 * 10^8
+    r = Fraction(2 ** 122 * 3 ** 12 * _C34_SQUARED_E8 * m20 ** 12 * d ** 12)
     return SymbolicProduct(rational=r, log_factors=(_grh_log(2 ** 10 * 3 * m20 * d),))
 
 
@@ -171,20 +182,20 @@ def _build_isog_pair(f1, f2, delta_k, M_deg, class_number_one=False) -> Symbolic
 
 
 def _build_isog_pair_grh(M_over_k_deg, k_deg) -> SymbolicProduct:
-    r = _C34 ** 2 * 10 ** 8 * M_over_k_deg ** 4 * k_deg ** 12
+    r = Fraction(_C34_SQUARED_E8 * M_over_k_deg ** 4 * k_deg ** 12)
     return SymbolicProduct(rational=r, log_factors=(_grh_log(k_deg),))
 
 
 def _build_nonisog_grh(compositum_deg, d) -> SymbolicProduct:
-    r = Fraction(2 ** 316 * 241 ** 24) * compositum_deg ** 24
-    lf = LogFactor(coeff=_C546, arg=Fraction(d), shift=_C546 * _HEIGHT_SHIFT + 3, power=24)
+    r = Fraction(2 ** 316 * 241 ** 24 * compositum_deg ** 24)
+    lf = LogFactor(coeff=_C546, arg=Fraction(d), shift=_C546_SHIFT, power=24)
     return SymbolicProduct(rational=r, log_factors=(lf,))
 
 
 def _build_kummer_nonisog_grh(d) -> SymbolicProduct:
     m18 = minkowski_M(18).value
-    r = Fraction(2 ** 508 * 241 ** 24) * m18 ** 24 * d ** 24
-    lf = LogFactor(coeff=_C546, arg=Fraction(2 ** 6 * m18 * d), shift=_C546 * _HEIGHT_SHIFT + 3, power=24)
+    r = Fraction(2 ** 508 * 241 ** 24 * m18 ** 24 * d ** 24)
+    lf = LogFactor(coeff=_C546, arg=Fraction(2 ** 6 * m18 * d), shift=_C546_SHIFT, power=24)
     return SymbolicProduct(rational=r, log_factors=(lf,))
 
 
@@ -193,12 +204,12 @@ def _build_isogeny_degree(f1, f2=1, *, delta_k) -> SymbolicProduct:
 
 
 def _build_isogeny_degree_grh(d) -> SymbolicProduct:
-    r = _C34 * 10 ** 4 * d * d
+    r = Fraction(_C34_E4 * d * d)
     return SymbolicProduct(rational=r, log_factors=(_grh_log(d, power=2),))
 
 
 def _build_faltings_grh(d) -> SymbolicProduct:
-    lf = LogFactor(coeff=_C273, arg=Fraction(d), shift=_C273 * _HEIGHT_SHIFT, power=1)
+    lf = LogFactor(coeff=_C273, arg=Fraction(d), shift=_C273_SHIFT, power=1)
     return SymbolicProduct(rational=Fraction(1), log_factors=(lf,))
 
 
@@ -245,8 +256,15 @@ FORMULAS: dict[str, BoundFormula] = {
 GRH_IDS = frozenset(k for k, f in FORMULAS.items() if f.grh)
 
 
+def _ratio(n: int, d: int) -> str:
+    # str(Fraction(n, d)) for n >= 0 and d > 0, with no Fraction made
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
 def _evaluate(sym: SymbolicProduct, eps) -> tuple[int, dict]:
-    # eps None means the documented default: coarse pi pair, ln and sqrt to 1e-9
+    # eps None means the documented default: coarse pi pair, ln and sqrt to
+    # 1e-9; a given eps has been checked
     pi_eps = COARSE_EPS if eps is None else eps
     fn_eps = DEFAULT_EPS if eps is None else eps
     cert: dict = {"pi_eps": str(pi_eps), "fn_eps": str(fn_eps)}
@@ -254,26 +272,27 @@ def _evaluate(sym: SymbolicProduct, eps) -> tuple[int, dict]:
     # of the factors' upper endpoints (pi.lo for pi^-1); it is kept as num / den
     num, den = sym.rational.numerator, sym.rational.denominator
     if sym.pi_exp != 0:
-        p = pi_bracket(pi_eps)
-        cert["pi"] = [str(p.lo), str(p.hi)]
+        lo, hi, h = _pi_tier(pi_eps)
+        cert["pi"] = [_ratio(lo, h), _ratio(hi, h)]
         e = abs(sym.pi_exp)
         if sym.pi_exp < 0:
-            num, den = num * p.lo.denominator ** e, den * p.lo.numerator ** e
+            num, den = num * h ** e, den * lo ** e
         else:
-            num, den = num * p.hi.numerator ** e, den * p.hi.denominator ** e
+            num, den = num * hi ** e, den * h ** e
+    s = _decimal_places(fn_eps)
     if sym.sqrt_arg != 1:
-        s = sqrt_bracket(sym.sqrt_arg, fn_eps)
-        cert["sqrt"] = [str(s.lo), str(s.hi)]
-        num, den = num * s.hi.numerator, den * s.hi.denominator
+        lo, hi, h = _sqrt_grid(sym.sqrt_arg, s)
+        cert["sqrt"] = [_ratio(lo, h), _ratio(hi, h)]
+        num, den = num * hi, den * h
     for i, lf in enumerate(sym.log_factors):
-        ln_b = ln_bracket(lf.arg, fn_eps)
-        cert[f"ln_{i}"] = [str(ln_b.lo), str(ln_b.hi)]
-        # coeff * ln + shift = (c * l * sd + sh * cd * ld) / (cd * sd * ld), a positive denominator
+        lo, hi, h = _ln_grid(lf.arg, s)
+        cert[f"ln_{i}"] = [_ratio(lo, h), _ratio(hi, h)]
+        # coeff * ln + shift at ln = l / h is (c * l * sd + sh * cd * h) / (cd * sd * h), a positive denominator
         c, cd, sh, sd = lf.coeff.numerator, lf.coeff.denominator, lf.shift.numerator, lf.shift.denominator
-        if c * ln_b.lo.numerator * sd + sh * cd * ln_b.lo.denominator <= 0:
+        if c * lo * sd + sh * cd * h <= 0:
             raise InternalCheckError(f"log factor {lf} may be nonpositive, so its power is not monotone")
-        num *= (c * ln_b.hi.numerator * sd + sh * cd * ln_b.hi.denominator) ** lf.power
-        den *= (cd * sd * ln_b.hi.denominator) ** lf.power
+        num *= (c * hi * sd + sh * cd * h) ** lf.power
+        den *= (cd * sd * h) ** lf.power
     return num // den, cert
 
 
@@ -302,7 +321,7 @@ def eval_bound(bound_id: str, inputs: dict, eps=None, assume_grh: bool = False) 
     for name, q in (("rational", sym.rational), ("sqrt argument", sym.sqrt_arg),
                     *(("log argument", lf.arg) for lf in sym.log_factors)):
         bounded_digits(max(q.numerator, q.denominator), f"the {name} of {bound_id}")
-    # after the inputs, which are reported first; the brackets check eps too, but a formula may use none
+    # eps is checked here, once, after the inputs, which are reported first
     bound, cert = _evaluate(sym, None if eps is None else check_eps(eps))
     return BoundReport(
         bound_id=bound_id,

@@ -42,7 +42,23 @@ class _InternalError(Exception):
 
 
 def _canonical_payload(x):
-    if x is None or isinstance(x, (bool, str)):
+    """x with str keys, ints and Fractions as decimal strings, and tuples as
+    lists, dispatched on its exact class."""
+    kind = type(x)
+    if kind is str or kind is bool or x is None:
+        return x
+    if kind is dict:
+        return {str(k): _canonical_payload(v) for k, v in x.items()}
+    if kind is list or kind is tuple:
+        return [_canonical_payload(v) for v in x]
+    if kind is int or kind is Fraction:
+        return str(x)
+    return _canonical_subclass(x)
+
+
+def _canonical_subclass(x):
+    # an instance of a subclass of those classes is rendered as its base
+    if isinstance(x, str):
         return x
     if isinstance(x, dict):
         return {str(k): _canonical_payload(v) for k, v in x.items()}
@@ -53,8 +69,11 @@ def _canonical_payload(x):
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _serialize(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(payload)
 
 
 def _format_table(payload: dict) -> str:
@@ -221,9 +240,11 @@ def _parse_eps(text: str) -> Fraction:
     magnitude, which check_eps could never accept, is refused before Fraction
     forms its power of ten; a digit run or a value past MAX_DIGITS digits too."""
     from .errors import MAX_DIGITS, BudgetError, bounded_digits
-    if any(len(run.replace("_", "")) > MAX_DIGITS for run in re.findall(r"[\d_]+", text)):
+    # no shorter text holds such a run, and no text without an e such an exponent
+    if len(text) > MAX_DIGITS and any(len(run.replace("_", "")) > MAX_DIGITS
+                                      for run in re.findall(r"[\d_]+", text)):
         raise BudgetError(f"--eps has a run of more than {MAX_DIGITS} digits")
-    exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
+    exponent = ("e" in text or "E" in text) and re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
     if exponent and abs(int(exponent[1])) > MAX_DIGITS:
         raise _CliError(f"--eps exponent must lie within +-{MAX_DIGITS}, got {text!r}")
     try:

@@ -18,7 +18,7 @@ from .quadratic import (
     enumerate_fields_by_class_number,
     unit_index,
 )
-from .rounding import DEFAULT_EPS, ln_bracket
+from .rounding import DEFAULT_EPS, _decimal_places, _ln_grid, check_eps
 
 # max conductor with ring class degree 1 in the exceptional fields: the
 # exceptional cases with f > degree^2 all have f <= 7, and f > 3 forces degree 2
@@ -258,9 +258,9 @@ def singular_k3_bound(d: int, field_count: int, eps=DEFAULT_EPS) -> int:
         return 0
     what = "the singular K3 bound"
     scale = bounded_digits(3 * d ** 3 * field_count, what)
-    # (ln + 1) * scale on the upper endpoint of ln, floored in integers
-    ln = ln_bracket(3 * d * d, eps).hi
-    return bounded_digits(scale * (ln.numerator + ln.denominator) // ln.denominator, what)
+    # (ln + 1) * scale on the upper endpoint hi / h of ln, floored in integers
+    _, hi, h = _ln_grid(3 * d * d, _decimal_places(check_eps(eps)))
+    return bounded_digits(scale * (hi + h) // h, what)
 
 
 def singular_k3_refined_sum(d: int, disc_search_bound: int) -> int:

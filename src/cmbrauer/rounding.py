@@ -1,19 +1,28 @@
-"""Certified rational brackets for pi, natural log, and square roots.
+"""Certified rational enclosures of pi, natural log, and square roots.
 
-Every approximation here is a pair of rationals (lo, hi) enclosing the true
-value.  Directed rounding keeps integer bounds sound: evaluate the bound's
-expression on upper endpoints (lower endpoints for reciprocal factors) and
-floor at the very end.  cmbrauer.bounds and cmbrauer.cm_census do this on
-the numerators and denominators of the endpoints, forming the product as one
-integer pair that they floor once.  Brackets at a finer eps are subsets of
-brackets at a coarser eps by construction, so reported bounds never increase
-when the precision is tightened.
+Every enclosure here is a pair of integers (lo, hi) over a denominator h,
+enclosing the true value in [lo/h, hi/h].  Directed rounding keeps integer
+bounds sound: evaluate the bound's expression on upper endpoints (lower
+endpoints for reciprocal factors) and floor at the very end.
+cmbrauer.bounds and cmbrauer.cm_census multiply these integers straight
+into one numerator and one denominator, which they floor once.  Enclosures
+at a finer eps are subsets of enclosures at a coarser eps by construction,
+so reported bounds never increase when the precision is tightened.
+
+ln and sqrt land on the eps grid: for the least s >= 1 with 10^-s <= eps,
+ln is rounded outward to multiples of 1/h with h = 4 * 10^s and sqrt to
+multiples of 1/10^s (_ln_grid and _sqrt_grid take s).  pi has two tiers,
+held as integer pairs.  A caller checks eps once with check_eps and reads
+s once from _decimal_places.  Bracket, the pair as two Fractions, exists
+only at the public API: ln_bracket, sqrt_bracket and pi_bracket check eps
+and build one Bracket from the same integer pair.
 
 ln x is summed in integers: x = y * 2^k with y in [1, 2), ln y = 2 atanh t
 as a fixed-point series in t = (y - 1) / (y + 1) <= 1/3 with 128 fraction
 bits, widened by the error bound proven in _ln_fixed, plus k times a ln 2
-enclosure 64 bits finer.  Every such master enclosure is checked to be at
-most 10^-30 wide before it is rounded outward to the eps grid.
+enclosure 64 bits finer.  Every such master enclosure is checked to be
+nonempty and at most 10^-30 wide before it is rounded outward to the eps
+grid.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ FINE_EPS = Fraction(1, 10 ** 12)
 _MIN_EPS = Fraction(1, 10 ** 18)
 
 # pi = 3.14159265358979323846 26433...; truncation is a certified lower endpoint
-_PI_20_DIGITS = Fraction(314159265358979323846, 10 ** 20)
+_PI_20_DIGITS = 314159265358979323846
 
 
 class Bracket(Frozen):
@@ -44,22 +53,16 @@ class Bracket(Frozen):
             raise InternalCheckError(f"bracket [{self.lo}, {self.hi}] is empty")
 
 
+def _bracket(lo: int, hi: int, h: int) -> Bracket:
+    return Bracket(Fraction(lo, h), Fraction(hi, h))
+
+
 def check_eps(eps: Fraction) -> Fraction:
-    eps = Fraction(eps)
+    if type(eps) is not Fraction:
+        eps = Fraction(eps)
     if not _MIN_EPS <= eps < 1:
         raise ValueError(f"eps must lie in [{_MIN_EPS}, 1), got {eps}")
     return eps
-
-
-# the two tiers of pi_bracket: the classical 355/113 bound, narrowed below
-# by COARSE_EPS relative, and the 20-digit truncation
-_PI_COARSE = Bracket(Fraction(355, 113) * (1 - COARSE_EPS), Fraction(355, 113))
-_PI_FINE = Bracket(_PI_20_DIGITS, _PI_20_DIGITS + Fraction(1, 10 ** 20))
-
-
-def pi_bracket(eps: Fraction = DEFAULT_EPS) -> Bracket:
-    """Certified enclosure of pi. The coarse tier is the classical 355/113 bound."""
-    return _PI_COARSE if check_eps(eps) >= COARSE_EPS else _PI_FINE
 
 
 def _decimal_places(eps: Fraction) -> int:
@@ -69,11 +72,20 @@ def _decimal_places(eps: Fraction) -> int:
     return len(str(-(-eps.denominator // eps.numerator) - 1))
 
 
-def _outward(b: Bracket, h: int) -> Bracket:
-    # widen to multiples of 1/h; nested grids give nested outputs
-    lo = b.lo.numerator * h // b.lo.denominator
-    hi = -(-b.hi.numerator * h // b.hi.denominator)
-    return Bracket(Fraction(lo, h), Fraction(hi, h))
+# the two tiers of pi as (lo, hi, h): the classical 355/113 bound, narrowed
+# below by COARSE_EPS relative, and the 20-digit truncation
+_PI_COARSE = (355 * (10 ** 6 - 1), 355 * 10 ** 6, 113 * 10 ** 6)
+_PI_FINE = (_PI_20_DIGITS, _PI_20_DIGITS + 1, 10 ** 20)
+_PI_BRACKETS = {tier: _bracket(*tier) for tier in (_PI_COARSE, _PI_FINE)}
+
+
+def _pi_tier(eps: Fraction) -> tuple[int, int, int]:
+    return _PI_COARSE if eps >= COARSE_EPS else _PI_FINE
+
+
+def pi_bracket(eps: Fraction = DEFAULT_EPS) -> Bracket:
+    """Certified enclosure of pi. The coarse tier is the classical 355/113 bound."""
+    return _PI_BRACKETS[_pi_tier(check_eps(eps))]
 
 
 _LN_MASTER = Fraction(1, 10 ** 30)
@@ -123,9 +135,10 @@ _LN2_BITS = _B + 64
 _LN2 = _ln_fixed(1, 3, _LN2_BITS)
 
 
-def _ln_master(x: Fraction) -> Bracket:
-    # ln x for x >= 1 to within _LN_MASTER, from x = y * 2^k with y in [1, 2):
-    # ln y = 2 atanh(t) with t = (y - 1) / (y + 1) = (n - d 2^k) / (n + d 2^k)
+def _ln_master(x) -> tuple[int, int]:
+    # ln x for rational x >= 1 to within _LN_MASTER, as (lo, hi) over
+    # 2^_LN2_BITS, from x = y * 2^k with y in [1, 2): ln y = 2 atanh(t) with
+    # t = (y - 1) / (y + 1) = (n - d 2^k) / (n + d 2^k)
     n, d = x.numerator, x.denominator
     k = n.bit_length() - d.bit_length()
     if n < d << k:
@@ -134,10 +147,26 @@ def _ln_master(x: Fraction) -> Bracket:
     shift = _LN2_BITS - _B
     lo = (lo << shift) + k * _LN2[0]
     hi = (hi << shift) + k * _LN2[1]
-    if (hi - lo) * _LN_MASTER.denominator > _LN_MASTER.numerator << _LN2_BITS:
-        raise InternalCheckError(f"ln enclosure of {x} is {hi - lo} / 2^{_LN2_BITS} wide, past {_LN_MASTER}")
-    one = 1 << _LN2_BITS
-    return Bracket(Fraction(lo, one), Fraction(hi, one))
+    if not 0 <= (hi - lo) * _LN_MASTER.denominator <= _LN_MASTER.numerator << _LN2_BITS:
+        raise InternalCheckError(f"ln enclosure of {x} is {hi - lo} / 2^{_LN2_BITS} wide, not in [0, {_LN_MASTER}]")
+    return lo, hi
+
+
+def _ln_grid(x, s: int) -> tuple[int, int, int]:
+    # ln x for rational x >= 1 as (lo, hi, h), h = 4 * 10^s: the master
+    # enclosure widened outward to multiples of 1/h; nested grids give nested
+    # outputs
+    lo, hi = _ln_master(x)
+    h = 4 * 10 ** s
+    return (lo * h) >> _LN2_BITS, -((-hi * h) >> _LN2_BITS), h
+
+
+def _sqrt_grid(x, s: int) -> tuple[int, int, int]:
+    # sqrt x for rational x >= 0 as (r, r + 1, h), h = 10^s, with
+    # r = isqrt(floor(x h^2))
+    h = 10 ** s
+    r = isqrt(x.numerator * h * h // x.denominator)
+    return r, r + 1, h
 
 
 def ln_bracket(x, eps: Fraction = DEFAULT_EPS) -> Bracket:
@@ -147,21 +176,17 @@ def ln_bracket(x, eps: Fraction = DEFAULT_EPS) -> Bracket:
     10^-s / 4 for the least s >= 1 with 10^-s <= eps, so enclosures at finer
     eps are contained in coarser ones.
     """
-    eps = check_eps(eps)
+    s = _decimal_places(check_eps(eps))
     x = Fraction(x)
     if x < 1:
         raise ValueError(f"ln bracket only supports x >= 1, got {x}")
-    return _outward(_ln_master(x), 4 * 10 ** _decimal_places(eps))
+    return _bracket(*_ln_grid(x, s))
 
 
 def sqrt_bracket(x, eps: Fraction = DEFAULT_EPS) -> Bracket:
     """Certified enclosure of sqrt(x) for rational x >= 0, width at most eps."""
-    eps = check_eps(eps)
+    s = _decimal_places(check_eps(eps))
     x = Fraction(x)
     if x < 0:
         raise ValueError(f"sqrt bracket needs x >= 0, got {x}")
-    scale = 10 ** _decimal_places(eps)
-    m = (x.numerator * scale * scale) // x.denominator  # floor(x * 10^(2s))
-    r = isqrt(m)
-    return Bracket(Fraction(r, scale), Fraction(r + 1, scale))
-
+    return _bracket(*_sqrt_grid(x, s))

@@ -4,12 +4,13 @@ No production path calls them.
 """
 
 import argparse
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
 from cmbrauer import cli
-from cmbrauer.errors import InternalCheckError
+from cmbrauer.errors import MAX_DIGITS, BudgetError, InternalCheckError, bounded_digits
 from cmbrauer.primes import divisors
 from cmbrauer.rounding import COARSE_EPS, DEFAULT_EPS, Bracket, ln_bracket, pi_bracket, sqrt_bracket
 
@@ -171,3 +172,36 @@ def argparse_reference(command: str, argv: list[str]) -> tuple[dict | None, str 
         return vars(parser.parse_args(list(argv))), None
     except _Refused as e:
         return None, str(e)
+
+
+def canonical_payload_reference(x):
+    """x as the canonical payload, by an isinstance ladder: None, bools and
+    strs as they are, dicts with str keys, lists and tuples as lists, ints and
+    Fractions as decimal strings; anything else is a TypeError.  The oracle
+    for cli._canonical_payload."""
+    if x is None or isinstance(x, (bool, str)):
+        return x
+    if isinstance(x, dict):
+        return {str(k): canonical_payload_reference(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [canonical_payload_reference(v) for v in x]
+    if isinstance(x, (int, Fraction)):
+        return str(x)
+    raise TypeError(f"cannot serialize {type(x).__name__}")
+
+
+def parse_eps_reference(text: str) -> Fraction:
+    """The --eps text as a Fraction, with every text scanned for a digit run
+    and a decimal exponent past MAX_DIGITS before Fraction reads it.  The
+    oracle for cli._parse_eps, which scans only texts that could hold them."""
+    if any(len(run.replace("_", "")) > MAX_DIGITS for run in re.findall(r"[\d_]+", text)):
+        raise BudgetError(f"--eps has a run of more than {MAX_DIGITS} digits")
+    exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
+    if exponent and abs(int(exponent[1])) > MAX_DIGITS:
+        raise cli._CliError(f"--eps exponent must lie within +-{MAX_DIGITS}, got {text!r}")
+    try:
+        eps = Fraction(text)
+    except ZeroDivisionError:
+        raise cli._CliError(f"--eps has a zero denominator, got {text!r}") from None
+    bounded_digits(max(abs(eps.numerator), eps.denominator), "--eps")
+    return eps

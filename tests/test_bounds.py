@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmbrauer import bounds
+from cmbrauer import bounds, rounding
 from cmbrauer.bounds import (
     FORMULAS,
     GRH_IDS,
@@ -23,7 +23,7 @@ from cmbrauer.bounds import (
 from cmbrauer.errors import InternalCheckError
 from cmbrauer.minkowski import minkowski_M
 from cmbrauer.quadratic import is_fundamental_discriminant
-from cmbrauer.rounding import COARSE_EPS, DEFAULT_EPS, FINE_EPS, ln_bracket
+from cmbrauer.rounding import COARSE_EPS, DEFAULT_EPS, FINE_EPS
 from oracles import bracket_product
 
 PI_REF = Fraction(3141592653589793238462643383279502884197, 10 ** 39)
@@ -389,15 +389,35 @@ def _count_fractions(monkeypatch):
     return made
 
 
-def test_evaluation_makes_no_fraction_past_the_builder_and_the_enclosures(monkeypatch):
-    # the Fractions of one bound are those its builder and its ln enclosure
-    # make; the product and the floor are formed in integers
-    inputs = {"d": 3}
-    eval_bound("kummer_nonisog_GRH", inputs, assume_grh=True)
+@pytest.mark.parametrize("eps", [None, Fraction(3, 10 ** 7)], ids=["default", "explicit"])
+@pytest.mark.parametrize("bound_id", sorted(FORMULAS))
+def test_evaluation_makes_exactly_the_builders_fractions(monkeypatch, bound_id, eps):
+    # the enclosures, the product, its floor and the certificate are formed in
+    # integers, and a Fraction eps is checked as it is
+    inputs = SAMPLE_INPUTS[bound_id]
+    _run(bound_id, inputs, eps=eps)
     made = _count_fractions(monkeypatch)
-    sym = FORMULAS["kummer_nonisog_GRH"].build(**inputs)
-    ln_bracket(sym.log_factors[0].arg, DEFAULT_EPS)
-    parts = len(made)
+    FORMULAS[bound_id].build(**inputs)
+    built = len(made)
     made.clear()
-    eval_bound("kummer_nonisog_GRH", inputs, assume_grh=True)
-    assert len(made) == parts
+    _run(bound_id, inputs, eps=eps)
+    assert len(made) == built
+
+
+@pytest.mark.parametrize("bound_id", sorted(FORMULAS))
+def test_an_explicit_eps_is_checked_once(monkeypatch, bound_id):
+    # by eval_bound, and by no enclosure after it
+    checked = []
+    real_check = rounding.check_eps
+
+    def counting_check(eps):
+        checked.append(eps)
+        return real_check(eps)
+
+    for module in (rounding, bounds):
+        monkeypatch.setattr(module, "check_eps", counting_check)
+    _run(bound_id, SAMPLE_INPUTS[bound_id], eps=Fraction(3, 10 ** 7))
+    assert checked == [Fraction(3, 10 ** 7)]
+    checked.clear()
+    _run(bound_id, SAMPLE_INPUTS[bound_id])
+    assert checked == []

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from cmbrauer import cli, cm_census, quadratic
 from cmbrauer.bounds import FORMULAS, field_tower_constants
 from cmbrauer.quadratic import IntegralityError
-from oracles import argparse_reference
+from oracles import argparse_reference, canonical_payload_reference, parse_eps_reference
 
 
 # each needs a primality verdict for 2^89 - 1, which lies past psi_13
@@ -656,6 +656,73 @@ def test_canonical_payload_of_every_kind():
     for bad in (1.5, {1}, b"x", [1, object()], {"k": frozenset()}):
         with pytest.raises(TypeError, match="cannot serialize"):
             cli._canonical_payload(bad)
+
+
+class _Tuple(tuple):
+    pass
+
+
+class _Fraction(Fraction):
+    pass
+
+
+def _outcome(call, *args):
+    # a call's value, or the type and message of what it raised
+    try:
+        return call(*args)
+    except Exception as e:
+        return type(e), str(e)
+
+
+_KEY = st.text(max_size=3) | st.integers(-5, 5) | st.builds(_Int, st.integers(-5, 5)) | st.builds(_Str, st.text(max_size=2))
+_PAYLOAD = st.recursive(
+    st.text(max_size=4) | st.booleans() | st.none() | st.integers() | st.integers(-10 ** 40, 10 ** 40)
+    | st.fractions() | st.builds(_Int, st.integers()) | st.builds(_Str, st.text(max_size=3))
+    | st.builds(_Fraction, st.fractions())
+    # kinds no payload may hold
+    | st.floats() | st.binary(max_size=2) | st.frozensets(st.integers(), max_size=2),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.lists(inner, max_size=3).map(_List) | st.lists(inner, max_size=3).map(_Tuple)
+    | st.dictionaries(_KEY, inner, max_size=4) | st.dictionaries(_KEY, inner, max_size=3).map(_Dict),
+    max_leaves=20)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_PAYLOAD)
+def test_canonical_render_matches_the_isinstance_ladder(x):
+    got = _outcome(lambda: cli._serialize(cli._canonical_payload(x)))
+    want = _outcome(lambda: json.dumps(canonical_payload_reference(x), sort_keys=True, separators=(",", ":")))
+    assert got == want
+    assert isinstance(got, str) or got[0] is TypeError
+
+
+def _eps_texts():
+    for n in (4300, 4301):
+        digits = "1" * n
+        yield digits
+        yield "1" + "_1" * (n - 1)  # n digits
+        yield ("1_" * n)[:n]  # n characters
+        yield "1/" + digits
+        yield "0." + "0" * (n - 1) + "1"
+        for sign in ("", "+", "-"):
+            for e in ("e", "E"):
+                yield f"1{e}{sign}{n}"
+                yield f" 1{e}{sign}{n} "
+    yield from ("1e-4_300", "1e-4_301", "2.5e-7", "\t1e-9\n", " 3/10000000 ", "1/0", "0/0", "0", "nan", "NaN",
+                "inf", "", " ", "e", "1e", "e-9", "-1e-9", "1e-9e-9", "0.000_001", "1_e-9")
+
+
+def test_parse_eps_matches_the_full_scan_on_edge_texts():
+    for text in _eps_texts():
+        assert _outcome(cli._parse_eps, text) == _outcome(parse_eps_reference, text), text[:40]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text("0123456789_eE+-./ \t\u0661", max_size=24)
+       | st.from_regex(r"\A\s?[-+]?\d{0,5}(\.\d{0,5})?([eE][-+]?\d{1,4}(_\d)?)?\s?\Z")
+       | st.fractions().map(str))
+def test_parse_eps_matches_the_full_scan(text):
+    assert _outcome(cli._parse_eps, text) == _outcome(parse_eps_reference, text)
 
 
 def test_commands_registry():

@@ -186,10 +186,10 @@ def test_singular_k3_bound_past_the_digit_limit_is_refused(monkeypatch):
         singular_k3_bound(1, largest + 1)
 
     # where 3 d^3 F alone reaches the limit, no ln is taken
-    def no_ln(x, eps):
+    def no_ln(x, s):
         raise AssertionError(f"ln of {x} taken")
 
-    monkeypatch.setattr(cm_census, "ln_bracket", no_ln)
+    monkeypatch.setattr(cm_census, "_ln_grid", no_ln)
     for d, f in ((1, -(-limit // 3)), (10 ** 1500, 9)):
         with pytest.raises(BudgetError, match="more than 4300 digits"):
             singular_k3_bound(d, f)
