@@ -10,20 +10,24 @@ count (Cohen, GTM 138, Alg. 1.5.3; Ireland & Rosen, GTM 84, ch. 18).
 Everything but the residue symbol depends on the field alone, and only the
 nine fields of class number one occur, so each field keeps one table of its
 odd split primes with their Cornacchia data (_SplitPrimes), grown on demand
-and retained for the life of the process.  A scan reads the table a chunk at
-a time: one pass per chunk (_curve_ts) tells the field apart once and gives
-the curve's |t| at each of its good primes, and the running minimum of the
-valuations is kept as a power of ell, so a |t| it divides, which cannot lower
-the minimum, costs one remainder and no valuation.
+and retained for the life of the process.  The residue symbol depends on the
+curve and the prime alone, so each curve keeps a column of its |t| at the
+primes of its field's table (_CurveColumn), picked once by _curve_ts and
+filled only as far as scans read; the columns of the last 64 curves scanned
+are kept.  A scan reads a column in runs between the primes it skips: the
+least ord_ell(|t|) over a run is ord_ell of their gcd, so a run costs one
+gcd and one valuation.  Results depend neither on which columns are kept nor
+on the order of calls.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from fractions import Fraction
-from math import isqrt
+from functools import lru_cache
+from math import gcd, isqrt
 from typing import NamedTuple
 
 from .errors import DIGIT_LIMIT, MAX_DIGITS, BudgetError, Frozen, InternalCheckError
@@ -257,6 +261,66 @@ def _split_primes(delta_k: int) -> _SplitPrimes:
     return table
 
 
+# the first read of a scan covers this many entries of the curve's column; each
+# later read covers as many as all the reads before it
+_FIRST_READ = 32
+# the curves whose columns are kept, chosen by memory: at the cap a column has
+# at most 39,298 entries (39,175 for Q(i)) of 2 bytes, 77 KiB, so all 64
+# columns together hold about 5 MiB
+_CURVE_COLUMNS = 64
+
+
+class _CurveColumn:
+    """The curve's |t| (_curve_ts) at each prime of its field's split-prime
+    table, in table order, as far as scans have read, and the indices of the
+    primes dividing the model's discriminant.  Those hold 0, which no scan
+    reads: scans skip them by index.  Below the cap |t| <= 2 sqrt(q/3) < 2^16."""
+
+    __slots__ = ("ts", "bad")
+
+    def __init__(self):
+        self.ts = array("H")
+        self.bad: list[int] = []
+
+    def fill(self, curve: CurveOverQ, table: _SplitPrimes, k: int) -> None:
+        """Extend the column to the first k primes of the table.  Like a table
+        chunk, the entries are built aside and committed only once all are
+        formed.  Two threads must not fill one column at once (the package
+        starts none)."""
+        n = len(self.ts)
+        if n >= k:
+            return
+        disc = curve.weierstrass_disc
+        bad = [x for x, q in enumerate(table.primes[n:k], n) if not disc % q]
+        ts = array("H", _curve_ts(curve, table.primes, table.data, n, k, 0, disc))
+        for x in bad:
+            ts.insert(x - n, 0)
+        self.ts.extend(ts)
+        self.bad.extend(bad)
+
+
+@lru_cache(maxsize=_CURVE_COLUMNS)
+def _curve_column(a4: int, a6: int, cm_disc: int) -> _CurveColumn:
+    """The retained column of the curve y^2 = x^3 + a4 x + a6 with CM by
+    cm_disc; the least recently scanned curve's column goes first."""
+    return _CurveColumn()
+
+
+def _good_runs(column: _CurveColumn, primes: array, i: int, k: int, ell: int) -> Iterator[tuple[int, array]]:
+    """(start, column.ts[start:stop]) for the maximal runs of indices in
+    [i, k) that skip q = ell and the primes dividing the discriminant."""
+    bad = column.bad
+    skips = bad[bisect_left(bad, i):bisect_left(bad, k)]
+    e = bisect_left(primes, ell, i, k)
+    if e < k and primes[e] == ell:
+        skips = sorted((*skips, e))
+    start = i
+    for stop in (*skips, k):
+        if start < stop:
+            yield start, column.ts[start:stop]
+        start = stop + 1
+
+
 def _check_cm(curve: CurveOverQ) -> None:
     """Reject a model whose j-invariant 1728*4a4^3/(4a4^3 + 27a6^2) is not the
     j-invariant of the asserted maximal order."""
@@ -292,18 +356,25 @@ def estimate_m(curve: CurveOverQ, ell: int, prime_budget: int) -> MEstimate:
     ascending order, each with its field entry: |t|, or for Q(i) the even and
     the odd member of {u, t} in q = u^2 + t^2, or for Q(zeta_3) the cube root
     of unity w mod q and the |B| of the three rotations of the primary pi.
-    Per prime the curve adds only the skip of q = ell and of the primes
-    dividing its discriminant, one Legendre symbol of -a4 (Q(i)) or a
-    comparison of (4 a6)^((q-1)/3) with 1, w, w^2 (Q(zeta_3)), and one
-    divisibility test: |t| mod ell^best is 0 exactly when ord_ell(|t|) >=
-    best, so only a |t| that lowers the minimum (or a zero |t|, refused as an
-    internal error) is given its valuation.  The scan takes the primes up to
-    the budget from the table in one bisection per chunk; one that reaches
-    the end of the table extends it by one chunk, to twice its reach (at
-    least _FIRST_REACH), never past min(prime_budget, 10^6); a chunk is
-    committed only once all of it is built.  The columns are 32-bit arrays:
-    at the 10^6 cap the Q(i) table holds 39,175 primes in 0.5 MiB, and all
-    nine tables together 3.5 MiB.
+    The curve's part is its retained column: the |t| picked at each prime of
+    the table by one Legendre symbol of -a4 (Q(i)) or a comparison of
+    (4 a6)^((q-1)/3) with 1, w, w^2 (Q(zeta_3)), and the indices of the
+    primes dividing its discriminant.  The scan reads the column in reads
+    of _FIRST_READ entries and then of as many as all earlier reads, filling
+    it first as far as the read goes.  A read skips q = ell and the bad
+    primes by index and takes each run between them in one gcd: ord_ell of
+    the gcd is the least ord_ell(|t|) of the run, and when it is 0 a short
+    walk finds the first |t| that ell does not divide, which ends the scan.
+    A zero |t| reached before that is refused as an internal error.  The
+    scan takes the primes up to the budget from the table in one bisection
+    per chunk; one that reaches the end of the table extends it by one
+    chunk, to twice its reach (at least _FIRST_REACH), never past
+    min(prime_budget, 10^6); a chunk is committed only once all of it is
+    built.  The table columns are 32-bit arrays: at the 10^6 cap the Q(i)
+    table holds 39,175 primes in 0.5 MiB, and all nine tables together
+    3.5 MiB.  A curve column is a 16-bit array, 77 KiB at most at the cap,
+    and the 64 kept columns about 5 MiB; which columns are kept and the
+    order of calls do not change any result.
     """
     if not isprime(ell):
         raise ValueError(f"ell must be prime, got {ell}")
@@ -314,28 +385,37 @@ def estimate_m(curve: CurveOverQ, ell: int, prime_budget: int) -> MEstimate:
     limit = min(prime_budget, _POINT_COUNT_CAP)
     table = _split_primes(curve.cm_disc)
     primes = table.primes
-    disc = curve.weierstrass_disc
+    column = _curve_column(curve.a4, curve.a6, curve.cm_disc)
     best: int | None = None
-    floor = 0   # ell**best once a sample has set best
     samples = 0
     i = 0
     while True:
         j = bisect_right(primes, limit, i)
-        for t in _curve_ts(curve, primes, table.data, i, j, ell, disc):
-            samples += 1
-            # ell**best | t says ord_ell(t) >= best: only a t that lowers the
-            # minimum, or a zero t, which _ord rejects, needs the valuation
-            if floor and t and not t % floor:
-                continue
-            best = _ord(ell, t)
-            if best == 0:
-                break
-            floor = ell ** best
-        if best == 0 or j < len(primes) or table.reach >= limit:
+        while i < j:
+            k = min(j, max(2 * i, _FIRST_READ))
+            column.fill(curve, table, k)
+            for start, run in _good_runs(column, primes, i, k, ell):
+                # gcd(0, t) = t would pass over a zero |t|, so a zero ends the
+                # run the gcd sees and is refused once the run is read
+                stop = run.index(0) if 0 in run else len(run)
+                head = run[:stop]
+                g = gcd(*head)
+                if g % ell:
+                    # ord_ell(g) is the least ord_ell(t) over the run: 0 ends
+                    # the scan at the first t that ell does not divide
+                    return MEstimate(0, samples + next(n for n, t in enumerate(head, 1) if t % ell))
+                if head:
+                    samples += len(head)
+                    v = _ord(ell, g)
+                    best = v if best is None else min(best, v)
+                if stop < len(run):
+                    raise InternalCheckError(f"ord_{ell}(0) is not finite: |t| = 0 at q = {primes[start + stop]}")
+            i = k
+        if j < len(primes) or table.reach >= limit:
             break
         table.grow(limit)
-        i = j
-    if best != 0 and prime_budget > _POINT_COUNT_CAP:
+    disc = curve.weierstrass_disc
+    if prime_budget > _POINT_COUNT_CAP:
         # bounds the scan's time; the message is the point count's own, at the
         # first good prime q != ell past the cap, split in K or not
         for q in primerange(_POINT_COUNT_CAP + 1, prime_budget + 1):

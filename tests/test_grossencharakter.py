@@ -1,6 +1,7 @@
 """Point counts, character values and the sampled m_ell upper bound."""
 
 import json
+import random
 import subprocess
 import sys
 import textwrap
@@ -161,12 +162,19 @@ def test_estimate_m_diagnostics():
             estimate_m(wrong, 2, 50)
 
 
+def _empty_tables(patch):
+    # empty split-prime tables and curve columns; the module's own come back
+    # when the patch is undone
+    tables = {}
+    patch.setattr(grossencharakter, "_SPLIT_PRIMES", tables)
+    patch.setattr(grossencharakter, "_curve_column", lru_cache(maxsize=grossencharakter._CURVE_COLUMNS)(
+        grossencharakter._curve_column.__wrapped__))
+    return tables
+
+
 @pytest.fixture
 def fresh_tables(monkeypatch):
-    # empty split-prime tables for one test; the module's own come back after
-    tables = {}
-    monkeypatch.setattr(grossencharakter, "_SPLIT_PRIMES", tables)
-    return tables
+    return _empty_tables(monkeypatch)
 
 
 def _split_in_k(delta_k, reach):
@@ -293,7 +301,7 @@ def test_scan_matches_point_counts_on_random_twists(coeff, quartic, ell, budget)
     # on empty tables, which the scan grows chunk by chunk, then on the
     # process's own, which earlier scans have grown
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(grossencharakter, "_SPLIT_PRIMES", {})
+        _empty_tables(patch)
         _check_against_point_count_scan(curve, ell, budget)
     _check_against_point_count_scan(curve, ell, budget)
 
@@ -314,14 +322,14 @@ def test_scan_skips_an_ell_that_splits(fresh_tables, curve, ell):
 
 def test_a_zero_t_past_the_first_sample_is_refused(fresh_tables):
     # y^2 = x^3 - x at ell = 2: the first sample, q = 5 with |t| = 2, sets
-    # best = 1; then both candidates at q = 13 are forged to 0
+    # best = 1; then the curve's |t| at q = 13 is forged to 0
     assert estimate_m(EI, 2, 256).m_hat == 1
-    table = fresh_tables[-4]
-    k = list(table.primes).index(13)
-    for column in table.data:
-        column[k] = 0
+    k = list(fresh_tables[-4].primes).index(13)
+    grossencharakter._curve_column(EI.a4, EI.a6, EI.cm_disc).ts[k] = 0
     with pytest.raises(InternalCheckError, match=r"ord_2\(0\) is not finite"):
         estimate_m(EI, 2, 256)
+    # at ell = 3 the first sample, |t| = 2 at q = 5, ends the scan before q = 13
+    assert estimate_m(EI, 3, 256) == MEstimate(m_hat=0, samples_used=1)
 
 
 _COHERENCE_CURVES = (EI, EZ, E7, CurveOverQ(0, -432, -3), CurveOverQ(-8697680, 9873093538, -163))
@@ -342,6 +350,7 @@ _FRESH_OUTCOMES = textwrap.dedent("""
     out = []
     for a4, a6, d, ell, budget in json.loads(sys.stdin.read()):
         g._SPLIT_PRIMES.clear()
+        g._curve_column.cache_clear()
         try:
             out.append(list(g.estimate_m(g.CurveOverQ(a4, a6, d), ell, budget)))
         except ValueError as exc:
@@ -370,6 +379,49 @@ def test_table_order_does_not_change_results(fresh_tables):
             assert got[0] == "ValueError" and got[1].startswith("no ordinary good prime"), case
         else:
             assert got == expected, case
+
+
+def test_evicted_columns_do_not_change_results(fresh_tables):
+    # more curves than the columns kept, each scanned three times with ell and
+    # the budget shuffled, so the tables grow between reads and evicted
+    # columns are filled again
+    bound = grossencharakter._CURVE_COLUMNS
+    curves = ([CurveOverQ(a4, 0, -4) for a4 in range(1, bound // 2 + 8)]
+              + [CurveOverQ(0, a6, -3) for a6 in range(1, bound // 2 + 8)]
+              + [E7, CurveOverQ(-8697680, 9873093538, -163)])
+    rng = random.Random(27)
+    cases = [(curve, rng.choice((2, 3, 5, 7)), rng.choice((60, 255, 257, 700, 1500, 2500)))
+             for curve in curves for _ in range(3)]
+    rng.shuffle(cases)
+    warm = []
+    for case in cases:
+        warm.append(_outcome(*case))
+        assert grossencharakter._curve_column.cache_info().currsize <= bound
+    info = grossencharakter._curve_column.cache_info()
+    assert info.currsize == bound and info.misses > len(curves)
+    # each case alone on empty tables and columns, in a fresh interpreter
+    payload = json.dumps([(c.a4, c.a6, c.cm_disc, ell, budget) for c, ell, budget in cases])
+    fresh = json.loads(subprocess.run([sys.executable, "-c", _FRESH_OUTCOMES], input=payload,
+                                      capture_output=True, text=True, check=True).stdout)
+    assert warm == fresh
+
+
+def test_a_cold_column_fills_only_as_far_as_the_scan_reads(fresh_tables):
+    first_read = grossencharakter._FIRST_READ
+    column = grossencharakter._curve_column
+    # y^2 = x^3 - x at ell = 2 reads every prime to 5000 and warms the table
+    estimate_m(EI, 2, 5000)
+    primes = fresh_tables[-4].primes
+    assert len(column(-1, 0, -4).ts) == len(primes) > first_read
+    # y^2 = x^3 + x at ell = 3 ends at its first sample, so its column holds
+    # the first read alone
+    assert estimate_m(CurveOverQ(1, 0, -4), 3, 5000) == MEstimate(m_hat=0, samples_used=1)
+    assert len(column(1, 0, -4).ts) == first_read
+    # on a cold table the first read stops at the table's first chunk
+    fresh_tables.clear()
+    column.cache_clear()
+    assert estimate_m(EI, 3, 5000) == MEstimate(m_hat=0, samples_used=1)
+    assert len(column(-1, 0, -4).ts) == min(first_read, len(fresh_tables[-4].primes))
 
 
 def test_table_reach_stays_within_the_budget(fresh_tables):
@@ -430,6 +482,9 @@ def test_table_memory(fresh_tables):
     estimate_m(EI, 2, 10 ** 6)
     assert len(fresh_tables[-4].primes) == 39175
     assert _table_bytes(fresh_tables[-4]) <= 2 * 2 ** 20
+    # the curve's column: one 2-byte |t| per prime of the table
+    column = grossencharakter._curve_column(EI.a4, EI.a6, EI.cm_disc)
+    assert len(column.ts) == 39175 and column.ts.itemsize == 2
 
 
 _BROKEN_IDENTITIES = textwrap.dedent("""
@@ -444,13 +499,11 @@ _BROKEN_IDENTITIES = textwrap.dedent("""
 
     def scan_past_a_forged_zero_t():
         # y^2 = x^3 - x at ell = 2: the first sample (q = 5, |t| = 2) sets
-        # best = 1, then both candidates at q = 13 are forged to 0
+        # best = 1, then the curve's |t| at q = 13 is forged to 0
         ei = grossencharakter.CurveOverQ(-1, 0, -4)
         grossencharakter.estimate_m(ei, 2, 256)
-        table = grossencharakter._SPLIT_PRIMES[-4]
-        k = list(table.primes).index(13)
-        for column in table.data:
-            column[k] = 0
+        k = list(grossencharakter._SPLIT_PRIMES[-4].primes).index(13)
+        grossencharakter._curve_column(-1, 0, -4).ts[k] = 0
         grossencharakter.estimate_m(ei, 2, 256)
 
     checks = [
