@@ -14,7 +14,9 @@ and retained for the life of the process.  The residue symbol depends on the
 curve and the prime alone, so each curve keeps a column of its |t| at the
 primes of its field's table (_CurveColumn), picked once by _curve_ts and
 filled only as far as scans read; the columns of the last 64 curves scanned
-are kept.  A scan reads a column in runs between the primes it skips: the
+are kept.  A scan reads the first 32 entries of a column, then all the
+column holds up to the budget in one more read, and past that in reads that
+double.  A read takes the column in runs between the primes it skips: the
 least ord_ell(|t|) over a run is ord_ell of their gcd, so a run costs one
 gcd and one valuation.  Results depend neither on which columns are kept nor
 on the order of calls.
@@ -176,10 +178,9 @@ def _field_entry(delta_k: int, q: int) -> tuple[int, ...]:
     return (y,)
 
 
-def _curve_ts(curve: CurveOverQ, primes: array, data: tuple, i: int, j: int, ell: int,
-              disc: int) -> Iterator[int]:
+def _curve_ts(curve: CurveOverQ, primes: array, data: tuple, i: int, j: int, disc: int) -> Iterator[int]:
     """|t| with 4q = a_q^2 + |Delta_K| t^2 for the curve at each prime q =
-    primes[k], i <= k < j, other than ell and the primes dividing disc, from
+    primes[k], i <= k < j, other than the primes dividing disc, from
     the field entries in the columns data (see _field_entry).  Picking among
     the field's candidates is the one step that depends on the curve; the
     field is told apart once for the whole range."""
@@ -190,7 +191,7 @@ def _curve_ts(curve: CurveOverQ, primes: array, data: tuple, i: int, j: int, ell
         a = -curve.a4
         even, odd = data
         for q, t_even, t_odd in zip(primes[i:j], even[i:j], odd[i:j]):
-            if q != ell and disc % q:
+            if disc % q:
                 yield t_even if pow(a % q, q >> 1, q) == 1 else t_odd
     elif d == -3:
         # the cubic symbol (4 a6 / pi)_3 = omega^k, read off as
@@ -198,7 +199,7 @@ def _curve_ts(curve: CurveOverQ, primes: array, data: tuple, i: int, j: int, ell
         # whose |B| is that of the k-th rotation
         a = 4 * curve.a6
         for q, w, t0, t1, t2 in zip(primes[i:j], *(column[i:j] for column in data)):
-            if q != ell and disc % q:
+            if disc % q:
                 chi = pow(a % q, (q - 1) // 3, q)
                 if chi == 1:
                     yield t0
@@ -210,7 +211,7 @@ def _curve_ts(curve: CurveOverQ, primes: array, data: tuple, i: int, j: int, ell
                     raise InternalCheckError(f"(4*{curve.a6})^(({q}-1)/3) is not a cube root of unity mod {q}")
     else:
         for q, t in zip(primes[i:j], data[0][i:j]):
-            if q != ell and disc % q:
+            if disc % q:
                 yield t
 
 
@@ -262,7 +263,8 @@ def _split_primes(delta_k: int) -> _SplitPrimes:
 
 
 # the first read of a scan covers this many entries of the curve's column; each
-# later read covers as many as all the reads before it
+# later read covers as many as all the reads before it, or all the column
+# holds when that is more
 _FIRST_READ = 32
 # the curves whose columns are kept, chosen by memory: at the cap a column has
 # at most 39,298 entries (39,175 for Q(i)) of 2 bytes, 77 KiB, so all 64
@@ -292,7 +294,7 @@ class _CurveColumn:
             return
         disc = curve.weierstrass_disc
         bad = [x for x, q in enumerate(table.primes[n:k], n) if not disc % q]
-        ts = array("H", _curve_ts(curve, table.primes, table.data, n, k, 0, disc))
+        ts = array("H", _curve_ts(curve, table.primes, table.data, n, k, disc))
         for x in bad:
             ts.insert(x - n, 0)
         self.ts.extend(ts)
@@ -319,6 +321,13 @@ def _good_runs(column: _CurveColumn, primes: array, i: int, k: int, ell: int) ->
         if start < stop:
             yield start, column.ts[start:stop]
         start = stop + 1
+
+
+def _first_zero(run: array) -> int:
+    """The index of the first 0 in a run of the column, or len(run) when it
+    holds none.  A 0 entry is two aligned zero bytes, so the bytes screen
+    misses none; an unaligned pair it finds falls through to the exact test."""
+    return run.index(0) if b"\0\0" in run.tobytes() and 0 in run else len(run)
 
 
 def _check_cm(curve: CurveOverQ) -> None:
@@ -359,9 +368,12 @@ def estimate_m(curve: CurveOverQ, ell: int, prime_budget: int) -> MEstimate:
     The curve's part is its retained column: the |t| picked at each prime of
     the table by one Legendre symbol of -a4 (Q(i)) or a comparison of
     (4 a6)^((q-1)/3) with 1, w, w^2 (Q(zeta_3)), and the indices of the
-    primes dividing its discriminant.  The scan reads the column in reads
-    of _FIRST_READ entries and then of as many as all earlier reads, filling
-    it first as far as the read goes.  A read skips q = ell and the bad
+    primes dividing its discriminant.  The scan's first read covers
+    _FIRST_READ entries of the column, so an early exit stays cheap; each
+    later read covers as many as all earlier reads or, when the column
+    holds more, all it holds, up to the budget's index, filling it first as
+    far as the read goes.  A warm scan is thus two reads, and a cold one
+    fills the column in reads that double.  A read skips q = ell and the bad
     primes by index and takes each run between them in one gcd: ord_ell of
     the gcd is the least ord_ell(|t|) of the run, and when it is 0 a short
     walk finds the first |t| that ell does not divide, which ends the scan.
@@ -392,13 +404,15 @@ def estimate_m(curve: CurveOverQ, ell: int, prime_budget: int) -> MEstimate:
     while True:
         j = bisect_right(primes, limit, i)
         while i < j:
-            k = min(j, max(2 * i, _FIRST_READ))
+            # a later read takes all the column already holds to j, so a warm
+            # scan pays the per-read and per-run costs twice
+            k = min(j, max(2 * i, _FIRST_READ, len(column.ts) if i else 0))
             column.fill(curve, table, k)
             for start, run in _good_runs(column, primes, i, k, ell):
                 # gcd(0, t) = t would pass over a zero |t|, so a zero ends the
                 # run the gcd sees and is refused once the run is read
-                stop = run.index(0) if 0 in run else len(run)
-                head = run[:stop]
+                stop = _first_zero(run)
+                head = run if stop == len(run) else run[:stop]
                 g = gcd(*head)
                 if g % ell:
                     # ord_ell(g) is the least ord_ell(t) over the run: 0 ends

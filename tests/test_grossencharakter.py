@@ -7,10 +7,11 @@ import sys
 import textwrap
 import time
 import tracemalloc
+from array import array
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy import primerange
 
 from cmbrauer import grossencharakter
@@ -245,8 +246,8 @@ def _frobenius_t(curve, q):
     while table.reach < q:
         table.grow(q)
     i = table.primes.index(q)
-    # ell = 0 and disc = 1 skip no prime
-    return next(grossencharakter._curve_ts(curve, table.primes, table.data, i, i + 1, 0, 1))
+    # disc = 1 skips no prime
+    return next(grossencharakter._curve_ts(curve, table.primes, table.data, i, i + 1, 1))
 
 
 def _check_frobenius_t(curve, p):
@@ -330,6 +331,79 @@ def test_a_zero_t_past_the_first_sample_is_refused(fresh_tables):
         estimate_m(EI, 2, 256)
     # at ell = 3 the first sample, |t| = 2 at q = 5, ends the scan before q = 13
     assert estimate_m(EI, 3, 256) == MEstimate(m_hat=0, samples_used=1)
+
+
+def test_a_zero_t_past_the_first_read_is_refused(fresh_tables):
+    # y^2 = x^3 - x at ell = 2 on a warm column: every |t| is even, so a full
+    # scan reads past the first read to the |t| forged to 0 there
+    assert estimate_m(EI, 2, 5000) == MEstimate(m_hat=1, samples_used=329)
+    primes = fresh_tables[-4].primes
+    k = 3 * grossencharakter._FIRST_READ
+    ts = grossencharakter._curve_column(EI.a4, EI.a6, EI.cm_disc).ts
+    ts[k] = 0
+    with pytest.raises(InternalCheckError, match=rf"ord_2\(0\) is not finite: \|t\| = 0 at q = {primes[k]}\b"):
+        estimate_m(EI, 2, 5000)
+    # a budget that ends before the 0 does not reach it
+    assert estimate_m(EI, 2, primes[k] - 1) == MEstimate(m_hat=1, samples_used=k)
+    # an odd |t|, also forged, past the 0 in the same read does not hide it
+    ts[k + 8] = 1
+    with pytest.raises(InternalCheckError, match=r"ord_2\(0\) is not finite"):
+        estimate_m(EI, 2, 5000)
+    # but an exit at one before the 0 does not reach it
+    odd = 2 * grossencharakter._FIRST_READ + 8
+    ts[odd] = 1
+    assert estimate_m(EI, 2, 5000) == MEstimate(m_hat=0, samples_used=odd + 1)
+    # nor an exit at the first sample, q = 5 with |t| = 2 at ell = 3
+    assert estimate_m(EI, 3, 5000) == MEstimate(m_hat=0, samples_used=1)
+
+
+# a 0 entry is two aligned zero bytes; entries such as 1 and 256 put a zero
+# byte at each end, so neighbours hold a b"\0\0" that is not one
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from((0, 1, 255, 256, 65280, 65535)) | st.integers(0, 2 ** 16 - 1), max_size=40))
+@example([1, 256])
+@example([256, 1])
+@example([1, 256, 0])
+@example([0])
+def test_zero_screen_is_exact(values):
+    run = array("H", values)
+    assert grossencharakter._first_zero(run) == (run.index(0) if 0 in run else len(run))
+
+
+def test_a_warm_scan_reads_its_column_in_two_reads(fresh_tables, monkeypatch):
+    first_read = grossencharakter._FIRST_READ
+    good_runs = grossencharakter._good_runs
+    reads = []
+
+    def counted(column, primes, i, k, ell):
+        reads.append((i, k))
+        return good_runs(column, primes, i, k, ell)
+
+    monkeypatch.setattr(grossencharakter, "_good_runs", counted)
+    # y^2 = x^3 - x at ell = 2 reads every prime to the budget; the first
+    # scan warms the table and the column
+    estimate_m(EI, 2, 5000)
+    j = len(fresh_tables[-4].primes)
+    reads.clear()
+    assert estimate_m(EI, 2, 5000) == MEstimate(m_hat=1, samples_used=329)
+    assert reads == [(0, first_read), (first_read, j)]
+    # a cold column on the warm table fills in reads that double
+    grossencharakter._curve_column.cache_clear()
+    reads.clear()
+    estimate_m(EI, 2, 5000)
+    doubling = [(0, first_read)]
+    while doubling[-1][1] < j:
+        i = doubling[-1][1]
+        doubling.append((i, min(j, 2 * i)))
+    assert reads == doubling and len(doubling) > 2
+    # a partly filled column: one read to all it holds, then reads that
+    # double past it as the table grows
+    reads.clear()
+    estimate_m(EI, 2, 20000)
+    assert reads[:2] == [(0, first_read), (first_read, j)]
+    assert all(a[1] == b[0] for a, b in zip(reads, reads[1:]))
+    assert reads[-1][1] == len(fresh_tables[-4].primes) > 2 * j
+    assert all(k <= 2 * i for i, k in reads[2:])
 
 
 _COHERENCE_CURVES = (EI, EZ, E7, CurveOverQ(0, -432, -3), CurveOverQ(-8697680, 9873093538, -163))
@@ -506,6 +580,15 @@ _BROKEN_IDENTITIES = textwrap.dedent("""
         grossencharakter._curve_column(-1, 0, -4).ts[k] = 0
         grossencharakter.estimate_m(ei, 2, 256)
 
+    def scan_past_a_forged_zero_t_past_the_first_read():
+        # the same curve on a new column to 5000, every |t| even, with the
+        # |t| past the first read forged to 0
+        grossencharakter._curve_column.cache_clear()
+        ei = grossencharakter.CurveOverQ(-1, 0, -4)
+        grossencharakter.estimate_m(ei, 2, 5000)
+        grossencharakter._curve_column(-1, 0, -4).ts[3 * grossencharakter._FIRST_READ] = 0
+        grossencharakter.estimate_m(ei, 2, 5000)
+
     checks = [
         raises_internal(lambda: grossencharakter.PsiValue(3, 2, 7, -4)),
         raises_internal(lambda: brauer._ord(2, 0)),
@@ -513,8 +596,9 @@ _BROKEN_IDENTITIES = textwrap.dedent("""
         # a forged Q(zeta_3) entry at q = 7 with w = 6, not a cube root of
         # unity: (4*1)^2 = 2 mod 7 is none of 1, w, w^2 = 1
         raises_internal(lambda: next(grossencharakter._curve_ts(
-            grossencharakter.CurveOverQ(0, 1, -3), [7], ([6], [0], [3], [3]), 0, 1, 0, 1))),
+            grossencharakter.CurveOverQ(0, 1, -3), [7], ([6], [0], [3], [3]), 0, 1, 1))),
         raises_internal(scan_past_a_forged_zero_t),
+        raises_internal(scan_past_a_forged_zero_t_past_the_first_read),
     ]
     print(checks)
 """)
@@ -524,4 +608,4 @@ _BROKEN_IDENTITIES = textwrap.dedent("""
 def test_internal_checks_survive_python_O(flags):
     out = subprocess.run([sys.executable, *flags, "-c", _BROKEN_IDENTITIES],
                          capture_output=True, text=True, check=True).stdout
-    assert out.strip() == str([True] * 5)
+    assert out.strip() == str([True] * 6)
