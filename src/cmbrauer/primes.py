@@ -5,7 +5,8 @@ Miller-Rabin with the first k prime bases for n < psi_k, which is
 deterministic up to PSI_13 (Sorenson & Webster, Math. Comp. 86 (2017));
 ``primerange`` sieves segment by segment; ``factorint`` trial-divides by the
 table primes and splits what is left with Pollard-Brent rho (Brent, BIT 20
-(1980)); ``sqrt_mod`` is Tonelli-Shanks (Cohen, GTM 138, Alg. 1.5.1).  From
+(1980)); ``square_part`` trial-divides only to the cube root of what is left;
+``sqrt_mod`` is Tonelli-Shanks (Cohen, GTM 138, Alg. 1.5.1).  From
 PSI_13 on, where no verdict "prime" is proven, ``isprime`` and ``factorint``
 raise BudgetError rather than give one.
 """
@@ -163,36 +164,61 @@ def _brent(n: int) -> int:
             return g
 
 
+def _prime_factors(n: int) -> Iterator[int]:
+    """The distinct primes dividing the integer n >= 1, ascending: trial
+    division by the table primes, then Pollard-Brent rho on what is left."""
+    for p in _PRIMES:
+        if p * p > n:
+            if n > 1:
+                yield n
+            return
+        if n % p == 0:
+            n //= p
+            while n % p == 0:
+                n //= p
+            yield p
+    if n >= PSI_13:
+        raise BudgetError(f"{n} is left after trial division and is at or above psi_13 = {PSI_13},"
+                          " past which primality is not proven")
+    found, rest = set(), [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        if isprime(m):
+            found.add(m)
+        else:
+            d = _brent(m)
+            rest += (d, m // d)
+    yield from sorted(found)
+
+
 def factorint(n: int) -> dict[int, int]:
     """The prime factorization of n >= 1 as {p: e}, keys ascending.  A
     cofactor at or above PSI_13 left by trial division raises BudgetError."""
     n = index(n)
     if n < 1:
         raise ValueError(f"factorint needs a positive integer, got {n}")
-    factors: dict[int, int] = {}
+    return {p: _ord(p, n) for p in _prime_factors(n)}
+
+
+def square_part(n: int) -> int:
+    """The largest s with s^2 | n, for n >= 1.  Trial division stops once p^3
+    exceeds the cofactor, whose prime factors are then at least p, so at most
+    two: it is q^2 or squarefree.  A cofactor past the table is factored."""
+    n = index(n)
+    if n < 1:
+        raise ValueError(f"square_part needs a positive integer, got {n}")
+    s = 1
     for p in _PRIMES:
-        if p * p > n:
-            if n > 1:
-                factors[n] = 1
-            return factors
+        if p * p * p > n:
+            q = isqrt(n)
+            return s * q if q * q == n else s
         if n % p == 0:
             e = 0
             while n % p == 0:
                 n //= p
                 e += 1
-            factors[p] = e
-    if n >= PSI_13:
-        raise BudgetError(f"{n} is left after trial division and is at or above psi_13 = {PSI_13},"
-                          " past which primality is not proven")
-    rest = [n] if n > 1 else []
-    while rest:
-        m = rest.pop()
-        if isprime(m):
-            factors[m] = factors.get(m, 0) + 1
-        else:
-            d = _brent(m)
-            rest += (d, m // d)
-    return dict(sorted(factors.items()))
+            s *= p ** (e // 2)
+    return s * prod(p ** (e // 2) for p, e in factorint(n).items())
 
 
 def divisors(n: int) -> list[int]:

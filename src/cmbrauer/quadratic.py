@@ -3,8 +3,11 @@
 Discriminants, Kronecker symbols, class numbers, unit indices, and
 enumeration of fields by class number.  Class numbers of fields come from one
 retained sweep of reduced forms over a range of discriminants, or outside it
-from a per-field count of the forms by first coefficient.  Everything is exact
-integer arithmetic.
+from a per-field count of the forms by first coefficient (37-38 us at
+|Delta_K| = 2-6 * 10^4, 4.5-12.3 ms near 10^9).  An order discriminant
+splits into f^2 * Delta_K by its square part, found by trial division to the
+cube root, and a conductor's primes come from factorint's loop, with no
+dict.  Everything is exact integer arithmetic.
 
 A session keeps the sweep to the largest disc bound asked for (1.9 MiB at
 MAX_DISC_BOUND; 2.8 MiB at its peak, while the count of all forms is still
@@ -23,7 +26,7 @@ from math import isqrt
 from operator import attrgetter
 
 from .errors import BudgetError, Frozen, InternalCheckError, bounded_digits
-from .primes import factorint, isprime, primerange, sqrt_mod
+from .primes import _prime_factors, isprime, primerange, sqrt_mod, square_part
 
 
 class IntegralityError(InternalCheckError):
@@ -31,8 +34,8 @@ class IntegralityError(InternalCheckError):
 
 
 def _squarefree(n: int) -> bool:
-    # squarefree means no p^2 divides |n|; factorint rejects n = 0
-    return all(e == 1 for e in factorint(abs(n)).values())
+    # squarefree means no p^2 divides |n|; square_part rejects n = 0
+    return square_part(abs(n)) == 1
 
 
 # bounded: every Order and class number validates its field through here;
@@ -82,14 +85,9 @@ def fundamental_discriminant(n: int) -> tuple[FundamentalDiscriminant, int]:
     if n % 4 not in (0, 1):
         raise ValueError(f"{n} is not 0 or 1 mod 4, so not an order discriminant")
     # squarefree kernel of n determines the field
-    square = 1
-    for p, e in factorint(-n).items():
-        square *= p ** (e // 2)
+    square = square_part(-n)
     d0 = n // (square * square)  # negative squarefree
-    if d0 % 4 == 1:
-        dk = d0
-    else:
-        dk = 4 * d0
+    dk = d0 if d0 % 4 == 1 else 4 * d0
     f2, rem = divmod(n, dk)
     f = isqrt(max(f2, 0))
     if rem or f < 1 or f * f != f2:
@@ -106,7 +104,7 @@ def kronecker_symbol(delta: int, p: int) -> int:
 
 def _kronecker_prime(delta: int, p: int) -> int:
     """kronecker_symbol for a p the caller already knows is prime, such as one
-    from primerange or factorint: the same value without the primality test."""
+    from primerange or _prime_factors: the same value without the primality test."""
     if p == 2:
         if delta % 2 == 0:
             return 0
@@ -149,7 +147,8 @@ def _count_forms_by_a(delta_k: int) -> int:
     +-sqrt(delta_k) mod big[a], a's largest odd prime, are tried; b < a < c counts twice."""
     m, top = -delta_k, isqrt(-delta_k // 3)
     r, big = [1] * (top + 1), [1] * (top + 1)
-    for p in primerange(2, top + 1):
+    half = max(top // 2, 2)
+    for p in primerange(2, half + 1):
         k = _kronecker_prime(delta_k, p)
         if k == 1:
             r[p::p] = [2 * x for x in r[p::p]]
@@ -159,6 +158,14 @@ def _count_forms_by_a(delta_k: int) -> int:
             r[p * p::p * p] = [0] * (top // (p * p))
         if k >= 0 and p > 2:
             big[p::p] = [p] * (top // p)
+    # an odd p past top/2 (p = 2 always slices) divides no a <= top but p:
+    # r(p) = 1 + (delta_k/p), and Euler's criterion gives k = 0, 1 or p - 1
+    for p in primerange(half + 1, top + 1):
+        k = pow(delta_k, p >> 1, p)
+        if k < 2:
+            r[p], big[p] = k + 1, p
+        else:
+            r[p] = 0
     inner = isqrt(m) // 2
     h = sum(r[1:inner + 1])
     for a in range(inner + 1, top + 1):
@@ -212,9 +219,10 @@ _fields_by_h: dict[int, list[int]] = {}
 _field_objects_by_h: dict[int, list[FundamentalDiscriminant]] = {}
 
 # caps on the census inputs, by the time each protects (Python 3.11, 2 vCPU,
-# in process): a sweep to 10^5 takes 0.09-0.15 s, and _count_forms_by_a
-# 6-32 ms on the fundamental discs -999999995, -999999991 and -999999959
-# (`classnum --disc -999999959` takes 0.16 s as a process)
+# in process): a sweep to 10^5 takes 0.09-0.15 s, and _count_forms_by_a 4.5,
+# 6.3 and 12.3 ms on the fundamental discs -999999995, -999999991 and
+# -999999959 (best of 7 timeit runs of its __wrapped__; `classnum --disc
+# -999999959` takes 0.07 s as a process)
 MAX_DISC_BOUND = 10 ** 5
 MAX_FIELD_DISC = 10 ** 9
 
@@ -362,7 +370,7 @@ def class_number_order(order: Order) -> int:
     dk = order.field.value
     f = order.conductor
     h = class_number_field(dk) * f
-    for p in factorint(f):
+    for p in _prime_factors(f):
         h = h // p * (p - _kronecker_prime(dk, p))
     u = unit_index(dk, f)
     q, rem = divmod(h, u)

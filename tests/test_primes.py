@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from cmbrauer import primes
 from cmbrauer.errors import BudgetError
-from cmbrauer.primes import PSI, PSI_13, divisors, factorint, isprime, primerange, sqrt_mod
+from cmbrauer.primes import PSI, PSI_13, divisors, factorint, isprime, primerange, sqrt_mod, square_part
 
 # strong pseudoprimes to the first 1, 2, 3, 4, 9 and 12 prime bases (psi_1 .. psi_12)
 STRONG_PSEUDOPRIMES = (2047, 1373653, 25326001, 3215031751, 3825123056546413051,
@@ -158,6 +158,46 @@ def test_factorint_rejects_nonpositive():
             factorint(n)
 
 
+def sympy_square_part(n):
+    return prod(p ** (e // 2) for p, e in sympy.factorint(n).items())
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(min_value=1, max_value=10 ** 18))
+def test_square_part_matches_sympy(n):
+    assert square_part(n) == sympy_square_part(n)
+
+
+# the largest table prime, and the primes just past the table
+P16, Q16, R16 = 65521, 65537, 65539
+
+
+@pytest.mark.parametrize("n, fallback", [
+    (1, False), (P16, False), (1000003, False), (1000003 ** 2, False), (P16 ** 2, False),
+    # p*q with both primes past the cube root: the cofactor test tells it from q^2
+    (1009 * 1013, False), (P16 * Q16, False), (1000003 * 1000033, False),
+    # p^2*q: p divided out with p^3 <= n, then q left; or q divided out, then p^2 left
+    (1009 ** 2 * 1013, False), (1009 * 1013 ** 2, False), (3 * 1000003 ** 2, False),
+    (2 ** 5 * 3 ** 4 * 1000003 ** 2, False),
+    # a cofactor at or past 65521^3 with no table prime in it: factorint decides;
+    # at 65521^3 the table runs out as 65521 itself is divided out
+    (P16 ** 3, True),
+    (1000003 * 1000033 * 1000037, True), (Q16 ** 2 * R16, True), (Q16 ** 3, True),
+    (Q16 ** 4, True), (4 * (1000003 * 1000033) ** 2, True),
+])
+def test_square_part_named(n, fallback, monkeypatch):
+    calls = []
+    monkeypatch.setattr(primes, "factorint", lambda m: calls.append(m) or factorint(m))
+    assert square_part(n) == sympy_square_part(n)
+    assert bool(calls) == fallback
+
+
+def test_square_part_rejects_nonpositive():
+    for n in (0, -4):
+        with pytest.raises(ValueError):
+            square_part(n)
+
+
 def test_divisors_match_sympy():
     for n in range(1, 2001):
         assert divisors(n) == sympy.divisors(n)
@@ -174,7 +214,7 @@ _WRONG_ARITHMETIC = textwrap.dedent("""
             return True
         return False
 
-    quadratic.factorint = lambda n: {2: 1}
+    quadratic.square_part = lambda n: 1
     minkowski.primerange = lambda a, b: iter([2, b + 5])
     checks = [
         raises_internal(lambda: quadratic.fundamental_discriminant(-12)),

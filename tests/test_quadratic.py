@@ -12,9 +12,10 @@ from itertools import count
 from unittest import mock
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from cmbrauer import quadratic
+from cmbrauer import primes, quadratic
 from cmbrauer.errors import BudgetError
 from cmbrauer.primes import factorint
 from cmbrauer.quadratic import (
@@ -254,6 +255,41 @@ def test_class_number_order_matches_fraction_formula(m, f, h_field):
     else:
         with _with_h_field(h_field):
             assert class_number_order(order) == _fraction_formula(-m, f, h_field)
+
+
+# conductors whose primes lie past the trial bound sqrt(f) (2 * 65537, 1000003)
+# or past the table, found by rho (65537^2), and a prime power (2^20)
+@pytest.mark.parametrize("f", [2 * 65537, 65537 ** 2, 1000003, 2 ** 20])
+@pytest.mark.parametrize("dk, hk", [(-3, 1), (-4, 1), (-7, 1), (-23, 3), (-163, 1)])
+def test_class_number_order_at_large_conductor_primes(dk, hk, f):
+    # the product formula with sympy's factorization and Kronecker symbol
+    h = Fraction(hk * f, {-3: 3, -4: 2}.get(dk, 1))
+    for p in sympy.factorint(f):
+        h *= 1 - Fraction(sympy.kronecker_symbol(dk, p), p)
+    assert class_number_order(Order(FundamentalDiscriminant(dk), f)) == h
+
+
+def test_order_kernels_below_the_table_reach_never_call_factorint(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return factorint(n)
+
+    monkeypatch.setattr(primes, "factorint", counted)
+    monkeypatch.setattr(quadratic, "factorint", counted, raising=False)
+    for dk in range(-2000, -2):
+        quadratic.is_fundamental_discriminant.__wrapped__(dk)
+        if is_fundamental_discriminant(dk):
+            for f in (1, 2, 12, 40, 1009, 65521):
+                order = Order(FundamentalDiscriminant(dk), f)
+                assert fundamental_discriminant(order.discriminant) == (order.field, f)
+                class_number_order(order)
+    assert calls == []
+    # a square part past the table's reach is factored: the count sees it
+    n = -65537 ** 2 * 65539
+    assert fundamental_discriminant(n) == (FundamentalDiscriminant(-65539), 65537)
+    assert calls == [65537 ** 2 * 65539]
 
 
 @settings(max_examples=200, deadline=None)
