@@ -26,8 +26,8 @@ class BudgetError(ValueError):
 
 class Frozen:
     """An immutable value.  A subclass names its fields, in order, in
-    __slots__, and its __init__ sets each one once with object.__setattr__,
-    then makes its checks, each an explicit raise.  Instances are equal when
+    __slots__, and its __init__ sets each one once with object.__setattr__
+    and makes its checks, each an explicit raise.  Instances are equal when
     their classes are the same and their fields are equal, hash by their
     fields, show as Name(field=value, ...), and raise AttributeError when a
     field is assigned or deleted; copy and pickle go through the fields."""

@@ -5,7 +5,8 @@ Miller-Rabin with the first k prime bases for n < psi_k, which is
 deterministic up to PSI_13 (Sorenson & Webster, Math. Comp. 86 (2017));
 ``primerange`` sieves segment by segment; ``factorint`` trial-divides by the
 table primes and splits what is left with Pollard-Brent rho (Brent, BIT 20
-(1980)); ``square_part`` trial-divides only to the cube root of what is left;
+(1980)); ``square_part`` takes gcds with products of 16 consecutive table
+primes, only while the block's first prime cubed is at most what is left;
 ``sqrt_mod`` is Tonelli-Shanks (Cohen, GTM 138, Alg. 1.5.1).  From
 PSI_13 on, where no verdict "prime" is proven, ``isprime`` and ``factorint``
 raise BudgetError rather than give one.
@@ -164,31 +165,32 @@ def _brent(n: int) -> int:
             return g
 
 
-def _prime_factors(n: int) -> Iterator[int]:
+def _prime_factors(n: int) -> list[int]:
     """The distinct primes dividing the integer n >= 1, ascending: trial
     division by the table primes, then Pollard-Brent rho on what is left."""
+    found = []
     for p in _PRIMES:
         if p * p > n:
             if n > 1:
-                yield n
-            return
+                found.append(n)
+            return found
         if n % p == 0:
             n //= p
             while n % p == 0:
                 n //= p
-            yield p
+            found.append(p)
     if n >= PSI_13:
         raise BudgetError(f"{n} is left after trial division and is at or above psi_13 = {PSI_13},"
                           " past which primality is not proven")
-    found, rest = set(), [n] if n > 1 else []
+    big, rest = set(), [n] if n > 1 else []
     while rest:
         m = rest.pop()
         if isprime(m):
-            found.add(m)
+            big.add(m)
         else:
             d = _brent(m)
             rest += (d, m // d)
-    yield from sorted(found)
+    return found + sorted(big)
 
 
 def factorint(n: int) -> dict[int, int]:
@@ -200,24 +202,41 @@ def factorint(n: int) -> dict[int, int]:
     return {p: _ord(p, n) for p in _prime_factors(n)}
 
 
+# (p^3, product of the 16 table primes from p on) for every 16th table prime p;
+# made on first use, as a process that never splits a square should not pay
+# 0.3 ms for it at import
+_blocks: tuple[tuple[int, int], ...] = ()
+
+
+def _block_table() -> tuple[tuple[int, int], ...]:
+    global _blocks
+    _blocks = tuple((_PRIMES[i] ** 3, prod(_PRIMES[i:i + 16])) for i in range(0, len(_PRIMES), 16))
+    return _blocks
+
+
 def square_part(n: int) -> int:
-    """The largest s with s^2 | n, for n >= 1.  Trial division stops once p^3
-    exceeds the cofactor, whose prime factors are then at least p, so at most
-    two: it is q^2 or squarefree.  A cofactor past the table is factored."""
+    """The largest s with s^2 | n, for n >= 1.  The table primes are divided
+    out a block at a time, by gcds with the block's product.  Once a block's
+    first prime p has p^3 past the cofactor, whose prime factors are all at
+    least p, the cofactor has at most two: it is q^2 or squarefree.  A
+    cofactor the whole table leaves is factored."""
     n = index(n)
     if n < 1:
         raise ValueError(f"square_part needs a positive integer, got {n}")
     s = 1
-    for p in _PRIMES:
-        if p * p * p > n:
+    for cube, block in _blocks or _block_table():
+        if cube > n:
             q = isqrt(n)
             return s * q if q * q == n else s
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            s *= p ** (e // 2)
+        # r: the block's primes that still divide n, one peel per power of
+        # them; every second peel is a factor of s
+        r = gcd(n, block)
+        while r > 1:
+            n //= r
+            r = gcd(n, r)
+            n //= r
+            s *= r
+            r = gcd(n, r)
     return s * prod(p ** (e // 2) for p, e in factorint(n).items())
 
 

@@ -5,9 +5,10 @@ enumeration of fields by class number.  Class numbers of fields come from one
 retained sweep of reduced forms over a range of discriminants, or outside it
 from a per-field count of the forms by first coefficient (37-38 us at
 |Delta_K| = 2-6 * 10^4, 4.5-12.3 ms near 10^9).  An order discriminant
-splits into f^2 * Delta_K by its square part, found by trial division to the
-cube root, and a conductor's primes come from factorint's loop, with no
-dict.  Everything is exact integer arithmetic.
+splits into f^2 * Delta_K by its square part, found by gcds with blocks of
+table primes up to the cube root, and a conductor's primes come from
+factorint's loop as a list, with no dict.  Everything is exact integer
+arithmetic.
 
 A session keeps the sweep to the largest disc bound asked for (1.9 MiB at
 MAX_DISC_BOUND; 2.8 MiB at its peak, while the count of all forms is still
@@ -20,8 +21,9 @@ has not been written keeps its sweep's list alive.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import MutableMapping
+from collections.abc import ItemsView, MutableMapping
 from functools import lru_cache
+from itertools import compress
 from math import isqrt
 from operator import attrgetter
 
@@ -51,15 +53,18 @@ def is_fundamental_discriminant(n: int) -> bool:
     return q % 4 in (2, 3) and _squarefree(q)
 
 
+_set = object.__setattr__
+
+
 class FundamentalDiscriminant(Frozen):
     """Discriminant of an imaginary quadratic field."""
 
     __slots__ = ("value",)
 
     def __init__(self, value: int):
-        object.__setattr__(self, "value", value)
-        if not is_fundamental_discriminant(self.value):
-            raise ValueError(f"{self.value} is not a fundamental discriminant of an imaginary quadratic field")
+        if not is_fundamental_discriminant(value):
+            raise ValueError(f"{value} is not a fundamental discriminant of an imaginary quadratic field")
+        _set(self, "value", value)
 
 
 class Order(Frozen):
@@ -68,10 +73,10 @@ class Order(Frozen):
     __slots__ = ("field", "conductor")
 
     def __init__(self, field: FundamentalDiscriminant, conductor: int):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "conductor", conductor)
-        if self.conductor < 1:
-            raise ValueError(f"conductor must be positive, got {self.conductor}")
+        if conductor < 1:
+            raise ValueError(f"conductor must be positive, got {conductor}")
+        _set(self, "field", field)
+        _set(self, "conductor", conductor)
 
     @property
     def discriminant(self) -> int:
@@ -84,13 +89,15 @@ def fundamental_discriminant(n: int) -> tuple[FundamentalDiscriminant, int]:
         raise ValueError(f"order discriminant must be negative, got {n}")
     if n % 4 not in (0, 1):
         raise ValueError(f"{n} is not 0 or 1 mod 4, so not an order discriminant")
-    # squarefree kernel of n determines the field
-    square = square_part(-n)
-    d0 = n // (square * square)  # negative squarefree
-    dk = d0 if d0 % 4 == 1 else 4 * d0
-    f2, rem = divmod(n, dk)
-    f = isqrt(max(f2, 0))
-    if rem or f < 1 or f * f != f2:
+    # n / s^2 is squarefree and determines the field: it is Delta_K when 1
+    # mod 4, and else s is even and Delta_K = 4 n / s^2
+    s = square_part(-n)
+    d0 = n // (s * s)
+    if d0 % 4 == 1:
+        dk, f = d0, s
+    else:
+        dk, f = 4 * d0, s // 2
+    if f < 1 or f * f * dk != n:
         raise InternalCheckError(f"{n} is not f^2 times {dk}: the factorization of {-n} is wrong")
     return FundamentalDiscriminant(dk), f
 
@@ -299,7 +306,13 @@ class FormClassCounts(MutableMapping):
         return len(self._own) if self._own is not None else self._n // 4 + (self._n + 1) // 4
 
     def __iter__(self):
-        return iter(self._own) if self._own is not None else (d for d in range(-self._n, -2) if not d & 2)
+        if self._own is not None:
+            return iter(self._own)
+        # the D with a form are exactly those with a nonzero count
+        return compress(range(-self._n, -2), self._counts[self._n:2:-1])
+
+    def items(self):
+        return _CountItems(self)
 
     def _mine(self) -> dict[int, int]:
         # the first write copies the range and lets go of the shared list
@@ -327,13 +340,27 @@ class FormClassCounts(MutableMapping):
         return f"{type(self).__name__}({dict(self.items())!r})"
 
 
+class _CountItems(ItemsView):
+    """FormClassCounts.items(): its unwritten view pairs the keys with their
+    counts and drops the zero ones, as __iter__ does, without a lookup per key."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        counts = self._mapping
+        if counts._own is not None:
+            return iter(counts._own.items())
+        values = counts._counts[counts._n:2:-1]
+        return compress(zip(range(-counts._n, -2), values), values)
+
+
 def form_class_counts(disc_bound: int) -> FormClassCounts:
     """Primitive reduced form counts for every discriminant -disc_bound <= disc < 0.
 
     Keys run from -disc_bound up to -3, over the discriminants 0 or 1 mod 4.
-    The answer is a Mapping, not a dict (dict(...) it for JSON): a view of
-    the retained sweep's counts, so a bound at or below the largest one asked
-    for so far copies nothing.  It is the caller's own: its first write
+    The answer is a Mapping, not a dict (dict(answer.items()) it for JSON,
+    which pairs keys and counts in C): a view of the retained sweep's counts,
+    so a bound at or below the largest one asked for so far copies nothing.  It is the caller's own: its first write
     copies the range into a dict of its own.  While it has not been written
     it keeps the counts of the sweep it came from alive (1.9 MiB at
     MAX_DISC_BOUND).
@@ -390,10 +417,10 @@ class FieldSearch(Frozen):
 
     def __init__(self, fields: tuple[FundamentalDiscriminant, ...], h_max: int, search_bound: int,
                  certified_complete: bool = False):
-        object.__setattr__(self, "fields", fields)
-        object.__setattr__(self, "h_max", h_max)
-        object.__setattr__(self, "search_bound", search_bound)
-        object.__setattr__(self, "certified_complete", certified_complete)
+        _set(self, "fields", fields)
+        _set(self, "h_max", h_max)
+        _set(self, "search_bound", search_bound)
+        _set(self, "certified_complete", certified_complete)
 
 
 _value = attrgetter("value")

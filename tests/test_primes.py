@@ -170,6 +170,28 @@ def test_square_part_matches_sympy(n):
 
 # the largest table prime, and the primes just past the table
 P16, Q16, R16 = 65521, 65537, 65539
+# the first prime of each block of 16 table primes that square_part takes a gcd with
+FIRSTS = primes._PRIMES[::16]
+
+
+def _block_edges():
+    # at a block's first prime p0: p0^3 reaches the block, p0^3 - 1 stops before
+    # it; q^2 for the next block's first prime q, and the product of the primes
+    # on either side of the edge
+    cases = [(2 ** 60, False), (3 ** 37, False)]
+    for k in (0, 1, 2, 3, 200, len(FIRSTS) - 2):
+        p0, q = FIRSTS[k], FIRSTS[k + 1]
+        cases += [(p0 ** 3, False), (p0 ** 3 - 1, False), (q ** 2, False),
+                  (primes._PRIMES[16 * k + 15] * q, False), (p0 ** 2 * q, False)]
+    # the last block divides out p0^3, and what the whole table leaves, 1, is factored
+    cases += [(FIRSTS[-1] ** 3, True), (FIRSTS[-1] ** 3 - 1, False)]
+    return cases
+
+
+def test_square_part_blocks_hold_each_table_prime_once():
+    table = primes._block_table()
+    assert [cube for cube, _ in table] == [p ** 3 for p in FIRSTS]
+    assert prod(block for _, block in table) == prod(primes._PRIMES)
 
 
 @pytest.mark.parametrize("n, fallback", [
@@ -184,6 +206,7 @@ P16, Q16, R16 = 65521, 65537, 65539
     (P16 ** 3, True),
     (1000003 * 1000033 * 1000037, True), (Q16 ** 2 * R16, True), (Q16 ** 3, True),
     (Q16 ** 4, True), (4 * (1000003 * 1000033) ** 2, True),
+    *_block_edges(),
 ])
 def test_square_part_named(n, fallback, monkeypatch):
     calls = []
@@ -196,6 +219,20 @@ def test_square_part_rejects_nonpositive():
     for n in (0, -4):
         with pytest.raises(ValueError):
             square_part(n)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(min_value=1, max_value=10 ** 18))
+def test_prime_factors_are_sympys_keys(n):
+    found = primes._prime_factors(n)
+    assert type(found) is list and found == sorted(sympy.factorint(n))
+
+
+def test_prime_factors_refuse_past_psi13_when_called():
+    # a list, so the refusal comes from the call itself, before any prime is read
+    for n in (2 ** 89 - 1, 6 * (2 ** 89 - 1), 3 * PSI_13):
+        with pytest.raises(BudgetError, match="psi_13"):
+            primes._prime_factors(n)
 
 
 def test_divisors_match_sympy():

@@ -474,6 +474,24 @@ def test_form_class_counts_view_matches_a_dict(n):
     assert counts.keys() & {-3, -4, 5} == {-3, -4} & oracle.keys()
 
 
+@pytest.mark.parametrize("n", [*range(3, 41), 20000])
+def test_form_class_counts_iterate_as_their_owned_dict(n):
+    view, owned = form_class_counts(n), form_class_counts(n)
+    owned[-3] = owned[-3]
+    assert view._own is None and owned._own is not None
+    # the keys by the mod-4 rule, each read by a lookup
+    keys = [d for d in range(-n, -2) if d % 4 in (0, 1)]
+    assert list(view) == list(view.keys()) == list(owned) == keys
+    assert list(view.items()) == list(owned.items()) == [(d, view[d]) for d in keys]
+    assert len(view) == len(view.items()) == len(owned) == len(keys)
+    assert view == owned and owned == view and dict(view.items()) == dict(owned)
+    # after a write the view iterates what was written
+    view[-1] = 0
+    del view[-3]
+    assert list(view) == keys[:-1] + [-1] and list(view.items())[-1] == (-1, 0)
+    assert len(view) == len(keys) and view != owned
+
+
 @pytest.mark.parametrize("n", [20000, 2000, 300, 6, 5, 4, 3])
 def test_form_class_counts_missing_keys_raise_key_error(n):
     counts = form_class_counts(n)
