@@ -17,9 +17,10 @@ integers and are never rounded.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Callable
 from fractions import Fraction
 from math import gcd
-from typing import Callable, NamedTuple
 
 from .errors import Frozen, InternalCheckError, bounded_digits, bounded_power
 from .minkowski import minkowski_M
@@ -36,13 +37,10 @@ _C273_SHIFT = _C273 * 109
 _C546_SHIFT = _C546 * 109 + 3
 
 
-class LogFactor(NamedTuple):
+class LogFactor(namedtuple("LogFactor", "coeff arg shift power")):
     """(coeff * ln(arg) + shift) ** power, with arg a rational >= 1 and coeff >= 0."""
 
-    coeff: Fraction
-    arg: Fraction
-    shift: Fraction
-    power: int
+    __slots__ = ()
 
 
 class SymbolicProduct(Frozen):
@@ -342,11 +340,10 @@ def eval_bound(bound_id: str, inputs: dict, eps=None, assume_grh: bool = False) 
     )
 
 
-class TowerConstant(NamedTuple):
-    name: str
-    value: int
-    description: str
-    provenance: str
+class TowerConstant(namedtuple("TowerConstant", "name value description provenance")):
+    """An exact degree bound [L:k], with what it bounds and its provenance id."""
+
+    __slots__ = ()
 
 
 def field_tower_constants() -> dict[str, TowerConstant]:

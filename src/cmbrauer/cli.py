@@ -15,16 +15,24 @@ process loads only the library modules of the subcommand it runs.
 its abbreviations, ``--opt=value`` forms, negative values and error messages,
 so envelopes stay as they were under argparse; argparse itself is imported
 only to format a help text, at 80 columns whatever the terminal.
+
+A process also imports only the stdlib its subcommand computes with.  The
+front end needs sys, functools and collections.abc, and renders through the
+C encoder of _json, which json.dumps itself runs; json stays the tests'
+oracle for the bytes.  classnum, fields-by-h, minkowski, conductor-bound,
+cm-count, brauer-shape, divisibility, mell-estimate (with array) and
+k3-census without --field-count add bisect and math, and never load json,
+re, typing, enum, fractions or decimal.  bound, constants, lattice and
+k3-census --field-count compute with Fractions, so they load fractions, and
+with it re, enum, numbers and decimal.
 """
 
 from __future__ import annotations
 
-import json
-import re
 import sys
-from fractions import Fraction
+from _json import encode_basestring_ascii, make_encoder
+from collections.abc import Callable, Sequence
 from functools import cache
-from typing import Callable, NamedTuple, Sequence
 
 
 EXIT_OK = 0
@@ -51,7 +59,7 @@ def _canonical_payload(x):
         return {str(k): _canonical_payload(v) for k, v in x.items()}
     if kind is list or kind is tuple:
         return [_canonical_payload(v) for v in x]
-    if kind is int or kind is Fraction:
+    if kind is int:
         return str(x)
     return _canonical_subclass(x)
 
@@ -64,16 +72,25 @@ def _canonical_subclass(x):
         return {str(k): _canonical_payload(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_canonical_payload(v) for v in x]
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int):
+        return str(x)
+    # a Fraction exists only once fractions is loaded, so a process that never
+    # loads it needs no import to tell one apart
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(x, fractions.Fraction):
         return str(x)
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# the C encoder json.dumps(payload, sort_keys=True, separators=(",", ":"))
+# runs, built once, without the json package, whose decoder alone loads re:
+# no circular-reference markers, since _canonical_payload returns a fresh
+# tree, and no default, since that tree holds only JSON types
+_ENCODER = make_encoder(None, None, encode_basestring_ascii, None, ":", ",", True, False, True)
 
 
 def _serialize(payload: dict) -> str:
-    return _ENCODER.encode(payload)
+    return "".join(_ENCODER(payload, 0))
 
 
 def _format_table(payload: dict) -> str:
@@ -112,17 +129,20 @@ def _parse_set_args(pairs: list[str]) -> dict:
     return inputs
 
 
-class _Answer(NamedTuple):
+class _Answer:
     """A run's answer with another provenance than the entry's first id, a
     conditional flag, or an echo other than the parsed arguments."""
 
-    result: dict
-    provenance: str
-    conditional: bool = False
-    inputs: dict | None = None
+    __slots__ = ("result", "provenance", "conditional", "inputs")
+
+    def __init__(self, result: dict, provenance: str, conditional: bool = False, inputs: dict | None = None):
+        self.result = result
+        self.provenance = provenance
+        self.conditional = conditional
+        self.inputs = inputs
 
 
-class _Command(NamedTuple):
+class _Command:
     """``args`` maps each long option to its ``argparse.add_argument``
     keywords: ``_parse`` reads dest, action (store_true or append), type,
     choices, required and default, and help and metavar go to the help text
@@ -130,10 +150,13 @@ class _Command(NamedTuple):
     result, which carries ``provenance[0]``, or an _Answer.  It imports the
     library names it calls when it runs."""
 
-    help: str
-    args: dict[str, dict]
-    provenance: tuple[str, ...]
-    run: Callable
+    __slots__ = ("help", "args", "provenance", "run")
+
+    def __init__(self, help: str, args: dict[str, dict], provenance: tuple[str, ...], run: Callable):
+        self.help = help
+        self.args = args
+        self.provenance = provenance
+        self.run = run
 
 
 def _classnum(disc, conductor):
@@ -238,7 +261,11 @@ def _mell_estimate(a4, a6, cm_disc, ell, budget):
 def _parse_eps(text: str) -> Fraction:
     """The --eps text as a Fraction.  A decimal exponent past MAX_DIGITS in
     magnitude, which check_eps could never accept, is refused before Fraction
-    forms its power of ten; a digit run or a value past MAX_DIGITS digits too."""
+    forms its power of ten; a digit run or a value past MAX_DIGITS digits too.
+    Only ``bound --eps`` comes here, and bounds loads fractions anyway."""
+    import re
+    from fractions import Fraction
+
     from .errors import MAX_DIGITS, BudgetError, bounded_digits
     # no shorter text holds such a run, and no text without an e such an exponent
     if len(text) > MAX_DIGITS and any(len(run.replace("_", "")) > MAX_DIGITS
@@ -373,18 +400,22 @@ _COMMON_ARGS = {"--format": {"choices": ("json", "table"), "default": "json"},
                 "--output": {"metavar": "PATH", "default": None}}
 
 
-class _Option(NamedTuple):
+class _Option:
     """One option as argparse would hold it.  ``action`` is None (store the
     one value), "store_true", "append" or "help"; ``name`` is how a message
     names it."""
 
-    name: str
-    dest: str
-    action: str | None
-    type: Callable | None
-    choices: Sequence[str] | None
-    required: bool
-    default: object
+    __slots__ = ("name", "dest", "action", "type", "choices", "required", "default")
+
+    def __init__(self, name: str, dest: str, action: str | None, type: Callable | None,
+                 choices: Sequence[str] | None, required: bool, default: object):
+        self.name = name
+        self.dest = dest
+        self.action = action
+        self.type = type
+        self.choices = choices
+        self.required = required
+        self.default = default
 
 
 @cache
@@ -415,8 +446,17 @@ def _help(name: str) -> str:
     return parser.format_help()
 
 
-# a token like these is a value, never an option: argparse 3.11's rule
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+def _negative_number(token: str) -> bool:
+    r"""Whether argparse 3.11's ``^-\d+$|^-\d*\.\d+$`` matches ``token``, so
+    that it is a value, never an option: "-", then decimal digits, or digits,
+    a dot and at least one digit.  ``\d`` is Unicode Nd, as ``str.isdecimal``,
+    and ``$`` also matches before one final newline."""
+    if token[:1] != "-":
+        return False
+    whole, dot, fraction = (token[1:-1] if token[-1:] == "\n" else token[1:]).partition(".")
+    if not dot:
+        return whole.isdecimal()
+    return (not whole or whole.isdecimal()) and fraction.isdecimal()
 
 
 def _classify(options: dict[str, _Option], token: str):
@@ -441,7 +481,7 @@ def _classify(options: dict[str, _Option], token: str):
         raise _CliError(f"ambiguous option: {token} could match {', '.join(f for _, f, _ in hits)}")
     if hits:
         return hits[0]
-    if _NEGATIVE_NUMBER.match(token) or " " in token:
+    if _negative_number(token) or " " in token:
         return None
     return None, token, None
 

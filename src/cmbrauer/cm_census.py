@@ -4,7 +4,7 @@ degree, plus the singular K3 census bounds built on them."""
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import BudgetError, Frozen, InternalCheckError, bounded_digits, bounded_power
 from .minkowski import minkowski_M
@@ -18,7 +18,6 @@ from .quadratic import (
     enumerate_fields_by_class_number,
     unit_index,
 )
-from .rounding import DEFAULT_EPS, _decimal_places, _ln_grid, check_eps
 
 # max conductor with ring class degree 1 in the exceptional fields: the
 # exceptional cases with f > degree^2 all have f <= 7, and f > 3 forces degree 2
@@ -184,16 +183,12 @@ def cm_count_per_field(field: FundamentalDiscriminant, d: int) -> int:
     return _field_census(field, d)[1]
 
 
-class _CensusTable(NamedTuple):
+class _CensusTable(namedtuple("_CensusTable", "swept ms per_field count_sums refined_sums")):
     """The fields with h_K <= d in a retained sweep of the given length, in
     ascending |Delta_K|, with their cm_count_per_field counts and the prefix
     sums of those counts and of the per-field terms of singular_k3_refined_sum."""
 
-    swept: int
-    ms: list[int]
-    per_field: tuple[tuple[int, int], ...]
-    count_sums: list[int]
-    refined_sums: list[int]
+    __slots__ = ()
 
 
 # one census table per degree, each thrown away once the sweep it covers grows
@@ -247,11 +242,12 @@ def cm_count_total(d: int, disc_search_bound: int) -> CensusReport:
     )
 
 
-def singular_k3_bound(d: int, field_count: int, eps=DEFAULT_EPS) -> int:
-    """floor(3 d^3 (ln(3d^2) + 1) * field_count), ln by certified upper bound.
-    A bound past MAX_DIGITS digits is refused, and since the ln factor is at
-    least 1, one whose 3 d^3 * field_count is already past is refused before
-    any ln."""
+def singular_k3_bound(d: int, field_count: int, eps=None) -> int:
+    """floor(3 d^3 (ln(3d^2) + 1) * field_count), ln by certified upper bound
+    to eps, or to rounding.DEFAULT_EPS (1e-9) when eps is None.  A bound past
+    MAX_DIGITS digits is refused, and since the ln factor is at least 1, one
+    whose 3 d^3 * field_count is already past is refused before any ln."""
+    from .rounding import DEFAULT_EPS, _decimal_places, _ln_grid, check_eps
     if d < 1 or field_count < 0:
         raise ValueError(f"need d >= 1 and field_count >= 0, got {(d, field_count)}")
     if field_count == 0:
@@ -259,7 +255,7 @@ def singular_k3_bound(d: int, field_count: int, eps=DEFAULT_EPS) -> int:
     what = "the singular K3 bound"
     scale = bounded_digits(3 * d ** 3 * field_count, what)
     # (ln + 1) * scale on the upper endpoint hi / h of ln, floored in integers
-    _, hi, h = _ln_grid(3 * d * d, _decimal_places(check_eps(eps)))
+    _, hi, h = _ln_grid(3 * d * d, _decimal_places(check_eps(DEFAULT_EPS if eps is None else eps)))
     return bounded_digits(scale * (hi + h) // h, what)
 
 
@@ -278,10 +274,11 @@ def singular_k3_refined_sum(d: int, disc_search_bound: int) -> int:
     return table.refined_sums[n]
 
 
-def singular_k3_strong_bound(d: int, field_count: int, eps=DEFAULT_EPS) -> int:
+def singular_k3_strong_bound(d: int, field_count: int, eps=None) -> int:
     """floor(3 M(20)^3 d^3 (ln(3 M(20)^2 d^2) + 1) * field_count); the field
     count argument means #{K : h_K <= M(20) * d}, supplied by the caller.
-    This is singular_k3_bound at degree M(20) * d."""
+    This is singular_k3_bound at degree M(20) * d, with the same eps, None
+    meaning rounding.DEFAULT_EPS."""
     if d < 1 or field_count < 0:
         raise ValueError(f"need d >= 1 and field_count >= 0, got {(d, field_count)}")
     return singular_k3_bound(minkowski_M(20).value * d, field_count, eps)

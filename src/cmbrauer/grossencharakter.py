@@ -26,11 +26,10 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from collections.abc import Iterator
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import NamedTuple
 
 from .errors import DIGIT_LIMIT, MAX_DIGITS, BudgetError, Frozen, InternalCheckError
 from .primes import _ord, isprime, primerange, sqrt_mod
@@ -336,6 +335,7 @@ def _check_cm(curve: CurveOverQ) -> None:
     j_k = _CM_J_INVARIANTS.get(curve.cm_disc)
     num = 1728 * 4 * curve.a4 ** 3
     if j_k is None or num != j_k * curve.weierstrass_disc:
+        from fractions import Fraction
         j = Fraction(num, curve.weierstrass_disc)
         if max(abs(j.numerator), j.denominator) >= DIGIT_LIMIT:
             j = f"a fraction past {MAX_DIGITS} digits"
@@ -343,9 +343,10 @@ def _check_cm(curve: CurveOverQ) -> None:
                          f"the maximal order of discriminant {curve.cm_disc}")
 
 
-class MEstimate(NamedTuple):
-    m_hat: int
-    samples_used: int
+class MEstimate(namedtuple("MEstimate", "m_hat samples_used")):
+    """estimate_m's answer: the least ord_ell(y) it saw, and how many good ordinary primes it sampled."""
+
+    __slots__ = ()
 
 
 def estimate_m(curve: CurveOverQ, ell: int, prime_budget: int) -> MEstimate:

@@ -3,9 +3,9 @@ product of CM elliptic curves, and of its Kummer surface, with inverses."""
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
-from typing import NamedTuple
 
 from .errors import Frozen, InternalCheckError, bounded_digits
 from .quadratic import FundamentalDiscriminant, fundamental_discriminant
@@ -49,9 +49,10 @@ class LatticeDescriptor(Frozen):
             raise ValueError("disc must be nonzero")
 
 
-class LatticeCMData(NamedTuple):
-    field: FundamentalDiscriminant
-    conductor_lcm: int
+class LatticeCMData(namedtuple("LatticeCMData", "field conductor_lcm")):
+    """The CM field a lattice is read from, and the lcm of its conductors."""
+
+    __slots__ = ()
 
 
 def disc_hom(pair: CMPair) -> Fraction:

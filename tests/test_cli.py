@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -363,6 +364,50 @@ def test_cli_never_imports_dataclasses_or_inspect(flags):
     )
     out = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True, check=True)
     assert out.stdout == f"{[0] * len(_ONE_PER_COMMAND)} []\n"
+
+
+# subcommands that compute with ints alone, each into a different library layer
+_INTEGER_ONLY = (
+    ["classnum", "--disc", "-23", "--conductor", "3"],
+    ["minkowski", "--n", "8"],
+    ["cm-count", "--degree", "1", "--disc-bound", "200"],
+)
+
+
+@pytest.mark.parametrize("flags", [["-S"], ["-S", "-O"]], ids=["asserts", "optimized"])
+def test_integer_commands_load_no_stdlib_they_never_compute_with(flags):
+    # -S skips site, whose .pth files may preload some of these, so this is
+    # what a clean interpreter loads; json and re with their enum, typing,
+    # and fractions with decimal, were over a third of cmbrauer's share of
+    # a classnum process
+    script = (
+        "import contextlib, io, sys\n"
+        "from cmbrauer import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main(argv) for argv in {list(_INTEGER_ONLY)!r}]\n"
+        "print(codes, sorted({'json', 're', 'typing', 'enum', 'fractions', 'decimal'} & set(sys.modules)))\n"
+    )
+    out = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True, check=True)
+    assert out.stdout == f"{[0] * len(_INTEGER_ONLY)} []\n"
+
+
+_REFINED_ONLY = ["k3-census", "--degree", "1", "--refined-disc-bound", "200"]
+
+
+@pytest.mark.parametrize("argv", [*_ONE_PER_COMMAND, _REFINED_ONLY], ids=" ".join)
+def test_only_commands_that_compute_with_fractions_load_them(argv):
+    # bound and constants through bounds, lattice for disc Hom, and the
+    # singular K3 bound for its eps; every other answer is ints alone
+    script = (
+        "import contextlib, io, sys\n"
+        "from cmbrauer import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({argv!r})\n"
+        "print(code, 'fractions' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    loads = argv[0] in ("bound", "constants", "lattice") or "--field-count" in argv
+    assert out.stdout == f"0 {loads}\n"
 
 
 _NO_FIELD_INPUT = (["constants"], ["bound", "--id", "ab_GRH", "--set", "L_deg=5", "--assume-grh"])
@@ -998,6 +1043,32 @@ _EDGE_ARGV = (
 def test_the_table_parser_answers_edge_argv_as_argparse_does(argv):
     command, rest = _split_command(argv)
     assert _table_parse(command, rest) == argparse_reference(command, rest)
+
+
+# argparse 3.11's rule for a token that is a negative number, so a value
+_ARGPARSE_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+@pytest.mark.parametrize("token", ["-5", "-5\n", "-5\n\n", "-.5", "-5.", "-", "--5", "-1e5", "-1_0",
+                                   "-\u0663", "-\u00b2", "-0x1", "- 5"], ids=repr)
+def test_the_negative_number_rule_is_argparses(token):
+    # $ matches before one final newline, and \d is Unicode Nd: Arabic-Indic
+    # three is a digit, superscript two is not
+    assert cli._negative_number(token) == bool(_ARGPARSE_NEGATIVE_NUMBER.match(token))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text("-.05\n \u0663\u00b2e_x", max_size=8))
+def test_the_negative_number_rule_is_argparses_on_any_text(token):
+    assert cli._negative_number(token) == bool(_ARGPARSE_NEGATIVE_NUMBER.match(token))
+
+
+def test_a_negative_value_reaches_its_option(capsys):
+    assert run_json(["classnum", "--disc", "-7", "--conductor", "2"], capsys) == (0, {
+        "command": "classnum", "inputs": {"disc": "-7", "conductor": "2"}, "provenance": "quadratic:class_number_order",
+        "result": {"h": "1", "order_discriminant": "-28"}, "conditional": False})
+    # int() reads any Nd digits, so an Arabic-Indic -3 is the discriminant -3
+    assert run_cli(["classnum", "--disc", "-\u0663"], capsys) == run_cli(["classnum", "--disc", "-3"], capsys)
 
 
 def _explicit_dash_dash_argv():

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmbrauer import cm_census, quadratic
+from cmbrauer import cm_census, quadratic, rounding
 from cmbrauer.cm_census import (
     EXCEPTIONAL_CM_COUNTS,
     MAX_CENSUS_DEGREE,
@@ -189,7 +189,7 @@ def test_singular_k3_bound_past_the_digit_limit_is_refused(monkeypatch):
     def no_ln(x, s):
         raise AssertionError(f"ln of {x} taken")
 
-    monkeypatch.setattr(cm_census, "_ln_grid", no_ln)
+    monkeypatch.setattr(rounding, "_ln_grid", no_ln)  # singular_k3_bound reads it when it runs
     for d, f in ((1, -(-limit // 3)), (10 ** 1500, 9)):
         with pytest.raises(BudgetError, match="more than 4300 digits"):
             singular_k3_bound(d, f)
