@@ -8,11 +8,22 @@ bound is the product of upper endpoints (the lower endpoint of pi for a
 negative power of pi), formed in integers as one numerator and one
 denominator and floored once.  The enclosures are integer pairs (lo, hi)
 over the eps grid's denominator h, from cmbrauer.rounding: eval_bound checks
-eps once, _evaluate reads the grid once and multiplies the integer
-endpoints straight into the product, and the rounding certificate is
-written from each (n, h) as str(Fraction(n, h)) would write it, with no
-Fraction made past the builder.  Degree-descent constants are exact
-integers and are never rounded.
+an explicit eps once per call, _evaluate multiplies the integer endpoints
+straight into the product, and the rounding certificate is written from
+each (n, h) as str(Fraction(n, h)) would write it, with no Fraction made
+past the builder.  Degree-descent constants are exact integers and are
+never rounded.
+
+Work that depends only on eps or on the formula is done once:
+- each distinct eps has one record, its grid: the texts of pi_eps and
+  fn_eps, the pi tier and its two certificate strings, and s.  The default
+  eps's record is made at import; _eps_grid keeps those of the last 16
+  explicit eps, 7.6 KB at its cap with short eps (by tracemalloc), and at
+  most 144 KB with eps whose numerator and denominator have 4300 digits;
+- each formula's required names, allowed names and checks in order are set
+  as it is registered (_SIGNATURES), and the constant coefficients and
+  shifts of its log factors are rendered at import (_TEXTS);
+- the tower table is built on first use, 2.9 KB, and kept.
 """
 
 from __future__ import annotations
@@ -20,6 +31,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable
 from fractions import Fraction
+from functools import cache, lru_cache
 from math import gcd
 
 from .errors import Frozen, InternalCheckError, bounded_digits, bounded_power
@@ -35,6 +47,9 @@ _C273 = Fraction(273, 100)
 _C546 = Fraction(546, 100)
 _C273_SHIFT = _C273 * 109
 _C546_SHIFT = _C546 * 109 + 3
+# their texts in exact_symbolic, rendered once and found by id, which each of
+# them keeps for as long as the module lives
+_TEXTS = {id(q): str(q) for q in (_C323, _C273, _C546, _C273_SHIFT, _C546_SHIFT)}
 
 
 class LogFactor(namedtuple("LogFactor", "coeff arg shift power")):
@@ -254,30 +269,59 @@ FORMULAS: dict[str, BoundFormula] = {
 GRH_IDS = frozenset(k for k, f in FORMULAS.items() if f.grh)
 
 
+def _signature(formula: BoundFormula) -> tuple:
+    params = formula.params
+    order = [p for p in params if p not in _CHECKED_LAST] + [p for p in _CHECKED_LAST if p in params]
+    return (frozenset(params).difference(formula.optional), frozenset(params),
+            tuple((p, _CHECKS.get(p, _positive)) for p in order))
+
+
+# what eval_bound reads of each formula, set once as it is registered: the
+# names it needs, the names it takes, and each name with its check, in order
+_SIGNATURES = {k: _signature(f) for k, f in FORMULAS.items()}
+
+
 def _ratio(n: int, d: int) -> str:
     # str(Fraction(n, d)) for n >= 0 and d > 0, with no Fraction made
     g = gcd(n, d)
     return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
+def _grid(pi_eps: Fraction, fn_eps: Fraction) -> tuple:
+    # what an evaluation reads of its eps: the texts of pi_eps and fn_eps (one
+    # text when they are one eps), the pi tier and its certificate, and s
+    lo, hi, h = pi = _pi_tier(pi_eps)
+    fn_text = str(fn_eps)
+    return (fn_text if pi_eps is fn_eps else str(pi_eps), fn_text, pi, (_ratio(lo, h), _ratio(hi, h)),
+            _decimal_places(fn_eps))
+
+
+# eps None means the documented default: coarse pi pair, ln and sqrt to 1e-9
+_DEFAULT_GRID = _grid(COARSE_EPS, DEFAULT_EPS)
+
+
+@lru_cache(maxsize=16)
+def _eps_grid(n: int, d: int) -> tuple:
+    # the grid of a checked eps = n / d in lowest terms, made on its first use
+    eps = Fraction(n, d)
+    return _grid(eps, eps)
+
+
 def _evaluate(sym: SymbolicProduct, eps) -> tuple[int, dict]:
-    # eps None means the documented default: coarse pi pair, ln and sqrt to
-    # 1e-9; a given eps has been checked
-    pi_eps = COARSE_EPS if eps is None else eps
-    fn_eps = DEFAULT_EPS if eps is None else eps
-    cert: dict = {"pi_eps": str(pi_eps), "fn_eps": str(fn_eps)}
+    # a given eps has been checked
+    pi_eps, fn_eps, pi, pi_cert, s = _DEFAULT_GRID if eps is None else _eps_grid(eps.numerator, eps.denominator)
+    cert: dict = {"pi_eps": pi_eps, "fn_eps": fn_eps}
     # every factor is positive, so the product's upper endpoint is the product
     # of the factors' upper endpoints (pi.lo for pi^-1); it is kept as num / den
     num, den = sym.rational.numerator, sym.rational.denominator
     if sym.pi_exp != 0:
-        lo, hi, h = _pi_tier(pi_eps)
-        cert["pi"] = [_ratio(lo, h), _ratio(hi, h)]
+        cert["pi"] = list(pi_cert)
+        lo, hi, h = pi
         e = abs(sym.pi_exp)
         if sym.pi_exp < 0:
             num, den = num * h ** e, den * lo ** e
         else:
             num, den = num * hi ** e, den * h ** e
-    s = _decimal_places(fn_eps)
     if sym.sqrt_arg != 1:
         lo, hi, h = _sqrt_grid(sym.sqrt_arg, s)
         cert["sqrt"] = [_ratio(lo, h), _ratio(hi, h)]
@@ -307,18 +351,20 @@ def eval_bound(bound_id: str, inputs: dict, eps=None, assume_grh: bool = False) 
     formula = FORMULAS[bound_id]
     if formula.grh and not assume_grh:
         raise ValueError(f"{bound_id} holds under GRH only; pass assume_grh=True to evaluate")
-    missing = [p for p in formula.params if p not in inputs and p not in formula.optional]
-    if missing:
+    required, allowed, checks = _SIGNATURES[bound_id]
+    if not inputs.keys() >= required:
+        missing = [p for p in formula.params if p in required and p not in inputs]
         raise ValueError(f"{bound_id} missing inputs: {missing}")
-    unknown = [k for k in inputs if k not in formula.params]
-    if unknown:
+    if not inputs.keys() <= allowed:
+        unknown = [k for k in inputs if k not in allowed]
         raise ValueError(f"{bound_id} got unknown inputs: {unknown}")
-    order = [p for p in formula.params if p not in _CHECKED_LAST] + list(_CHECKED_LAST)
-    sym = formula.build(**{p: _CHECKS.get(p, _positive)(p, inputs[p]) for p in order if p in inputs})
+    sym = formula.build(**{p: check(p, inputs[p]) for p, check in checks if p in inputs})
     # each rendered exact part is refused past MAX_DIGITS before any bracket; all are positive
-    for name, q in (("rational", sym.rational), ("sqrt argument", sym.sqrt_arg),
-                    *(("log argument", lf.arg) for lf in sym.log_factors)):
-        bounded_digits(max(q.numerator, q.denominator), f"the {name} of {bound_id}")
+    r = sym.rational
+    bounded_digits(max(r.numerator, r.denominator), f"the rational of {bound_id}")
+    bounded_digits(sym.sqrt_arg, f"the sqrt argument of {bound_id}")
+    for lf in sym.log_factors:
+        bounded_digits(max(lf.arg.numerator, lf.arg.denominator), f"the log argument of {bound_id}")
     # eps is checked here, once, after the inputs, which are reported first
     bound, cert = _evaluate(sym, None if eps is None else check_eps(eps))
     return BoundReport(
@@ -329,7 +375,8 @@ def eval_bound(bound_id: str, inputs: dict, eps=None, assume_grh: bool = False) 
             "pi_exp": sym.pi_exp,
             "sqrt_arg": sym.sqrt_arg,
             "log_factors": [
-                {"coeff": str(lf.coeff), "arg": str(lf.arg), "shift": str(lf.shift), "power": lf.power}
+                {"coeff": _TEXTS.get(id(lf.coeff)) or str(lf.coeff), "arg": str(lf.arg),
+                 "shift": _TEXTS.get(id(lf.shift)) or str(lf.shift), "power": lf.power}
                 for lf in sym.log_factors
             ],
             "expression": formula.expression,
@@ -349,6 +396,12 @@ class TowerConstant(namedtuple("TowerConstant", "name value description provenan
 def field_tower_constants() -> dict[str, TowerConstant]:
     """Exact degree bounds [L:k] for the field extensions where the relevant
     endomorphisms, isogenies and Kummer structures all become defined."""
+    return dict(_towers())
+
+
+@cache
+def _towers() -> dict[str, TowerConstant]:
+    # the table field_tower_constants copies, built once per process
     m20 = minkowski_M(20).value
     m18 = minkowski_M(18).value
     entries = (
@@ -384,7 +437,7 @@ def compose_intro_bound(disc_lambda: int, d: int, eps=None) -> BoundReport:
 
     data = parse_lattice(LatticeDescriptor(rank=20, disc=disc_lambda), "kummer")
     intro = eval_bound("uncond_lattice", {"disc_lambda": disc_lambda, "d": d}, eps=eps)
-    l_deg = field_tower_constants()["kummer_full"].value * d
+    l_deg = _towers()["kummer_full"].value * d
     specialized = eval_bound(
         "lattice_k_isog",
         {
@@ -395,7 +448,8 @@ def compose_intro_bound(disc_lambda: int, d: int, eps=None) -> BoundReport:
         },
         eps=eps,
     )
-    identity_holds = Fraction(1, 2 ** 2) * (2 ** 9 * 3) ** 4 == 2 ** 34 * 3 ** 4
+    # the identity times 2^2, in integers
+    identity_holds = (2 ** 9 * 3) ** 4 == 2 ** 2 * 2 ** 34 * 3 ** 4
     if not identity_holds:
         raise InternalCheckError("2^-2 * (2^9*3)^4 != 2^34 * 3^4")
     return BoundReport(
@@ -407,7 +461,7 @@ def compose_intro_bound(disc_lambda: int, d: int, eps=None) -> BoundReport:
             "specialized_integer_bound": specialized.integer_bound,
             "identity": "2^-2 * (2^9*3)^4 == 2^34 * 3^4",
             "identity_holds": identity_holds,
-            "ratio_specialized_over_intro": str(Fraction(3, abs(data.field.value))),
+            "ratio_specialized_over_intro": _ratio(3, abs(data.field.value)),
             "specialized_le_intro": specialized.integer_bound <= intro.integer_bound,
         },
     )

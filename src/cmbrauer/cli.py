@@ -25,6 +25,11 @@ k3-census without --field-count add bisect and math, and never load json,
 re, typing, enum, fractions or decimal.  bound, constants, lattice and
 k3-census --field-count compute with Fractions, so they load fractions, and
 with it re, enum, numbers and decimal.
+
+A long-lived process keeps, besides each subcommand's parsed table, the
+parse of the last 16 distinct --eps texts (_eps_entry): 4.5 KB at its cap
+with short texts (by tracemalloc), and at most 104 KB with the longest texts
+_parse_eps accepts.  A refused text is never kept.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from __future__ import annotations
 import sys
 from _json import encode_basestring_ascii, make_encoder
 from collections.abc import Callable, Sequence
-from functools import cache
+from functools import cache, lru_cache
 
 
 EXIT_OK = 0
@@ -56,7 +61,7 @@ def _canonical_payload(x):
     if kind is str or kind is bool or x is None:
         return x
     if kind is dict:
-        return {str(k): _canonical_payload(v) for k, v in x.items()}
+        return {k if type(k) is str else str(k): _canonical_payload(v) for k, v in x.items()}
     if kind is list or kind is tuple:
         return [_canonical_payload(v) for v in x]
     if kind is int:
@@ -119,6 +124,8 @@ def _parse_set_args(pairs: list[str]) -> dict:
         name, sep, raw = item.partition("=")
         if not sep or not name:
             raise _CliError(f"--set expects NAME=VALUE, got {item!r}")
+        if name in inputs:
+            raise _CliError(f"--set {name} is given more than once")
         if raw.lower() in ("true", "false"):
             inputs[name] = raw.lower() == "true"
         else:
@@ -282,13 +289,20 @@ def _parse_eps(text: str) -> Fraction:
     return eps
 
 
+@lru_cache(maxsize=16)
+def _eps_entry(text: str) -> tuple:
+    """_parse_eps(text) and its echo, once per text; a refused text raises
+    again on every call, since lru_cache keeps no exception."""
+    eps = _parse_eps(text)
+    return eps, str(eps)
+
+
 def _bound(bound_id, settings, eps, assume_grh, cross_check_intro):
     from .bounds import compose_intro_bound, eval_bound
     inputs = _parse_set_args(settings)
     echo = dict(inputs)
     if eps is not None:
-        eps = _parse_eps(eps)
-        echo["eps"] = str(eps)
+        eps, echo["eps"] = _eps_entry(eps)
     if cross_check_intro:
         if bound_id != "uncond_lattice":
             raise _CliError("--cross-check-intro applies to --id uncond_lattice only")
@@ -308,8 +322,8 @@ def _bound(bound_id, settings, eps, assume_grh, cross_check_intro):
 
 
 def _constants(name):
-    from .bounds import field_tower_constants
-    table = field_tower_constants()
+    from .bounds import _towers
+    table = _towers()
     if name is None:
         result = {n: {"value": e.value, "description": e.description} for n, e in table.items()}
         return _Answer(result, "towers:all")
@@ -332,8 +346,8 @@ def _bound_command() -> _Command:
 
 
 def _constants_command() -> _Command:
-    from .bounds import field_tower_constants
-    towers = field_tower_constants()
+    from .bounds import _towers
+    towers = _towers()
     return _Command(
         "exact descent-degree constants", {"--name": {"choices": sorted(towers)}},
         ("towers:all", *(e.provenance for e in towers.values())), _constants)

@@ -12,10 +12,12 @@ so reported bounds never increase when the precision is tightened.
 ln and sqrt land on the eps grid: for the least s >= 1 with 10^-s <= eps,
 ln is rounded outward to multiples of 1/h with h = 4 * 10^s and sqrt to
 multiples of 1/10^s (_ln_grid and _sqrt_grid take s).  pi has two tiers,
-held as integer pairs.  A caller checks eps once with check_eps and reads
-s once from _decimal_places.  Bracket, the pair as two Fractions, exists
-only at the public API: ln_bracket, sqrt_bracket and pi_bracket check eps
-and build one Bracket from the same integer pair.
+held as integer pairs.  A caller checks eps once per evaluation with
+check_eps and reads s from _decimal_places.  cmbrauer.bounds reads s and
+the pi tier from _pi_tier once per distinct eps, into a record it keeps.
+Bracket, the pair as two Fractions, exists only at the public API:
+ln_bracket, sqrt_bracket and pi_bracket check eps and build one Bracket
+from the same integer pair.
 
 ln x is summed in integers: x = y * 2^k with y in [1, 2), ln y = 2 atanh t
 as a fixed-point series in t = (y - 1) / (y + 1) <= 1/3 with 128 fraction

@@ -139,6 +139,16 @@ def test_bound_subcommand(capsys):
     assert env["result"]["integer_bound"] == "16"
 
 
+def test_a_repeated_set_is_refused(capsys):
+    for values in (("5", "6"), ("5", "5")):
+        code, env = run_json(["bound", "--id", "faltings_GRH", *(f"--set=d={v}" for v in values),
+                              "--assume-grh"], capsys)
+        assert code == 2 and env["error"] == {"type": "_CliError", "message": "--set d is given more than once"}
+    # the names are compared as written, so d and D are two inputs
+    code, env = run_json(["bound", "--id", "faltings_GRH", "--set", "d=5", "--set", "D=5", "--assume-grh"], capsys)
+    assert code == 2 and env["error"]["message"] == "faltings_GRH got unknown inputs: ['D']"
+
+
 def test_bound_grh_gate(capsys):
     code, env = run_json(["bound", "--id", "ab_GRH", "--set", "L_deg=2"], capsys)
     assert code == 2
