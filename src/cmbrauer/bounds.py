@@ -21,8 +21,7 @@ Work that depends only on eps or on the formula is done once:
   explicit eps, 7.6 KB at its cap with short eps (by tracemalloc), and at
   most 144 KB with eps whose numerator and denominator have 4300 digits;
 - each formula's required names, allowed names and checks in order are set
-  as it is registered (_SIGNATURES), and the constant coefficients and
-  shifts of its log factors are rendered at import (_TEXTS);
+  as it is registered (_SIGNATURES);
 - the tower table is built on first use, 2.9 KB, and kept.
 """
 
@@ -47,9 +46,6 @@ _C273 = Fraction(273, 100)
 _C546 = Fraction(546, 100)
 _C273_SHIFT = _C273 * 109
 _C546_SHIFT = _C546 * 109 + 3
-# their texts in exact_symbolic, rendered once and found by id, which each of
-# them keeps for as long as the module lives
-_TEXTS = {id(q): str(q) for q in (_C323, _C273, _C546, _C273_SHIFT, _C546_SHIFT)}
 
 
 class LogFactor(namedtuple("LogFactor", "coeff arg shift power")):
@@ -375,8 +371,7 @@ def eval_bound(bound_id: str, inputs: dict, eps=None, assume_grh: bool = False) 
             "pi_exp": sym.pi_exp,
             "sqrt_arg": sym.sqrt_arg,
             "log_factors": [
-                {"coeff": _TEXTS.get(id(lf.coeff)) or str(lf.coeff), "arg": str(lf.arg),
-                 "shift": _TEXTS.get(id(lf.shift)) or str(lf.shift), "power": lf.power}
+                {"coeff": str(lf.coeff), "arg": str(lf.arg), "shift": str(lf.shift), "power": lf.power}
                 for lf in sym.log_factors
             ],
             "expression": formula.expression,
@@ -418,11 +413,10 @@ def _towers() -> dict[str, TowerConstant]:
 
 
 def unit_group_order(delta_k: int) -> int:
-    """#O_K^x: 6 for Delta_K = -3, 4 for -4, else 2."""
-    from .quadratic import FundamentalDiscriminant
+    """#O_K^x = 2 [O_K^x : O_2^x], as the order of conductor 2 has only the units +-1."""
+    from .quadratic import FundamentalDiscriminant, unit_index
 
-    dk = FundamentalDiscriminant(delta_k).value
-    return {-3: 6, -4: 4}.get(dk, 2)
+    return 2 * unit_index(FundamentalDiscriminant(delta_k).value, 2)
 
 
 def compose_intro_bound(disc_lambda: int, d: int, eps=None) -> BoundReport:

@@ -433,9 +433,9 @@ class _Option:
 
 
 @cache
-def _command(name: str) -> tuple[_Command, dict[str, _Option]]:
-    """TABLE[name], built if it is a builder, and its options by option
-    string in argparse's order; both once per process."""
+def _command(name: str) -> tuple[_Command, dict[str, _Option], dict[str, object]]:
+    """TABLE[name], built if it is a builder, its options by option string
+    in argparse's order, and the default of each dest; all once per process."""
     entry = TABLE[name]
     spec = entry() if callable(entry) else entry
     help_option = _Option("-h/--help", "help", "help", None, None, False, None)
@@ -445,7 +445,7 @@ def _command(name: str) -> tuple[_Command, dict[str, _Option]]:
         options[flag] = _Option(flag, kwargs.get("dest", flag[2:].replace("-", "_")), action, kwargs.get("type"),
                                 kwargs.get("choices"), kwargs.get("required", False),
                                 kwargs.get("default", False if action == "store_true" else None))
-    return spec, options
+    return spec, options, {o.dest: o.default for o in options.values() if o.action != "help"}
 
 
 def _help(name: str) -> str:
@@ -507,10 +507,10 @@ def _parse(name: str, argv: list[str]) -> dict:
     the first "--" comes first, then each option's own error in argv order,
     the help text where -h is read, missing required options and, last,
     the tokens no option took."""
-    options = _command(name)[1]
+    _, options, defaults = _command(name)
     end = argv.index("--") if "--" in argv else len(argv)
     found = [_classify(options, token) for token in argv[:end]]
-    args = {o.dest: o.default for o in options.values() if o.action != "help"}
+    args = defaults.copy()
     seen = set()
     extras = []
     i = 0

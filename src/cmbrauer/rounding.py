@@ -15,9 +15,6 @@ multiples of 1/10^s (_ln_grid and _sqrt_grid take s).  pi has two tiers,
 held as integer pairs.  A caller checks eps once per evaluation with
 check_eps and reads s from _decimal_places.  cmbrauer.bounds reads s and
 the pi tier from _pi_tier once per distinct eps, into a record it keeps.
-Bracket, the pair as two Fractions, exists only at the public API:
-ln_bracket, sqrt_bracket and pi_bracket check eps and build one Bracket
-from the same integer pair.
 
 ln x is summed in integers: x = y * 2^k with y in [1, 2), ln y = 2 atanh t
 as a fixed-point series in t = (y - 1) / (y + 1) <= 1/3 with 128 fraction
@@ -32,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .errors import Frozen, InternalCheckError
+from .errors import InternalCheckError
 
 COARSE_EPS = Fraction(1, 10 ** 6)
 DEFAULT_EPS = Fraction(1, 10 ** 9)
@@ -41,22 +38,6 @@ _MIN_EPS = Fraction(1, 10 ** 18)
 
 # pi = 3.14159265358979323846 26433...; truncation is a certified lower endpoint
 _PI_20_DIGITS = 314159265358979323846
-
-
-class Bracket(Frozen):
-    """A closed rational interval [lo, hi] containing one real number."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo: Fraction, hi: Fraction):
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        if self.lo > self.hi:
-            raise InternalCheckError(f"bracket [{self.lo}, {self.hi}] is empty")
-
-
-def _bracket(lo: int, hi: int, h: int) -> Bracket:
-    return Bracket(Fraction(lo, h), Fraction(hi, h))
 
 
 def check_eps(eps: Fraction) -> Fraction:
@@ -78,16 +59,10 @@ def _decimal_places(eps: Fraction) -> int:
 # below by COARSE_EPS relative, and the 20-digit truncation
 _PI_COARSE = (355 * (10 ** 6 - 1), 355 * 10 ** 6, 113 * 10 ** 6)
 _PI_FINE = (_PI_20_DIGITS, _PI_20_DIGITS + 1, 10 ** 20)
-_PI_BRACKETS = {tier: _bracket(*tier) for tier in (_PI_COARSE, _PI_FINE)}
 
 
 def _pi_tier(eps: Fraction) -> tuple[int, int, int]:
     return _PI_COARSE if eps >= COARSE_EPS else _PI_FINE
-
-
-def pi_bracket(eps: Fraction = DEFAULT_EPS) -> Bracket:
-    """Certified enclosure of pi. The coarse tier is the classical 355/113 bound."""
-    return _PI_BRACKETS[_pi_tier(check_eps(eps))]
 
 
 _LN_MASTER = Fraction(1, 10 ** 30)
@@ -169,26 +144,3 @@ def _sqrt_grid(x, s: int) -> tuple[int, int, int]:
     h = 10 ** s
     r = isqrt(x.numerator * h * h // x.denominator)
     return r, r + 1, h
-
-
-def ln_bracket(x, eps: Fraction = DEFAULT_EPS) -> Bracket:
-    """Certified enclosure of ln(x) for rational x >= 1, width at most eps.
-
-    Computed once at master precision and widened outward to the grid of
-    10^-s / 4 for the least s >= 1 with 10^-s <= eps, so enclosures at finer
-    eps are contained in coarser ones.
-    """
-    s = _decimal_places(check_eps(eps))
-    x = Fraction(x)
-    if x < 1:
-        raise ValueError(f"ln bracket only supports x >= 1, got {x}")
-    return _bracket(*_ln_grid(x, s))
-
-
-def sqrt_bracket(x, eps: Fraction = DEFAULT_EPS) -> Bracket:
-    """Certified enclosure of sqrt(x) for rational x >= 0, width at most eps."""
-    s = _decimal_places(check_eps(eps))
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError(f"sqrt bracket needs x >= 0, got {x}")
-    return _bracket(*_sqrt_grid(x, s))

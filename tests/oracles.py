@@ -12,7 +12,7 @@ from math import gcd, isqrt
 from cmbrauer import cli
 from cmbrauer.errors import MAX_DIGITS, BudgetError, InternalCheckError, bounded_digits
 from cmbrauer.primes import divisors
-from cmbrauer.rounding import COARSE_EPS, DEFAULT_EPS, Bracket, ln_bracket, pi_bracket, sqrt_bracket
+from cmbrauer.rounding import COARSE_EPS, DEFAULT_EPS, _decimal_places, _ln_grid, _pi_tier, _sqrt_grid, check_eps
 
 
 def count_reduced_forms(disc: int) -> int:
@@ -98,41 +98,48 @@ def reduced_forms(disc: int) -> list[QuadraticForm]:
     return forms
 
 
-def bracket_product(sym, eps) -> tuple[Bracket, dict]:
-    """The enclosure of a bounds.SymbolicProduct, and its rounding certificate;
-    the bound is the floor of its upper endpoint.
+def fractions(lo: int, hi: int, h: int) -> tuple[Fraction, Fraction]:
+    """An integer enclosure (lo, hi, h) of cmbrauer.rounding as the Fraction
+    endpoints (lo/h, hi/h)."""
+    return Fraction(lo, h), Fraction(hi, h)
+
+
+def bracket_product(sym, eps) -> tuple[tuple[Fraction, Fraction], dict]:
+    """The enclosure (lo, hi) of a bounds.SymbolicProduct, and its rounding
+    certificate; the bound is the floor of hi.
 
     Formed in Fraction arithmetic, factor by factor, with both endpoints
     carried along; every factor is positive, so a product's endpoints are the
-    products of like endpoints, and 1/pi is enclosed by (1/pi.hi, 1/pi.lo).
+    products of like endpoints, and 1/pi is enclosed by (1/pi_hi, 1/pi_lo).
     The oracle for bounds._evaluate, which forms only the upper endpoint, in
     integers.
     """
     pi_eps = COARSE_EPS if eps is None else eps
     fn_eps = DEFAULT_EPS if eps is None else eps
     cert: dict = {"pi_eps": str(pi_eps), "fn_eps": str(fn_eps)}
+    s = _decimal_places(check_eps(fn_eps))
     lo = hi = Fraction(sym.rational)
     if sym.pi_exp != 0:
-        p = pi_bracket(pi_eps)
-        cert["pi"] = [str(p.lo), str(p.hi)]
+        pi_lo, pi_hi = fractions(*_pi_tier(check_eps(pi_eps)))
+        cert["pi"] = [str(pi_lo), str(pi_hi)]
         e = abs(sym.pi_exp)
         if sym.pi_exp < 0:
-            lo, hi = lo / p.hi ** e, hi / p.lo ** e
+            lo, hi = lo / pi_hi ** e, hi / pi_lo ** e
         else:
-            lo, hi = lo * p.lo ** e, hi * p.hi ** e
+            lo, hi = lo * pi_lo ** e, hi * pi_hi ** e
     if sym.sqrt_arg != 1:
-        s = sqrt_bracket(sym.sqrt_arg, fn_eps)
-        cert["sqrt"] = [str(s.lo), str(s.hi)]
-        lo, hi = lo * s.lo, hi * s.hi
+        sqrt_lo, sqrt_hi = fractions(*_sqrt_grid(sym.sqrt_arg, s))
+        cert["sqrt"] = [str(sqrt_lo), str(sqrt_hi)]
+        lo, hi = lo * sqrt_lo, hi * sqrt_hi
     for i, lf in enumerate(sym.log_factors):
-        ln_b = ln_bracket(lf.arg, fn_eps)
-        cert[f"ln_{i}"] = [str(ln_b.lo), str(ln_b.hi)]
+        ln_lo, ln_hi = fractions(*_ln_grid(lf.arg, s))
+        cert[f"ln_{i}"] = [str(ln_lo), str(ln_hi)]
         # coeff >= 0, so coeff * ln + shift is increasing in ln
-        affine_lo, affine_hi = lf.coeff * ln_b.lo + lf.shift, lf.coeff * ln_b.hi + lf.shift
+        affine_lo, affine_hi = lf.coeff * ln_lo + lf.shift, lf.coeff * ln_hi + lf.shift
         if affine_lo <= 0:
             raise InternalCheckError(f"log factor {lf} may be nonpositive, so its power is not monotone")
         lo, hi = lo * affine_lo ** lf.power, hi * affine_hi ** lf.power
-    return Bracket(lo, hi), cert
+    return (lo, hi), cert
 
 
 class _Refused(Exception):

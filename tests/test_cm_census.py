@@ -31,7 +31,8 @@ from cmbrauer.quadratic import (
 )
 from cmbrauer.errors import BudgetError
 from cmbrauer.minkowski import minkowski_M
-from cmbrauer.rounding import COARSE_EPS, DEFAULT_EPS, FINE_EPS, ln_bracket
+from cmbrauer.rounding import COARSE_EPS, DEFAULT_EPS, FINE_EPS, _decimal_places, _ln_grid
+from oracles import fractions
 
 
 def test_conductor_bound_clauses():
@@ -161,9 +162,9 @@ def _assert_k3_bound_matches_fractions(bound, d, n):
     # least the same at its lower endpoint, and never rises as eps tightens
     above = None
     for eps in _K3_EPS:
-        ln, value = ln_bracket(3 * d * d, eps), bound(eps)
-        assert value == ((ln.hi + 1) * 3 * d ** 3 * n).__floor__(), (d, n, eps)
-        assert value >= ((ln.lo + 1) * 3 * d ** 3 * n).__floor__(), (d, n, eps)
+        (ln_lo, ln_hi), value = fractions(*_ln_grid(3 * d * d, _decimal_places(eps))), bound(eps)
+        assert value == ((ln_hi + 1) * 3 * d ** 3 * n).__floor__(), (d, n, eps)
+        assert value >= ((ln_lo + 1) * 3 * d ** 3 * n).__floor__(), (d, n, eps)
         assert above is None or value <= above, (d, n, eps)
         above = value
 
@@ -180,7 +181,8 @@ def test_singular_k3_bound_past_the_digit_limit_is_refused(monkeypatch):
     # at d = 1 the bound is floor(3 F (ln 3 + 1)), the ln rounded up: the
     # largest field count F that keeps it below 10^4300 renders at 4300 digits
     limit = 10 ** 4300
-    largest = math.ceil(limit / (3 * (ln_bracket(3).hi + 1))) - 1
+    ln3_hi = fractions(*_ln_grid(3, _decimal_places(DEFAULT_EPS)))[1]
+    largest = math.ceil(limit / (3 * (ln3_hi + 1))) - 1
     assert len(str(singular_k3_bound(1, largest))) == 4300
     with pytest.raises(BudgetError, match="more than 4300 digits"):
         singular_k3_bound(1, largest + 1)

@@ -1,4 +1,4 @@
-"""Directed-rounding brackets: enclosure correctness and structural nesting."""
+"""Directed-rounding enclosures: correctness and structural nesting."""
 
 import gc
 import tracemalloc
@@ -8,15 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmbrauer import cli, rounding
-from cmbrauer.rounding import (
-    COARSE_EPS,
-    DEFAULT_EPS,
-    FINE_EPS,
-    Bracket,
-    ln_bracket,
-    pi_bracket,
-    sqrt_bracket,
-)
+from cmbrauer.rounding import COARSE_EPS, DEFAULT_EPS, FINE_EPS, _decimal_places, _ln_grid, _pi_tier, _sqrt_grid, check_eps
+from oracles import fractions
 
 # reference values good to far more digits than any tier requests
 PI_REF = Fraction(3141592653589793238462643383279502884197, 10 ** 39)
@@ -24,38 +17,36 @@ LN2_REF = Fraction(693147180559945309417232121458176568, 10 ** 36)
 LN10_REF = Fraction(2302585092994045684017991454684364208, 10 ** 36)
 
 
-def test_bracket_validation():
-    with pytest.raises(AssertionError):
-        Bracket(Fraction(2), Fraction(1))
-    b = Bracket(Fraction(3, 7), Fraction(3, 7))
-    assert b.lo == b.hi == Fraction(3, 7)
+def _enclose(grid, x, eps):
+    # the enclosure (lo, hi) of _ln_grid or _sqrt_grid at x, on the grid of eps
+    return fractions(*grid(x, _decimal_places(check_eps(eps))))
 
 
 def test_pi_tiers_certified_and_nested():
-    coarse = pi_bracket(COARSE_EPS)
-    fine = pi_bracket(FINE_EPS)
-    for b in (coarse, fine):
-        assert b.lo <= PI_REF <= b.hi
-    assert coarse.hi == Fraction(355, 113)
-    assert coarse.lo <= fine.lo and fine.hi <= coarse.hi
-    assert fine.hi - fine.lo <= FINE_EPS
+    coarse = fractions(*_pi_tier(COARSE_EPS))
+    fine = fractions(*_pi_tier(FINE_EPS))
+    for lo, hi in (coarse, fine):
+        assert lo <= PI_REF <= hi
+    assert coarse[1] == Fraction(355, 113)
+    assert coarse[0] <= fine[0] and fine[1] <= coarse[1]
+    assert fine[1] - fine[0] <= FINE_EPS
 
 
 def test_ln_certified_values():
     for x, ref in ((2, LN2_REF), (10, LN10_REF), (1, Fraction(0))):
         for eps in (COARSE_EPS, DEFAULT_EPS, FINE_EPS):
-            b = ln_bracket(x, eps)
-            assert b.lo <= ref <= b.hi
-            assert b.hi - b.lo <= eps
+            lo, hi = _enclose(_ln_grid, x, eps)
+            assert lo <= ref <= hi
+            assert hi - lo <= eps
 
 
 def test_ln_tiers_nested():
     for x in (2, 3, 10, 48, 163, 10 ** 12 + 7):
-        coarse = ln_bracket(x, COARSE_EPS)
-        mid = ln_bracket(x, DEFAULT_EPS)
-        fine = ln_bracket(x, FINE_EPS)
-        assert coarse.lo <= mid.lo <= fine.lo
-        assert fine.hi <= mid.hi <= coarse.hi
+        coarse = _enclose(_ln_grid, x, COARSE_EPS)
+        mid = _enclose(_ln_grid, x, DEFAULT_EPS)
+        fine = _enclose(_ln_grid, x, FINE_EPS)
+        assert coarse[0] <= mid[0] <= fine[0]
+        assert fine[1] <= mid[1] <= coarse[1]
 
 
 _ANY_EPS = st.fractions(Fraction(1, 10 ** 18), Fraction(999, 1000), max_denominator=10 ** 18)
@@ -67,42 +58,35 @@ def test_ln_and_sqrt_nest_for_any_two_eps(x, eps_a, eps_b):
     # not only at the tiers: at 3e-7 and 1e-6 an eps/4 grid would not nest,
     # and ln 6 at 3e-7 would reach above ln 6 at 1e-6
     fine_eps, coarse_eps = sorted((eps_a, eps_b))
-    for enclose in (ln_bracket, sqrt_bracket):
-        fine, coarse = enclose(x, fine_eps), enclose(x, coarse_eps)
-        assert coarse.lo <= fine.lo and fine.hi <= coarse.hi, (enclose.__name__, x, fine_eps, coarse_eps)
-        assert fine.hi - fine.lo <= fine_eps
-    assert ln_bracket(6, Fraction(3, 10 ** 7)).hi <= ln_bracket(6, COARSE_EPS).hi
+    for grid in (_ln_grid, _sqrt_grid):
+        fine, coarse = _enclose(grid, x, fine_eps), _enclose(grid, x, coarse_eps)
+        assert coarse[0] <= fine[0] and fine[1] <= coarse[1], (grid.__name__, x, fine_eps, coarse_eps)
+        assert fine[1] - fine[0] <= fine_eps
+    assert _enclose(_ln_grid, 6, Fraction(3, 10 ** 7))[1] <= _enclose(_ln_grid, 6, COARSE_EPS)[1]
 
 
 def test_ln_monotone_in_argument():
-    prev = ln_bracket(1, DEFAULT_EPS)
+    prev = _enclose(_ln_grid, 1, DEFAULT_EPS)
     for x in (2, 3, 5, 17, 400):
-        cur = ln_bracket(x, DEFAULT_EPS)
-        assert cur.hi > prev.lo
+        cur = _enclose(_ln_grid, x, DEFAULT_EPS)
+        assert cur[1] > prev[0]
         prev = cur
 
 
 def test_ln_additivity_within_width():
-    lhs = ln_bracket(6, FINE_EPS)
-    ln2, ln3 = ln_bracket(2, FINE_EPS), ln_bracket(3, FINE_EPS)
-    assert lhs.lo <= ln2.hi + ln3.hi and ln2.lo + ln3.lo <= lhs.hi
-
-
-def test_ln_domain():
-    with pytest.raises(ValueError):
-        ln_bracket(Fraction(1, 2), DEFAULT_EPS)
-    with pytest.raises(ValueError):
-        ln_bracket(0, DEFAULT_EPS)
+    lhs = _enclose(_ln_grid, 6, FINE_EPS)
+    ln2, ln3 = _enclose(_ln_grid, 2, FINE_EPS), _enclose(_ln_grid, 3, FINE_EPS)
+    assert lhs[0] <= ln2[1] + ln3[1] and ln2[0] + ln3[0] <= lhs[1]
 
 
 def test_sqrt_certified():
-    for x in (2, 3, 7, 163, Fraction(1, 4)):
+    for x in (0, 2, 3, 7, 163, Fraction(1, 4)):
         for eps in (COARSE_EPS, DEFAULT_EPS):
-            b = sqrt_bracket(x, eps)
-            assert b.lo * b.lo <= x <= b.hi * b.hi
-            assert b.hi - b.lo <= eps
-    exact = sqrt_bracket(49, DEFAULT_EPS)
-    assert exact.lo <= 7 <= exact.hi
+            lo, hi = _enclose(_sqrt_grid, x, eps)
+            assert lo * lo <= x <= hi * hi
+            assert hi - lo <= eps
+    lo, hi = _enclose(_sqrt_grid, 49, DEFAULT_EPS)
+    assert lo <= 7 <= hi
 
 
 @pytest.mark.parametrize("eps", [COARSE_EPS, DEFAULT_EPS, FINE_EPS, Fraction(1, 10 ** 18), Fraction(3, 10 ** 7),
@@ -113,36 +97,29 @@ def test_sqrt_grid_is_the_least_power_of_ten_below_eps(eps):
     while Fraction(1, 10 ** s) > eps:
         s += 1
     for x in (2, 163, Fraction(1, 4), 10 ** 30 + 7):
-        b = sqrt_bracket(x, eps)
-        assert b.hi - b.lo == Fraction(1, 10 ** s)
+        lo, hi = _enclose(_sqrt_grid, x, eps)
+        assert hi - lo == Fraction(1, 10 ** s)
 
 
-def test_pi_tiers_are_shared_brackets():
-    assert pi_bracket(COARSE_EPS) is pi_bracket(Fraction(1, 2))
-    assert pi_bracket(COARSE_EPS) == Bracket(Fraction(355, 113) * (1 - COARSE_EPS), Fraction(355, 113))
-    assert pi_bracket(DEFAULT_EPS) is pi_bracket(Fraction(1, 10 ** 18))
-
-
-def test_sqrt_domain():
-    with pytest.raises(ValueError):
-        sqrt_bracket(-1, DEFAULT_EPS)
-    b = sqrt_bracket(0, DEFAULT_EPS)
-    assert b.lo <= 0 <= b.hi
+def test_pi_tier_switches_at_coarse_eps():
+    assert _pi_tier(Fraction(1, 2)) == _pi_tier(COARSE_EPS)
+    assert fractions(*_pi_tier(COARSE_EPS)) == (Fraction(355, 113) * (1 - COARSE_EPS), Fraction(355, 113))
+    assert _pi_tier(COARSE_EPS - Fraction(1, 10 ** 18)) == _pi_tier(DEFAULT_EPS) == _pi_tier(Fraction(1, 10 ** 18))
+    assert _pi_tier(DEFAULT_EPS) != _pi_tier(COARSE_EPS)
 
 
 def test_eps_range_validation():
-    with pytest.raises(ValueError):
-        pi_bracket(Fraction(1, 10 ** 19))
-    with pytest.raises(ValueError):
-        ln_bracket(2, Fraction(2))
-    with pytest.raises(ValueError):
-        sqrt_bracket(2, Fraction(0))
+    for eps in (Fraction(1, 10 ** 19), Fraction(2), Fraction(1), Fraction(0), Fraction(-1, 10 ** 9)):
+        with pytest.raises(ValueError, match="eps must lie in"):
+            check_eps(eps)
+    assert check_eps(Fraction(1, 10 ** 18)) == Fraction(1, 10 ** 18)
+    assert check_eps(Fraction(999, 1000)) == Fraction(999, 1000)
 
 
 def test_ln_memory_stays_bounded(capsys):
     # a long-lived process sees ever new ln arguments; it keeps no growing
-    # store of them, and an argument seen long ago gets the same bracket again
-    first = ln_bracket(10 ** 6 + 1)
+    # store of them, and an argument seen long ago gets the same enclosure again
+    first = _enclose(_ln_grid, 10 ** 6 + 1, DEFAULT_EPS)
     degrees = range(10 ** 6, 10 ** 6 + 5000)
     tracemalloc.start()
     try:
@@ -158,10 +135,10 @@ def test_ln_memory_stays_bounded(capsys):
         tracemalloc.stop()
     # 4,000 retained ln results would hold more than 1 MB
     assert grown < 256 * 1024, grown
-    assert ln_bracket(10 ** 6 + 1) == first
+    assert _enclose(_ln_grid, 10 ** 6 + 1, DEFAULT_EPS) == first
 
 
-def _ln_atanh(y: Fraction, delta: Fraction) -> Bracket:
+def _ln_atanh(y: Fraction, delta: Fraction) -> tuple[Fraction, Fraction]:
     # the oracle: ln y = 2*atanh(t), t = (y-1)/(y+1) in [0, 1/3] for y in [1, 2],
     # summed in exact rationals; the tail after term j=J is at most
     # (9/4) t^(2J+3) / (2J+3)
@@ -177,14 +154,14 @@ def _ln_atanh(y: Fraction, delta: Fraction) -> Bracket:
         j += 1
         tail = Fraction(9, 4) * term / (2 * j + 1)
         if tail <= delta:
-            return Bracket(total, total + tail)
+            return total, total + tail
 
 
 _ORACLE = Fraction(1, 10 ** 60)
 _ORACLE_BITS = 256
 
 
-def _ln_oracle(x: Fraction) -> Bracket:
+def _ln_oracle(x: Fraction) -> tuple[Fraction, Fraction]:
     # ln x within _ORACLE: halve x into y in [1, 2), then, since ln is
     # increasing, enclose ln y by the series at the 2^-256 grid points on
     # either side of y, which keeps the series' rationals short
@@ -194,26 +171,20 @@ def _ln_oracle(x: Fraction) -> Bracket:
         k += 1
     one = 1 << _ORACLE_BITS
     below = (y * one).__floor__()
-    lo = _ln_atanh(Fraction(below, one), _ORACLE / 4).lo
-    hi = _ln_atanh(min(Fraction(-(-y * one).__floor__(), one), Fraction(2)), _ORACLE / 4).hi
+    lo = _ln_atanh(Fraction(below, one), _ORACLE / 4)[0]
+    hi = _ln_atanh(min(Fraction(-(-y * one).__floor__(), one), Fraction(2)), _ORACLE / 4)[1]
     if k:
-        ln2 = _ln_atanh(Fraction(2), _ORACLE / (4 * k))
-        lo, hi = lo + k * ln2.lo, hi + k * ln2.hi
-    return Bracket(lo, hi)
-
-
-def _master(x: Fraction) -> Bracket:
-    # the master enclosure is an integer pair over 2^_LN2_BITS
-    lo, hi = rounding._ln_master(x)
-    one = 1 << rounding._LN2_BITS
-    return Bracket(Fraction(lo, one), Fraction(hi, one))
+        ln2_lo, ln2_hi = _ln_atanh(Fraction(2), _ORACLE / (4 * k))
+        lo, hi = lo + k * ln2_lo, hi + k * ln2_hi
+    return lo, hi
 
 
 def _assert_master_encloses_oracle(x: Fraction):
-    master, oracle = _master(x), _ln_oracle(x)
-    assert oracle.hi - oracle.lo <= _ORACLE
-    assert master.lo <= oracle.lo and oracle.hi <= master.hi, x
-    assert master.hi - master.lo <= rounding._LN_MASTER, x
+    # the master enclosure is an integer pair over 2^_LN2_BITS
+    (lo, hi), (oracle_lo, oracle_hi) = fractions(*rounding._ln_master(x), 1 << rounding._LN2_BITS), _ln_oracle(x)
+    assert oracle_hi - oracle_lo <= _ORACLE
+    assert lo <= oracle_lo and oracle_hi <= hi, x
+    assert hi - lo <= rounding._LN_MASTER, x
 
 
 @settings(max_examples=300, deadline=None)

@@ -19,7 +19,6 @@ from cmbrauer.grossencharakter import CurveOverQ, PsiValue
 from cmbrauer.lattices import CMPair, LatticeDescriptor
 from cmbrauer.minkowski import MinkowskiConstant
 from cmbrauer.quadratic import FieldSearch, FundamentalDiscriminant, Order
-from cmbrauer.rounding import Bracket
 
 _K = "FundamentalDiscriminant(value=-4)"
 
@@ -54,7 +53,6 @@ def _examples():
         (CMPair(k, 1, 2), f"CMPair(field={_K}, f1=1, f2=2)"),
         (LatticeDescriptor(rank=20, disc=16), "LatticeDescriptor(rank=20, disc=16)"),
         (MinkowskiConstant(2, 24, ((2, 3), (3, 1))), "MinkowskiConstant(n=2, value=24, factorization=((2, 3), (3, 1)))"),
-        (Bracket(Fraction(1, 3), Fraction(1, 2)), "Bracket(lo=Fraction(1, 3), hi=Fraction(1, 2))"),
     )
 
 
@@ -155,7 +153,6 @@ _BAD_VALUES = (
     ("LatticeDescriptor(rank=4, disc=0)", "ValueError", "disc must be nonzero"),
     ("MinkowskiConstant(2, 25, ((2, 3), (3, 1)))", "InternalCheckError",
      "M(2) differs from the product over its factorization"),
-    ("Bracket(Fraction(1), Fraction(0))", "InternalCheckError", "bracket [1, 0] is empty"),
 )
 
 _RAISE_ALL = textwrap.dedent("""
@@ -167,7 +164,6 @@ _RAISE_ALL = textwrap.dedent("""
     from cmbrauer.lattices import CMPair, LatticeDescriptor
     from cmbrauer.minkowski import MinkowskiConstant
     from cmbrauer.quadratic import FundamentalDiscriminant, Order
-    from cmbrauer.rounding import Bracket
 
     for source in SOURCES:
         try:
