@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmbrauer import cli, rounding
+from cmbrauer.bounds import LogFactor, SymbolicProduct
+from cmbrauer.errors import InternalCheckError
 from cmbrauer.rounding import COARSE_EPS, DEFAULT_EPS, FINE_EPS, _decimal_places, _ln_grid, _pi_tier, _sqrt_grid, check_eps
 from oracles import fractions
 
@@ -79,6 +81,16 @@ def test_ln_additivity_within_width():
     assert lhs[0] <= ln2[1] + ln3[1] and ln2[0] + ln3[0] <= lhs[1]
 
 
+def test_ln_domain():
+    # ln is enclosed only for arguments >= 1: a product refuses a log factor
+    # below 1 before any enclosure is formed, and ln 1 encloses 0
+    for arg in (Fraction(1, 2), Fraction(0)):
+        with pytest.raises(InternalCheckError, match="needs arg >= 1"):
+            SymbolicProduct(Fraction(1), log_factors=(LogFactor(Fraction(1), arg, Fraction(1), 1),))
+    lo, hi = _enclose(_ln_grid, Fraction(1), DEFAULT_EPS)
+    assert lo <= 0 <= hi
+
+
 def test_sqrt_certified():
     for x in (0, 2, 3, 7, 163, Fraction(1, 4)):
         for eps in (COARSE_EPS, DEFAULT_EPS):
@@ -101,9 +113,28 @@ def test_sqrt_grid_is_the_least_power_of_ten_below_eps(eps):
         assert hi - lo == Fraction(1, 10 ** s)
 
 
+def test_sqrt_domain():
+    # sqrt is enclosed only for arguments >= 0: a product refuses a sqrt
+    # argument below 1, the integer square root refuses a negative one, and
+    # sqrt 0 encloses 0
+    for arg in (-1, 0):
+        with pytest.raises(InternalCheckError, match="sqrt argument"):
+            SymbolicProduct(Fraction(1), sqrt_arg=arg)
+    with pytest.raises(ValueError):
+        _sqrt_grid(Fraction(-1), _decimal_places(DEFAULT_EPS))
+    lo, hi = _enclose(_sqrt_grid, Fraction(0), DEFAULT_EPS)
+    assert lo <= 0 <= hi
+
+
+def test_pi_tiers_are_shared_brackets():
+    # every eps of a tier reads the one integer triple of that tier
+    assert _pi_tier(COARSE_EPS) is _pi_tier(Fraction(1, 2))
+    assert _pi_tier(DEFAULT_EPS) is _pi_tier(Fraction(1, 10 ** 18))
+    assert fractions(*_pi_tier(COARSE_EPS)) == (Fraction(355, 113) * (1 - COARSE_EPS), Fraction(355, 113))
+
+
 def test_pi_tier_switches_at_coarse_eps():
     assert _pi_tier(Fraction(1, 2)) == _pi_tier(COARSE_EPS)
-    assert fractions(*_pi_tier(COARSE_EPS)) == (Fraction(355, 113) * (1 - COARSE_EPS), Fraction(355, 113))
     assert _pi_tier(COARSE_EPS - Fraction(1, 10 ** 18)) == _pi_tier(DEFAULT_EPS) == _pi_tier(Fraction(1, 10 ** 18))
     assert _pi_tier(DEFAULT_EPS) != _pi_tier(COARSE_EPS)
 

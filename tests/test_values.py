@@ -1,6 +1,7 @@
 """The package's immutable value classes behave as frozen dataclasses would:
 repr, equality and hashing by value, no assignment, copy and pickle, and the
-same exception from each validating constructor, also under python -O."""
+same exception from each validating constructor, also under python -O.  The
+namedtuple value classes are plain tuples with field names."""
 
 import copy
 import dataclasses
@@ -12,11 +13,11 @@ from fractions import Fraction
 
 import pytest
 
-from cmbrauer.bounds import FORMULAS, BoundReport, SymbolicProduct
+from cmbrauer.bounds import FORMULAS, BoundReport, LogFactor, SymbolicProduct, field_tower_constants
 from cmbrauer.brauer import BrauerShape, GaloisFlags, MValuation
 from cmbrauer.cm_census import CensusReport, ConductorBoundReport
-from cmbrauer.grossencharakter import CurveOverQ, PsiValue
-from cmbrauer.lattices import CMPair, LatticeDescriptor
+from cmbrauer.grossencharakter import CurveOverQ, PsiValue, estimate_m
+from cmbrauer.lattices import CMPair, LatticeDescriptor, parse_lattice
 from cmbrauer.minkowski import MinkowskiConstant
 from cmbrauer.quadratic import FieldSearch, FundamentalDiscriminant, Order
 
@@ -114,6 +115,34 @@ def test_copy_and_pickle_keep_the_value(i):
     value, text = _examples()[i]
     for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert type(clone) is type(value) and clone == value and repr(clone) == text
+
+
+def _tuples():
+    """An instance of each namedtuple value class, from the function that
+    hands it out where there is one."""
+    return (
+        estimate_m(CurveOverQ(-1, 0, -4), 3, 50),
+        parse_lattice(LatticeDescriptor(rank=4, disc=-16), "abelian"),
+        field_tower_constants()["ab_endo"],
+        LogFactor(Fraction(3, 2), Fraction(5), Fraction(7), 2),
+    )
+
+
+_TUPLE_IDS = [type(v).__name__ for v in _tuples()]
+
+
+@pytest.mark.parametrize("i", range(len(_TUPLE_IDS)), ids=_TUPLE_IDS)
+def test_namedtuple_values_are_plain_tuples(i):
+    value = _tuples()[i]
+    plain = tuple(getattr(value, name) for name in value._fields)
+    assert isinstance(value, tuple) and value == plain and plain == value and hash(value) == hash(plain)
+    assert repr(value) == f"{type(value).__name__}(" + ", ".join(
+        f"{name}={v!r}" for name, v in zip(value._fields, plain)) + ")"
+    for name in (*value._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 1)
+    for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(clone) is type(value) and clone == value
 
 
 def test_keyword_construction_and_defaults():
