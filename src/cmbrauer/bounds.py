@@ -23,18 +23,25 @@ Work that depends only on eps or on the formula is done once:
 - each formula's required names, allowed names and checks in order are set
   as it is registered (_SIGNATURES);
 - the tower table is built on first use, 2.9 KB, and kept.
+
+Only the builders that read M(n) import minkowski, so the other formulas
+load neither it nor primes.  The runner of the bound subcommand keeps, in a
+long-lived process, the parse of the last 16 distinct --eps texts
+(_eps_entry): 4.5 KB at its cap with short texts (by tracemalloc), and at
+most 104 KB with the longest texts _parse_eps accepts.  A refused text is
+never kept.
 """
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from collections.abc import Callable
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import gcd
 
-from .errors import Frozen, InternalCheckError, bounded_digits, bounded_power
-from .minkowski import minkowski_M
+from .errors import MAX_DIGITS, BudgetError, Frozen, InternalCheckError, bounded_digits, bounded_power
 from .rounding import COARSE_EPS, DEFAULT_EPS, _decimal_places, _ln_grid, _pi_tier, _sqrt_grid, check_eps
 
 # certified height constants, exact rationals by fiat, and the products the
@@ -151,6 +158,7 @@ def _grh_log(arg, power: int = 4) -> LogFactor:
 
 
 def _build_uncond_lattice(disc_lambda, d) -> SymbolicProduct:
+    from .minkowski import minkowski_M
     r = Fraction(2 ** 34 * 3 ** 3 * minkowski_M(20).value ** 4 * disc_lambda * disc_lambda * d ** 4)
     return SymbolicProduct(rational=r, pi_exp=-2)
 
@@ -177,6 +185,7 @@ def _build_degree_grh(L_deg) -> SymbolicProduct:
 
 
 def _build_singular_cover_grh(d) -> SymbolicProduct:
+    from .minkowski import minkowski_M
     m20 = minkowski_M(20).value
     # 2^130 * 5^8 * (3.4)^2 = 2^122 * (3.4)^2 * 10^8
     r = Fraction(2 ** 122 * 3 ** 12 * _C34_SQUARED_E8 * m20 ** 12 * d ** 12)
@@ -202,6 +211,7 @@ def _build_nonisog_grh(compositum_deg, d) -> SymbolicProduct:
 
 
 def _build_kummer_nonisog_grh(d) -> SymbolicProduct:
+    from .minkowski import minkowski_M
     m18 = minkowski_M(18).value
     r = Fraction(2 ** 508 * 241 ** 24 * m18 ** 24 * d ** 24)
     lf = LogFactor(coeff=_C546, arg=Fraction(2 ** 6 * m18 * d), shift=_C546_SHIFT, power=24)
@@ -397,6 +407,7 @@ def field_tower_constants() -> dict[str, TowerConstant]:
 @cache
 def _towers() -> dict[str, TowerConstant]:
     # the table field_tower_constants copies, built once per process
+    from .minkowski import minkowski_M
     m20 = minkowski_M(20).value
     m18 = minkowski_M(18).value
     entries = (
@@ -459,3 +470,106 @@ def compose_intro_bound(disc_lambda: int, d: int, eps=None) -> BoundReport:
             "specialized_le_intro": specialized.integer_bound <= intro.integer_bound,
         },
     )
+
+
+# the bound and constants subcommands: their cli.TABLE builders and runners
+def _parse_set_args(pairs: list[str]) -> dict:
+    inputs = {}
+    for item in pairs:
+        name, sep, raw = item.partition("=")
+        if not sep or not name:
+            from .cli import _CliError
+            raise _CliError(f"--set expects NAME=VALUE, got {item!r}")
+        if name in inputs:
+            from .cli import _CliError
+            raise _CliError(f"--set {name} is given more than once")
+        if raw.lower() in ("true", "false"):
+            inputs[name] = raw.lower() == "true"
+        else:
+            try:
+                inputs[name] = int(raw)
+            except ValueError:
+                from .cli import _CliError
+                raise _CliError(f"--set value for {name} must be an integer or true/false, got {raw!r}")
+    return inputs
+
+
+def _parse_eps(text: str) -> Fraction:
+    """The --eps text as a Fraction.  A decimal exponent past MAX_DIGITS in
+    magnitude, which check_eps could never accept, is refused before Fraction
+    forms its power of ten; a digit run or a value past MAX_DIGITS digits too."""
+    # no shorter text holds such a run, and no text without an e such an exponent
+    if len(text) > MAX_DIGITS and any(len(run.replace("_", "")) > MAX_DIGITS
+                                      for run in re.findall(r"[\d_]+", text)):
+        raise BudgetError(f"--eps has a run of more than {MAX_DIGITS} digits")
+    exponent = ("e" in text or "E" in text) and re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
+    if exponent and abs(int(exponent[1])) > MAX_DIGITS:
+        from .cli import _CliError
+        raise _CliError(f"--eps exponent must lie within +-{MAX_DIGITS}, got {text!r}")
+    try:
+        eps = Fraction(text)
+    except ZeroDivisionError:
+        from .cli import _CliError
+        raise _CliError(f"--eps has a zero denominator, got {text!r}") from None
+    bounded_digits(max(abs(eps.numerator), eps.denominator), "--eps")
+    return eps
+
+
+@lru_cache(maxsize=16)
+def _eps_entry(text: str) -> tuple:
+    """_parse_eps(text) and its echo, once per text; a refused text raises
+    again on every call, since lru_cache keeps no exception."""
+    eps = _parse_eps(text)
+    return eps, str(eps)
+
+
+def _cli_bound(bound_id, settings, eps, assume_grh, cross_check_intro):
+    inputs = _parse_set_args(settings)
+    echo = dict(inputs)
+    if eps is not None:
+        eps, echo["eps"] = _eps_entry(eps)
+    if cross_check_intro:
+        if bound_id != "uncond_lattice":
+            from .cli import _CliError
+            raise _CliError("--cross-check-intro applies to --id uncond_lattice only")
+        if set(inputs) != {"disc_lambda", "d"}:
+            from .cli import _CliError
+            raise _CliError("--cross-check-intro needs exactly --set disc_lambda=... --set d=...")
+        report = compose_intro_bound(inputs["disc_lambda"], inputs["d"], eps=eps)
+    else:
+        report = eval_bound(bound_id, inputs, eps=eps, assume_grh=assume_grh)
+    result = {
+        "integer_bound": report.integer_bound,
+        "exact_symbolic": report.exact_symbolic,
+        "rounding_certificate": report.rounding_certificate,
+    }
+    if report.cross_check is not None:
+        result["cross_check"] = report.cross_check
+    return result, report.provenance, report.conditional, echo
+
+
+def _cli_constants(name):
+    table = _towers()
+    if name is None:
+        return {n: {"value": e.value, "description": e.description} for n, e in table.items()}, "towers:all"
+    entry = table[name]
+    return {"value": entry.value, "description": entry.description}, entry.provenance
+
+
+def _cli_bound_command() -> tuple:
+    return (
+        "evaluate a registered uniform bound",
+        {"--id": {"dest": "bound_id", "required": True, "choices": sorted(FORMULAS)},
+         "--set": {"dest": "settings", "action": "append", "default": [], "metavar": "NAME=VALUE",
+                   "help": "formula input; integers, or true/false for flags"},
+         "--eps": {"help": "rounding precision, e.g. 1e-6"},
+         "--assume-grh": {"action": "store_true"},
+         "--cross-check-intro": {"action": "store_true",
+                                 "help": "with --id uncond_lattice: attach the specialized-lattice cross check"}},
+        tuple(f"bounds:{k}" for k in FORMULAS), "bounds:_cli_bound")
+
+
+def _cli_constants_command() -> tuple:
+    towers = _towers()
+    return ("exact descent-degree constants", {"--name": {"choices": sorted(towers)}},
+            ("towers:all", *(e.provenance for e in towers.values())), "bounds:_cli_constants")

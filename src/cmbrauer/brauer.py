@@ -1,6 +1,8 @@
 """Structure and order of the transcendental Brauer group of E x E for a CM
 elliptic curve E: the exact shapes in the maximal-order case, order bounds in
-the non-maximal case, and the divisibility / uniform bounds they feed."""
+the non-maximal case, and the divisibility / uniform bounds they feed.
+Only the functions that take a discriminant import quadratic, so the shapes
+load none of it."""
 
 from __future__ import annotations
 
@@ -8,7 +10,6 @@ from math import prod
 
 from .errors import BudgetError, Frozen, InternalCheckError, bounded_digits, bounded_power
 from .primes import _ord, divisors, factorint, isprime
-from .quadratic import FundamentalDiscriminant, _kronecker_prime, unit_index
 
 
 class GaloisFlags(Frozen):
@@ -98,6 +99,7 @@ def brauer_shape_maximal(ell: int, m: int, flags: GaloisFlags) -> BrauerShape:
 def fixed_endomorphisms(f: int, delta_k: int, n: int, K_in_k: bool) -> tuple[int, ...]:
     """Galois-fixed part of End x Z/n as a tuple of cyclic orders:
     (n, n) if K in k; (n, 2) if 2 | f*Delta_K and 2 | n; else (n,)."""
+    from .quadratic import FundamentalDiscriminant
     FundamentalDiscriminant(delta_k)
     if f < 1 or n < 1:
         raise ValueError(f"need f >= 1 and n >= 1, got {(f, n)}")
@@ -127,6 +129,7 @@ def brauer_order_bound_nonmaximal(
     2-torsion of the maximal-order curve is not k-rational (a fact about
     curve data, so it is an explicit input flag).
     """
+    from .quadratic import FundamentalDiscriminant
     if not isprime(ell):
         raise ValueError(f"ell must be prime, got {ell}")
     if f < 1 or m_prime < 0:
@@ -156,6 +159,7 @@ def divisibility_bound(f: int, d: int, delta_k: int) -> int:
     (ell - (Delta_K/ell)) | unit_index(ell) * d; the order of the
     transcendental Brauer group divides this.  A bound past MAX_DIGITS
     digits, or a u*d with more than MAX_DIVISORS divisors, is refused."""
+    from .quadratic import FundamentalDiscriminant, _kronecker_prime, unit_index
     if f < 1 or d < 1:
         raise ValueError(f"need f >= 1 and d >= 1, got {(f, d)}")
     FundamentalDiscriminant(delta_k)
@@ -178,6 +182,7 @@ def uniform_bound_EE(f: int | None, d: int, delta_k: int) -> int:
     """Uniform bound on the order: at d = 1 the exact table (4 over Q(sqrt(-7)),
     8 over Q(i), 9 over Q(zeta_3), 1 otherwise); at d >= 2, f^2 d^4, or d^8
     when the conductor is unknown."""
+    from .quadratic import FundamentalDiscriminant
     if d < 1:
         raise ValueError(f"degree must be positive, got {d}")
     FundamentalDiscriminant(delta_k)
@@ -193,5 +198,17 @@ def uniform_bound_EE(f: int | None, d: int, delta_k: int) -> int:
 def geometric_brauer_invariants_order(delta_k: int, m: MValuation) -> int:
     """|Delta_K| * c^2 for c = prod ell^m_ell: order of the Galois-fixed
     geometric Brauer group when E has CM by the maximal order."""
+    from .quadratic import FundamentalDiscriminant
     FundamentalDiscriminant(delta_k)
     return abs(delta_k) * m.c ** 2
+
+
+# the runners that cli.TABLE names
+def _cli_brauer_shape(ell, m, k_in_k, two_torsion_rational):
+    flags = GaloisFlags(K_in_k=k_in_k, two_torsion_rational=two_torsion_rational)
+    shape = brauer_shape_maximal(ell, m, flags)
+    return {"cyclic_factors": list(shape.cyclic_factors), "order": shape.order}
+
+
+def _cli_divisibility(conductor, degree, delta_k):
+    return {"bound": divisibility_bound(conductor, degree, delta_k)}

@@ -7,9 +7,15 @@ codes: 0 success; 2 input validation, a help request (its error message is
 the help text), an --output file that cannot be written, or a BudgetError:
 an answer past what the library can certify or compute in bounded time; 64
 unknown subcommand; 70 internal failure: a violated internal identity, or a
-valid result that cannot be rendered.  Each subcommand is one entry of
-``TABLE``.  A runner imports the library names it calls in its own body, so a
-process loads only the library modules of the subcommand it runs.
+valid result that cannot be rendered.
+
+Each subcommand is one entry of ``TABLE``, which names its runner as
+"module:function" in the library module whose function it calls.  ``main``
+imports that module only once ``_parse`` has read argv, so a one-shot process
+compiles this front end, the runner's module and that module's top-level
+imports, and nothing of the other subcommands.  A usage error or a help
+request loads no library module, save bounds for bound and constants, whose
+options and provenance ids come from its formulas and tower table.
 
 ``_parse`` reads argv from the entry's options as argparse 3.11 would, with
 its abbreviations, ``--opt=value`` forms, negative values and error messages,
@@ -17,7 +23,7 @@ so envelopes stay as they were under argparse; argparse itself is imported
 only to format a help text, at 80 columns whatever the terminal.
 
 A process also imports only the stdlib its subcommand computes with.  The
-front end needs sys, functools and collections.abc, and renders through the
+front end needs sys, functools and collections, and renders through the
 C encoder of _json, which json.dumps itself runs; json stays the tests'
 oracle for the bytes.  classnum, fields-by-h, minkowski, conductor-bound,
 cm-count, brauer-shape, divisibility, mell-estimate (with array) and
@@ -26,18 +32,17 @@ re, typing, enum, fractions or decimal.  bound, constants, lattice and
 k3-census --field-count compute with Fractions, so they load fractions, and
 with it re, enum, numbers and decimal.
 
-A long-lived process keeps, besides each subcommand's parsed table, the
-parse of the last 16 distinct --eps texts (_eps_entry): 4.5 KB at its cap
-with short texts (by tracemalloc), and at most 104 KB with the longest texts
-_parse_eps accepts.  A refused text is never kept.
+A long-lived process keeps each subcommand's parsed table and resolved
+runner; bounds keeps the parse of the last 16 distinct --eps texts.
 """
 
 from __future__ import annotations
 
 import sys
 from _json import encode_basestring_ascii, make_encoder
-from collections.abc import Callable, Sequence
-from functools import cache, lru_cache
+from collections import namedtuple
+from collections.abc import Callable
+from functools import cache
 
 
 EXIT_OK = 0
@@ -118,292 +123,70 @@ def _format_table(payload: dict) -> str:
     return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows)
 
 
-def _parse_set_args(pairs: list[str]) -> dict:
-    inputs = {}
-    for item in pairs:
-        name, sep, raw = item.partition("=")
-        if not sep or not name:
-            raise _CliError(f"--set expects NAME=VALUE, got {item!r}")
-        if name in inputs:
-            raise _CliError(f"--set {name} is given more than once")
-        if raw.lower() in ("true", "false"):
-            inputs[name] = raw.lower() == "true"
-        else:
-            try:
-                inputs[name] = int(raw)
-            except ValueError:
-                raise _CliError(f"--set value for {name} must be an integer or true/false, got {raw!r}")
-    return inputs
-
-
-class _Answer:
-    """A run's answer with another provenance than the entry's first id, a
-    conditional flag, or an echo other than the parsed arguments."""
-
-    __slots__ = ("result", "provenance", "conditional", "inputs")
-
-    def __init__(self, result: dict, provenance: str, conditional: bool = False, inputs: dict | None = None):
-        self.result = result
-        self.provenance = provenance
-        self.conditional = conditional
-        self.inputs = inputs
-
-
-class _Command:
+class _Command(namedtuple("_Command", "help args provenance run")):
     """``args`` maps each long option to its ``argparse.add_argument``
     keywords: ``_parse`` reads dest, action (store_true or append), type,
     choices, required and default, and help and metavar go to the help text
-    alone.  ``run`` takes the parsed arguments as keywords and returns the
-    result, which carries ``provenance[0]``, or an _Answer.  It imports the
-    library names it calls when it runs."""
+    alone.  ``run`` names the runner as "module:function" in cmbrauer; it
+    takes the parsed arguments as keywords and returns the result, which
+    carries ``provenance[0]``, or (result, provenance) or (result,
+    provenance, conditional, inputs)."""
 
-    __slots__ = ("help", "args", "provenance", "run")
-
-    def __init__(self, help: str, args: dict[str, dict], provenance: tuple[str, ...], run: Callable):
-        self.help = help
-        self.args = args
-        self.provenance = provenance
-        self.run = run
-
-
-def _classnum(disc, conductor):
-    from .quadratic import FundamentalDiscriminant, Order, class_number_order
-    order = Order(FundamentalDiscriminant(disc), conductor)
-    return {"h": class_number_order(order), "order_discriminant": order.discriminant}
-
-
-def _fields_by_h(h, disc_bound):
-    from .quadratic import enumerate_fields_by_class_number
-    search = enumerate_fields_by_class_number(h, disc_bound)
-    return {
-        "discriminants": [f.value for f in search.fields],
-        "count": len(search.fields),
-        "certified_complete": search.certified_complete,
-    }
-
-
-def _minkowski(n):
-    from .minkowski import minkowski_M
-    m = minkowski_M(n)
-    return {"value": m.value, "factorization": {str(p): e for p, e in m.factorization}}
-
-
-def _conductor_bound(degree, delta_k):
-    from .cm_census import conductor_bound, conductor_bound_over_degree
-    from .quadratic import FundamentalDiscriminant
-    if delta_k is None:
-        return _Answer({"bound": conductor_bound_over_degree(degree)},
-                       "cm_census:conductor_bound_over_degree")
-    rep = conductor_bound(FundamentalDiscriminant(delta_k), degree)
-    return _Answer({"bound": rep.bound, "case": rep.case_label}, "cm_census:conductor_bound")
-
-
-def _cm_count(degree, disc_bound):
-    from .cm_census import cm_count_total
-    rep = cm_count_total(degree, disc_bound)
-    return {
-        "total": rep.total,
-        "certified_complete": rep.certified_complete,
-        "cube_bound": rep.cube_bound,
-        "per_field": {str(dk): c for dk, c in rep.per_field_counts},
-    }
-
-
-def _k3_census(degree, field_count, refined_disc_bound):
-    from .cm_census import singular_k3_bound, singular_k3_refined_sum, singular_k3_strong_bound
-    if field_count is None and refined_disc_bound is None:
-        raise _CliError("k3-census needs --field-count or --refined-disc-bound")
-    result = {}
-    if field_count is not None:
-        result["log_bound"] = singular_k3_bound(degree, field_count)
-        result["strong_bound"] = singular_k3_strong_bound(degree, field_count)
-    if refined_disc_bound is not None:
-        result["refined_sum"] = singular_k3_refined_sum(degree, refined_disc_bound)
-    return result
-
-
-def _lattice(delta_k, f1, f2, kind, rank, disc):
-    from .lattices import CMPair, LatticeDescriptor, disc_hom, disc_ns_kummer, disc_ns_product, parse_lattice
-    from .quadratic import FundamentalDiscriminant
-    compose = delta_k is not None or f1 is not None or f2 is not None
-    parse = kind is not None or rank is not None or disc is not None
-    if compose == parse:
-        raise _CliError("lattice takes either --delta-k/--f1/--f2 or --kind/--rank/--disc")
-    if compose:
-        if None in (delta_k, f1, f2):
-            raise _CliError("compose direction needs --delta-k, --f1 and --f2")
-        pair = CMPair(FundamentalDiscriminant(delta_k), f1, f2)
-        result = {
-            "conductor_lcm": pair.conductor_lcm,
-            "disc_hom": disc_hom(pair),
-            "disc_ns_product": disc_ns_product(pair),
-            "disc_ns_kummer": disc_ns_kummer(pair),
-        }
-        return _Answer(result, "lattices:disc_identities")
-    if None in (kind, rank, disc):
-        raise _CliError("parse direction needs --kind, --rank and --disc")
-    data = parse_lattice(LatticeDescriptor(rank=rank, disc=disc), kind)
-    return _Answer({"delta_k": data.field.value, "conductor_lcm": data.conductor_lcm},
-                   "lattices:parse_lattice")
-
-
-def _brauer_shape(ell, m, k_in_k, two_torsion_rational):
-    from .brauer import GaloisFlags, brauer_shape_maximal
-    flags = GaloisFlags(K_in_k=k_in_k, two_torsion_rational=two_torsion_rational)
-    shape = brauer_shape_maximal(ell, m, flags)
-    return {"cyclic_factors": list(shape.cyclic_factors), "order": shape.order}
-
-
-def _divisibility(conductor, degree, delta_k):
-    from .brauer import divisibility_bound
-    return {"bound": divisibility_bound(conductor, degree, delta_k)}
-
-
-def _mell_estimate(a4, a6, cm_disc, ell, budget):
-    from .grossencharakter import CurveOverQ, estimate_m
-    est = estimate_m(CurveOverQ(a4, a6, cm_disc), ell, budget)
-    return {"m_hat": est.m_hat, "samples_used": est.samples_used, "is_upper_bound": True}
-
-
-def _parse_eps(text: str) -> Fraction:
-    """The --eps text as a Fraction.  A decimal exponent past MAX_DIGITS in
-    magnitude, which check_eps could never accept, is refused before Fraction
-    forms its power of ten; a digit run or a value past MAX_DIGITS digits too.
-    Only ``bound --eps`` comes here, and bounds loads fractions anyway."""
-    import re
-    from fractions import Fraction
-
-    from .errors import MAX_DIGITS, BudgetError, bounded_digits
-    # no shorter text holds such a run, and no text without an e such an exponent
-    if len(text) > MAX_DIGITS and any(len(run.replace("_", "")) > MAX_DIGITS
-                                      for run in re.findall(r"[\d_]+", text)):
-        raise BudgetError(f"--eps has a run of more than {MAX_DIGITS} digits")
-    exponent = ("e" in text or "E" in text) and re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
-    if exponent and abs(int(exponent[1])) > MAX_DIGITS:
-        raise _CliError(f"--eps exponent must lie within +-{MAX_DIGITS}, got {text!r}")
-    try:
-        eps = Fraction(text)
-    except ZeroDivisionError:
-        raise _CliError(f"--eps has a zero denominator, got {text!r}") from None
-    bounded_digits(max(abs(eps.numerator), eps.denominator), "--eps")
-    return eps
-
-
-@lru_cache(maxsize=16)
-def _eps_entry(text: str) -> tuple:
-    """_parse_eps(text) and its echo, once per text; a refused text raises
-    again on every call, since lru_cache keeps no exception."""
-    eps = _parse_eps(text)
-    return eps, str(eps)
-
-
-def _bound(bound_id, settings, eps, assume_grh, cross_check_intro):
-    from .bounds import compose_intro_bound, eval_bound
-    inputs = _parse_set_args(settings)
-    echo = dict(inputs)
-    if eps is not None:
-        eps, echo["eps"] = _eps_entry(eps)
-    if cross_check_intro:
-        if bound_id != "uncond_lattice":
-            raise _CliError("--cross-check-intro applies to --id uncond_lattice only")
-        if set(inputs) != {"disc_lambda", "d"}:
-            raise _CliError("--cross-check-intro needs exactly --set disc_lambda=... --set d=...")
-        report = compose_intro_bound(inputs["disc_lambda"], inputs["d"], eps=eps)
-    else:
-        report = eval_bound(bound_id, inputs, eps=eps, assume_grh=assume_grh)
-    result = {
-        "integer_bound": report.integer_bound,
-        "exact_symbolic": report.exact_symbolic,
-        "rounding_certificate": report.rounding_certificate,
-    }
-    if report.cross_check is not None:
-        result["cross_check"] = report.cross_check
-    return _Answer(result, report.provenance, report.conditional, echo)
-
-
-def _constants(name):
-    from .bounds import _towers
-    table = _towers()
-    if name is None:
-        result = {n: {"value": e.value, "description": e.description} for n, e in table.items()}
-        return _Answer(result, "towers:all")
-    entry = table[name]
-    return _Answer({"value": entry.value, "description": entry.description}, entry.provenance)
-
-
-def _bound_command() -> _Command:
-    from .bounds import FORMULAS
-    return _Command(
-        "evaluate a registered uniform bound",
-        {"--id": {"dest": "bound_id", "required": True, "choices": sorted(FORMULAS)},
-         "--set": {"dest": "settings", "action": "append", "default": [], "metavar": "NAME=VALUE",
-                   "help": "formula input; integers, or true/false for flags"},
-         "--eps": {"help": "rounding precision, e.g. 1e-6"},
-         "--assume-grh": {"action": "store_true"},
-         "--cross-check-intro": {"action": "store_true",
-                                 "help": "with --id uncond_lattice: attach the specialized-lattice cross check"}},
-        tuple(f"bounds:{k}" for k in FORMULAS), _bound)
-
-
-def _constants_command() -> _Command:
-    from .bounds import _towers
-    towers = _towers()
-    return _Command(
-        "exact descent-degree constants", {"--name": {"choices": sorted(towers)}},
-        ("towers:all", *(e.provenance for e in towers.values())), _constants)
+    __slots__ = ()
 
 
 _REQUIRED_INT = {"type": int, "required": True}
 
-# an entry whose choices and provenance ids come from its library is a builder
-TABLE: dict[str, _Command | Callable[[], _Command]] = {
+# an entry whose choices and provenance ids come from its library names its
+# builder, which returns that _Command's fields
+TABLE: dict[str, _Command | str] = {
     "classnum": _Command(
         "class number of an imaginary quadratic order",
         {"--disc": {**_REQUIRED_INT, "help": "fundamental discriminant Delta_K"},
          "--conductor": {"type": int, "default": 1}},
-        ("quadratic:class_number_order",), _classnum),
+        ("quadratic:class_number_order",), "quadratic:_cli_classnum"),
     "fields-by-h": _Command(
         "fields with class number at most h",
         {"--h": _REQUIRED_INT,
          "--disc-bound": {**_REQUIRED_INT, "help": "search |Delta_K| up to this bound"}},
-        ("quadratic:enumerate_fields_by_class_number",), _fields_by_h),
+        ("quadratic:enumerate_fields_by_class_number",), "quadratic:_cli_fields_by_h"),
     "minkowski": _Command(
         "Minkowski constant M(n)", {"--n": _REQUIRED_INT},
-        ("minkowski:minkowski_M",), _minkowski),
+        ("minkowski:minkowski_M",), "minkowski:_cli_minkowski"),
     "conductor-bound": _Command(
         "largest conductor at a ring class degree",
         {"--degree": _REQUIRED_INT, "--delta-k": {"type": int}},
-        ("cm_census:conductor_bound", "cm_census:conductor_bound_over_degree"), _conductor_bound),
+        ("cm_census:conductor_bound", "cm_census:conductor_bound_over_degree"), "cm_census:_cli_conductor_bound"),
     "cm-count": _Command(
         "CM j-invariant census over degree-d fields",
         {"--degree": _REQUIRED_INT, "--disc-bound": {"type": int, "default": 200}},
-        ("cm_census:cm_count_total",), _cm_count),
+        ("cm_census:cm_count_total",), "cm_census:_cli_cm_count"),
     "k3-census": _Command(
         "singular K3 class count bounds",
         {"--degree": _REQUIRED_INT, "--field-count": {"type": int}, "--refined-disc-bound": {"type": int}},
-        ("cm_census:singular_k3_bound",), _k3_census),
+        ("cm_census:singular_k3_bound",), "cm_census:_cli_k3_census"),
     "lattice": _Command(
         "CM lattice discriminants, both directions",
         {"--delta-k": {"type": int}, "--f1": {"type": int}, "--f2": {"type": int},
          "--kind": {"choices": ("abelian", "kummer")}, "--rank": {"type": int}, "--disc": {"type": int}},
-        ("lattices:disc_identities", "lattices:parse_lattice"), _lattice),
+        ("lattices:disc_identities", "lattices:parse_lattice"), "lattices:_cli_lattice"),
     "brauer-shape": _Command(
         "transcendental Brauer group, maximal order",
         {"--ell": _REQUIRED_INT, "--m": _REQUIRED_INT,
          "--k-in-k": {"action": "store_true", "help": "the CM field lies in the base field"},
          "--two-torsion-rational": {"action": "store_true"}},
-        ("brauer:brauer_shape_maximal",), _brauer_shape),
+        ("brauer:brauer_shape_maximal",), "brauer:_cli_brauer_shape"),
     "divisibility": _Command(
         "divisibility bound for Br(E x E)",
         {"--conductor": _REQUIRED_INT, "--degree": _REQUIRED_INT, "--delta-k": _REQUIRED_INT},
-        ("brauer:divisibility_bound",), _divisibility),
+        ("brauer:divisibility_bound",), "brauer:_cli_divisibility"),
     "mell-estimate": _Command(
         "sampled upper bound on m_ell(E)",
         {"--a4": _REQUIRED_INT, "--a6": _REQUIRED_INT, "--cm-disc": _REQUIRED_INT, "--ell": _REQUIRED_INT,
          "--budget": {**_REQUIRED_INT, "help": "sample good primes up to this bound"}},
-        ("grossencharakter:estimate_m",), _mell_estimate),
-    "bound": _bound_command,
-    "constants": _constants_command,
+        ("grossencharakter:estimate_m",), "grossencharakter:_cli_mell_estimate"),
+    "bound": "bounds:_cli_bound_command",
+    "constants": "bounds:_cli_constants_command",
 }
 
 COMMANDS = tuple(TABLE)
@@ -414,30 +197,28 @@ _COMMON_ARGS = {"--format": {"choices": ("json", "table"), "default": "json"},
                 "--output": {"metavar": "PATH", "default": None}}
 
 
-class _Option:
+class _Option(namedtuple("_Option", "name dest action type choices required default")):
     """One option as argparse would hold it.  ``action`` is None (store the
     one value), "store_true", "append" or "help"; ``name`` is how a message
     names it."""
 
-    __slots__ = ("name", "dest", "action", "type", "choices", "required", "default")
+    __slots__ = ()
 
-    def __init__(self, name: str, dest: str, action: str | None, type: Callable | None,
-                 choices: Sequence[str] | None, required: bool, default: object):
-        self.name = name
-        self.dest = dest
-        self.action = action
-        self.type = type
-        self.choices = choices
-        self.required = required
-        self.default = default
+
+@cache
+def _resolve(ref: str) -> Callable:
+    """The function that "module:function" names in cmbrauer, its module
+    imported on the first call; once per process."""
+    module, _, name = ref.partition(":")
+    return getattr(__import__(f"cmbrauer.{module}", fromlist=(name,)), name)
 
 
 @cache
 def _command(name: str) -> tuple[_Command, dict[str, _Option], dict[str, object]]:
-    """TABLE[name], built if it is a builder, its options by option string
+    """TABLE[name], built if it names a builder, its options by option string
     in argparse's order, and the default of each dest; all once per process."""
     entry = TABLE[name]
-    spec = entry() if callable(entry) else entry
+    spec = _Command(*_resolve(entry)()) if type(entry) is str else entry
     help_option = _Option("-h/--help", "help", "help", None, None, False, None)
     options = {"-h": help_option, "--help": help_option}
     for flag, kwargs in {**_COMMON_ARGS, **spec.args}.items():
@@ -588,17 +369,18 @@ def main(argv=None) -> int:
     try:
         args = _parse(command, argv)
         fmt, output = args.pop("format"), args.pop("output")
-        answer = spec.run(**args)
-        if not isinstance(answer, _Answer):
-            answer = _Answer(answer, spec.provenance[0])
-        if answer.provenance not in spec.provenance:
-            raise _InternalError(f"{command} emitted undeclared provenance {answer.provenance!r}")
+        answer = _resolve(spec.run)(**args)
+        if type(answer) is not tuple:
+            answer = answer, spec.provenance[0]
+        result, provenance, conditional, inputs = (*answer, False, None) if len(answer) == 2 else answer
+        if provenance not in spec.provenance:
+            raise _InternalError(f"{command} emitted undeclared provenance {provenance!r}")
         envelope = {
             "command": command,
-            "inputs": {k: v for k, v in args.items() if v is not None} if answer.inputs is None else answer.inputs,
-            "result": answer.result,
-            "provenance": answer.provenance,
-            "conditional": answer.conditional,
+            "inputs": {k: v for k, v in args.items() if v is not None} if inputs is None else inputs,
+            "result": result,
+            "provenance": provenance,
+            "conditional": conditional,
         }
         try:
             payload = _canonical_payload(envelope)
@@ -623,4 +405,6 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # a runner raises cmbrauer.cli._CliError, so this run is that module
+    sys.modules.setdefault("cmbrauer.cli", sys.modules[__name__])
     sys.exit(main())

@@ -282,3 +282,34 @@ def singular_k3_strong_bound(d: int, field_count: int, eps=None) -> int:
     if d < 1 or field_count < 0:
         raise ValueError(f"need d >= 1 and field_count >= 0, got {(d, field_count)}")
     return singular_k3_bound(minkowski_M(20).value * d, field_count, eps)
+
+
+# the runners that cli.TABLE names
+def _cli_conductor_bound(degree, delta_k):
+    if delta_k is None:
+        return {"bound": conductor_bound_over_degree(degree)}, "cm_census:conductor_bound_over_degree"
+    rep = conductor_bound(FundamentalDiscriminant(delta_k), degree)
+    return {"bound": rep.bound, "case": rep.case_label}, "cm_census:conductor_bound"
+
+
+def _cli_cm_count(degree, disc_bound):
+    rep = cm_count_total(degree, disc_bound)
+    return {
+        "total": rep.total,
+        "certified_complete": rep.certified_complete,
+        "cube_bound": rep.cube_bound,
+        "per_field": {str(dk): c for dk, c in rep.per_field_counts},
+    }
+
+
+def _cli_k3_census(degree, field_count, refined_disc_bound):
+    if field_count is None and refined_disc_bound is None:
+        from .cli import _CliError
+        raise _CliError("k3-census needs --field-count or --refined-disc-bound")
+    result = {}
+    if field_count is not None:
+        result["log_bound"] = singular_k3_bound(degree, field_count)
+        result["strong_bound"] = singular_k3_strong_bound(degree, field_count)
+    if refined_disc_bound is not None:
+        result["refined_sum"] = singular_k3_refined_sum(degree, refined_disc_bound)
+    return result

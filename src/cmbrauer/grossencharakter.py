@@ -441,3 +441,9 @@ def estimate_m(curve: CurveOverQ, ell: int, prime_budget: int) -> MEstimate:
             f"no ordinary good prime <= {prime_budget} for y^2 = x^3 + {curve.a4}x + {curve.a6}"
         )
     return MEstimate(m_hat=best, samples_used=samples)
+
+
+def _cli_mell_estimate(a4, a6, cm_disc, ell, budget):
+    # the runner of cli.TABLE's mell-estimate
+    est = estimate_m(CurveOverQ(a4, a6, cm_disc), ell, budget)
+    return {"m_hat": est.m_hat, "samples_used": est.samples_used, "is_upper_bound": True}

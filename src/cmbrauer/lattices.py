@@ -118,3 +118,29 @@ def geometric_brauer_corank(rho: int) -> int:
     if not 1 <= rho <= 4:
         raise ValueError(f"NS rank of an abelian surface lies in [1, 4], got {rho}")
     return 6 - rho
+
+
+def _cli_lattice(delta_k, f1, f2, kind, rank, disc):
+    # the runner of cli.TABLE's lattice: the result and its provenance
+    compose = delta_k is not None or f1 is not None or f2 is not None
+    parse = kind is not None or rank is not None or disc is not None
+    if compose == parse:
+        from .cli import _CliError
+        raise _CliError("lattice takes either --delta-k/--f1/--f2 or --kind/--rank/--disc")
+    if compose:
+        if None in (delta_k, f1, f2):
+            from .cli import _CliError
+            raise _CliError("compose direction needs --delta-k, --f1 and --f2")
+        pair = CMPair(FundamentalDiscriminant(delta_k), f1, f2)
+        result = {
+            "conductor_lcm": pair.conductor_lcm,
+            "disc_hom": disc_hom(pair),
+            "disc_ns_product": disc_ns_product(pair),
+            "disc_ns_kummer": disc_ns_kummer(pair),
+        }
+        return result, "lattices:disc_identities"
+    if None in (kind, rank, disc):
+        from .cli import _CliError
+        raise _CliError("parse direction needs --kind, --rank and --disc")
+    data = parse_lattice(LatticeDescriptor(rank=rank, disc=disc), kind)
+    return {"delta_k": data.field.value, "conductor_lcm": data.conductor_lcm}, "lattices:parse_lattice"

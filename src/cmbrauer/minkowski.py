@@ -53,3 +53,9 @@ def algebraic_brauer_bound(r: int) -> int:
     if not 1 <= r <= 20:
         raise ValueError(f"Picard rank of a K3 surface lies in [1, 20], got {r}")
     return minkowski_M(r).value ** r
+
+
+def _cli_minkowski(n):
+    # the runner of cli.TABLE's minkowski
+    m = minkowski_M(n)
+    return {"value": m.value, "factorization": {str(p): e for p, e in m.factorization}}

@@ -440,3 +440,18 @@ def enumerate_fields_by_class_number(h_max: int, disc_search_bound: int) -> Fiel
         found += _field_objects(h, bisect_right(ms, disc_search_bound))
     # each run ascends in |Delta_K|, so the sort only merges the runs
     return FieldSearch(tuple(sorted(found, key=_value, reverse=True)), h_max, disc_search_bound)
+
+
+# the runners that cli.TABLE names
+def _cli_classnum(disc, conductor):
+    order = Order(FundamentalDiscriminant(disc), conductor)
+    return {"h": class_number_order(order), "order_discriminant": order.discriminant}
+
+
+def _cli_fields_by_h(h, disc_bound):
+    search = enumerate_fields_by_class_number(h, disc_bound)
+    return {
+        "discriminants": [f.value for f in search.fields],
+        "count": len(search.fields),
+        "certified_complete": search.certified_complete,
+    }

@@ -200,7 +200,7 @@ def canonical_payload_reference(x):
 def parse_eps_reference(text: str) -> Fraction:
     """The --eps text as a Fraction, with every text scanned for a digit run
     and a decimal exponent past MAX_DIGITS before Fraction reads it.  The
-    oracle for cli._parse_eps, which scans only texts that could hold them."""
+    oracle for bounds._parse_eps, which scans only texts that could hold them."""
     if any(len(run.replace("_", "")) > MAX_DIGITS for run in re.findall(r"[\d_]+", text)):
         raise BudgetError(f"--eps has a run of more than {MAX_DIGITS} digits")
     exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)

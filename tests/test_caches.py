@@ -51,10 +51,10 @@ def test_envelopes_do_not_depend_on_cache_state():
 def test_a_refused_eps_is_refused_on_every_repeat(eps, parsed):
     first = _bound(eps)
     assert first[0] == 2 and '"error"' in first[1]
-    hits = cli._eps_entry.cache_info().hits
+    hits = bounds._eps_entry.cache_info().hits
     for _ in range(3):
         assert _bound(eps) == first
-    assert cli._eps_entry.cache_info().hits - hits == (3 if parsed else 0)
+    assert bounds._eps_entry.cache_info().hits - hits == (3 if parsed else 0)
 
 
 def test_equal_eps_texts_give_identical_envelopes():
@@ -64,7 +64,7 @@ def test_equal_eps_texts_give_identical_envelopes():
     assert code == 0 and json.loads(out)["inputs"]["eps"] == "1/1000000000"
 
 
-@pytest.mark.parametrize("cache", [cli._eps_entry, bounds._eps_grid], ids=["cli._eps_entry", "bounds._eps_grid"])
+@pytest.mark.parametrize("cache", [bounds._eps_entry, bounds._eps_grid], ids=["bounds._eps_entry", "bounds._eps_grid"])
 def test_an_eps_cache_holds_its_cap(cache):
     cap = cache.cache_info().maxsize
     assert cap == 16

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmbrauer import cli, cm_census, quadratic
+from cmbrauer import bounds, cli, cm_census, quadratic
 from cmbrauer.bounds import FORMULAS, field_tower_constants
 from cmbrauer.quadratic import IntegralityError
 from oracles import argparse_reference, canonical_payload_reference, parse_eps_reference
@@ -496,7 +496,7 @@ def test_every_command_answers_with_sympy_unimportable(flags):
     assert out.stderr == f"{[0] * len(_ONE_PER_COMMAND) + [2] * len(_PAST_PSI13)}\n"
 
 
-def _library_modules_loaded(argv) -> set[str]:
+def _library_modules_loaded(argv, flags=()) -> set[str]:
     # the cmbrauer modules besides cli that a fresh process holds after
     # cli.main(argv) returns, or after the import alone when argv is None
     script = (
@@ -506,15 +506,33 @@ def _library_modules_loaded(argv) -> set[str]:
         f"    {argv!r} is None or cli.main({argv!r})\n"
         "print(*sorted(m for m in sys.modules if m.startswith('cmbrauer.')))\n"
     )
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True, check=True)
     return {m.removeprefix("cmbrauer.") for m in out.stdout.split()} - {"cli"}
 
 
 _USAGE_ERROR = ["classnum", "--disc", "x"]
 
+# the library modules a process of each subcommand's argv loads: the
+# runner's module and what it imports at its top, quadratic only where a
+# discriminant is read, and minkowski only where M(n) is
+_LOADS = {
+    "classnum": {"errors", "primes", "quadratic"},
+    "fields-by-h": {"errors", "primes", "quadratic"},
+    "minkowski": {"errors", "minkowski", "primes"},
+    "conductor-bound": {"cm_census", "errors", "minkowski", "primes", "quadratic"},
+    "cm-count": {"cm_census", "errors", "minkowski", "primes", "quadratic"},
+    "k3-census": {"cm_census", "errors", "minkowski", "primes", "quadratic", "rounding"},
+    "lattice": {"errors", "lattices", "primes", "quadratic"},
+    "brauer-shape": {"brauer", "errors", "primes"},
+    "divisibility": {"brauer", "errors", "primes", "quadratic"},
+    "mell-estimate": {"errors", "grossencharakter", "primes", "quadratic"},
+    "bound": {"bounds", "errors", "rounding"},
+    "constants": {"bounds", "errors", "minkowski", "primes", "rounding"},
+}
+
 
 @pytest.mark.parametrize("argv", [None, [], ["frobnicate"], pytest.param(_USAGE_ERROR, id="usage-error"),
-                                  *_ONE_PER_COMMAND],
+                                  *_ONE_PER_COMMAND, pytest.param(_NO_FIELD_INPUT[1], id="bound-ab_GRH")],
                          ids=lambda argv: "import" if argv is None else " ".join(argv[:1]) or "missing")
 def test_a_process_imports_only_its_subcommands_library(argv):
     loaded = _library_modules_loaded(argv)
@@ -524,6 +542,15 @@ def test_a_process_imports_only_its_subcommands_library(argv):
     if argv[0] == "minkowski":
         assert not loaded & {"quadratic", "rounding", "bounds"}, loaded
     assert ("bounds" in loaded) == (argv[0] in ("bound", "constants")), loaded
+    assert loaded == _LOADS[argv[0]]
+
+
+def test_every_runner_lives_in_a_library_module():
+    # cli is the front end alone; a runner resolved in _command would load its library on a usage error
+    for name in cli.COMMANDS:
+        runner = cli._resolve(cli._command(name)[0].run)
+        assert runner.__module__ != "cmbrauer.cli", name
+        assert runner.__module__ == "cmbrauer." + cli._command(name)[0].run.partition(":")[0], name
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
@@ -544,6 +571,8 @@ def test_only_a_help_request_imports_argparse(flags):
     assert codes == f"{[0] * len(_ONE_PER_COMMAND) + [2]} []"
     code, envelope = helped.split(" ", 1)
     assert code == "2" and json.loads(envelope)["error"]["message"].startswith("usage: cmbrauer classnum [-h]")
+    # the help text comes from the command table, which holds no runner's module
+    assert _library_modules_loaded(["classnum", "--help"], flags) == set()
 
 
 def test_multiplier_past_the_digit_limit_is_refused(capsys):
@@ -769,7 +798,7 @@ def _eps_texts():
 
 def test_parse_eps_matches_the_full_scan_on_edge_texts():
     for text in _eps_texts():
-        assert _outcome(cli._parse_eps, text) == _outcome(parse_eps_reference, text), text[:40]
+        assert _outcome(bounds._parse_eps, text) == _outcome(parse_eps_reference, text), text[:40]
 
 
 @settings(max_examples=500, deadline=None)
@@ -777,7 +806,7 @@ def test_parse_eps_matches_the_full_scan_on_edge_texts():
        | st.from_regex(r"\A\s?[-+]?\d{0,5}(\.\d{0,5})?([eE][-+]?\d{1,4}(_\d)?)?\s?\Z")
        | st.fractions().map(str))
 def test_parse_eps_matches_the_full_scan(text):
-    assert _outcome(cli._parse_eps, text) == _outcome(parse_eps_reference, text)
+    assert _outcome(bounds._parse_eps, text) == _outcome(parse_eps_reference, text)
 
 
 def test_commands_registry():
