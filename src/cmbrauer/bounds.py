@@ -24,8 +24,9 @@ Work that depends only on eps or on the formula is done once:
   as it is registered (_SIGNATURES);
 - the tower table is built on first use, 2.9 KB, and kept.
 
-Only the builders that read M(n) import minkowski, so the other formulas
-load neither it nor primes.  The runner of the bound subcommand keeps, in a
+Only the builders that read M(20) or M(18) import minkowski, the first
+time one of them runs (_m20_m18 reads both once), so the other formulas load
+neither it nor primes.  The runner of the bound subcommand keeps, in a
 long-lived process, the parse of the last 16 distinct --eps texts
 (_eps_entry): 4.5 KB at its cap with short texts (by tracemalloc), and at
 most 104 KB with the longest texts _parse_eps accepts.  A refused text is
@@ -157,9 +158,16 @@ def _grh_log(arg, power: int = 4) -> LogFactor:
     return LogFactor(coeff=_C323, arg=Fraction(arg), shift=_C273_SHIFT, power=power)
 
 
-def _build_uncond_lattice(disc_lambda, d) -> SymbolicProduct:
+@cache
+def _m20_m18() -> tuple[int, int]:
+    # M(20) and M(18), read once per process, and minkowski imported only then
     from .minkowski import minkowski_M
-    r = Fraction(2 ** 34 * 3 ** 3 * minkowski_M(20).value ** 4 * disc_lambda * disc_lambda * d ** 4)
+    return minkowski_M(20).value, minkowski_M(18).value
+
+
+def _build_uncond_lattice(disc_lambda, d) -> SymbolicProduct:
+    m20 = _m20_m18()[0]
+    r = Fraction(2 ** 34 * 3 ** 3 * m20 ** 4 * disc_lambda * disc_lambda * d ** 4)
     return SymbolicProduct(rational=r, pi_exp=-2)
 
 
@@ -185,8 +193,7 @@ def _build_degree_grh(L_deg) -> SymbolicProduct:
 
 
 def _build_singular_cover_grh(d) -> SymbolicProduct:
-    from .minkowski import minkowski_M
-    m20 = minkowski_M(20).value
+    m20 = _m20_m18()[0]
     # 2^130 * 5^8 * (3.4)^2 = 2^122 * (3.4)^2 * 10^8
     r = Fraction(2 ** 122 * 3 ** 12 * _C34_SQUARED_E8 * m20 ** 12 * d ** 12)
     return SymbolicProduct(rational=r, log_factors=(_grh_log(2 ** 10 * 3 * m20 * d),))
@@ -211,8 +218,7 @@ def _build_nonisog_grh(compositum_deg, d) -> SymbolicProduct:
 
 
 def _build_kummer_nonisog_grh(d) -> SymbolicProduct:
-    from .minkowski import minkowski_M
-    m18 = minkowski_M(18).value
+    m18 = _m20_m18()[1]
     r = Fraction(2 ** 508 * 241 ** 24 * m18 ** 24 * d ** 24)
     lf = LogFactor(coeff=_C546, arg=Fraction(2 ** 6 * m18 * d), shift=_C546_SHIFT, power=24)
     return SymbolicProduct(rational=r, log_factors=(lf,))
@@ -407,9 +413,7 @@ def field_tower_constants() -> dict[str, TowerConstant]:
 @cache
 def _towers() -> dict[str, TowerConstant]:
     # the table field_tower_constants copies, built once per process
-    from .minkowski import minkowski_M
-    m20 = minkowski_M(20).value
-    m18 = minkowski_M(18).value
+    m20, m18 = _m20_m18()
     entries = (
         TowerConstant("ab_endo", 2 ** 4 * 3, "endomorphism field of a rank-4 abelian surface", "towers:ab_endo"),
         TowerConstant("kummer_full", 2 ** 9 * 3 * m20, "Kummer structure, isogenous CM factors", "towers:kummer_full"),

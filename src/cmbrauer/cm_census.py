@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import namedtuple
+from operator import itemgetter
 
 from .errors import BudgetError, Frozen, InternalCheckError, bounded_digits, bounded_power
 from .minkowski import minkowski_M
@@ -12,10 +13,10 @@ from .primes import primerange
 from .quadratic import (
     FundamentalDiscriminant,
     IntegralityError,
+    _cap_index,
     _kronecker_prime,
     _swept,
     class_number_field,
-    enumerate_fields_by_class_number,
     unit_index,
 )
 
@@ -61,6 +62,9 @@ class ConductorBoundReport(Frozen):
             raise InternalCheckError(f"conductor bound {self.bound} exceeds 3 d^2 at d = {self.degree}")
 
 
+_count = itemgetter(1)
+
+
 class CensusReport(Frozen):
     # cube_bound is d^3 * number of fields, for comparison
     __slots__ = ("degree", "per_field_counts", "total", "certified_complete", "cube_bound")
@@ -72,7 +76,7 @@ class CensusReport(Frozen):
         object.__setattr__(self, "total", total)
         object.__setattr__(self, "certified_complete", certified_complete)
         object.__setattr__(self, "cube_bound", cube_bound)
-        if self.total != sum(c for _, c in self.per_field_counts):
+        if self.total != sum(map(_count, self.per_field_counts)):
             raise InternalCheckError(f"census total {self.total} is not the sum of {self.per_field_counts}")
 
 
@@ -210,15 +214,14 @@ def _census_table(d: int, disc_search_bound: int) -> tuple[_CensusTable, int]:
     if table is None or table.swept != swept:
         cap = 3 * d * d
         full = d * sum(cap // fa for fa in range(1, cap + 1))
-        fields = enumerate_fields_by_class_number(d, swept - 1).fields
+        ms, fields = _cap_index(d)
         per_field, count_sums, refined_sums = [], [0], [0]
         for k in fields:
             walk, count = _field_census(k, d)
             per_field.append((k.value, count))
             count_sums.append(count_sums[-1] + count)
             refined_sums.append(refined_sums[-1] + full - sum((d - h) * (cap // fa) for fa, h in walk))
-        table = _census_tables[d] = _CensusTable(swept, [-k.value for k in fields], tuple(per_field),
-                                                 count_sums, refined_sums)
+        table = _census_tables[d] = _CensusTable(swept, ms, tuple(per_field), count_sums, refined_sums)
     return table, bisect_right(table.ms, disc_search_bound)
 
 

@@ -19,6 +19,14 @@ is_fundamental_discriminant, 2^14 verdicts (by tracemalloc on CPython 3.11:
 3.9 MiB at the peak).  A form_class_counts answer is a view of the sweep's
 counts, not a copy, so one that is still held and has not been written
 keeps its sweep's list alive.
+
+enumerate_fields_by_class_number reads an index per class-number cap: the
+sweep's fields with h_K <= cap in ascending |Delta_K|, merged once per sweep,
+so a warm call is one bisect and one tuple slice.  Each field is validated
+once per sweep and all caps share its object.  The last INDEX_CAPS caps merged
+are kept; by tracemalloc at MAX_DISC_BOUND the index holds 106 KiB with caps
+1-12 (703 fields), 2.9 MiB for a cap holding all 30,392 fields (0.05-0.06 s
+to merge), and at most 9.8 MiB with 16 caps that hold nearly all of them.
 """
 
 from __future__ import annotations
@@ -28,7 +36,6 @@ from collections.abc import ItemsView, MutableMapping
 from functools import lru_cache
 from itertools import compress
 from math import isqrt
-from operator import attrgetter
 
 from .errors import BudgetError, Frozen, InternalCheckError, bounded_digits
 from .primes import _prime_factors, isprime, primerange, sqrt_mod, square_part
@@ -220,13 +227,18 @@ def _sweep(bound: int) -> tuple[list[int], list[int]]:
 
 
 # The retained sweep: primitive reduced form counts indexed by m = -disc, and
-# for each class number (keys ascending) the fundamental m in ascending order,
-# with the validated field objects of a prefix of them (see _field_objects).
-# A bound past the table sweeps again to that bound and replaces all three,
+# for each class number (keys ascending) the fundamental m in ascending order;
+# beside them, for each class number some cap's index has reached, the
+# validated fields of those m, and the indexes themselves (see _cap_index).
+# A bound past the table sweeps again to that bound and replaces all four,
 # never changing them in place; every smaller bound reads them.
 _counts: list[int] = []
 _fields_by_h: dict[int, list[int]] = {}
 _field_objects_by_h: dict[int, list[FundamentalDiscriminant]] = {}
+_index: dict[int, tuple[tuple[int, ...], tuple[FundamentalDiscriminant, ...]]] = {}
+
+# the caps whose index a session keeps: MAX_CENSUS_DEGREE caps and a few more
+INDEX_CAPS = 16
 
 # caps on the census inputs, by the time each protects (Python 3.11, 2 vCPU,
 # in process): a sweep to 10^5 takes 0.09-0.15 s, and _count_forms_by_a 4.5,
@@ -238,7 +250,7 @@ MAX_FIELD_DISC = 10 ** 9
 
 
 def _retained(disc_bound: int) -> list[int]:
-    global _counts, _fields_by_h, _field_objects_by_h
+    global _counts, _fields_by_h, _field_objects_by_h, _index
     if disc_bound > MAX_DISC_BOUND:
         raise BudgetError(f"disc bound {disc_bound} is past the census cap {MAX_DISC_BOUND}")
     if disc_bound >= len(_counts):
@@ -252,7 +264,7 @@ def _retained(disc_bound: int) -> list[int]:
         for m, (h, n) in enumerate(zip(counts, forms)):
             if h and h == n:
                 fields_by_h.setdefault(h, []).append(m)
-        _counts, _fields_by_h, _field_objects_by_h = counts, dict(sorted(fields_by_h.items())), {}
+        _counts, _fields_by_h, _field_objects_by_h, _index = counts, dict(sorted(fields_by_h.items())), {}, {}
     return _counts
 
 
@@ -264,16 +276,32 @@ def _swept(disc_search_bound: int) -> int:
     return len(_retained(disc_search_bound))
 
 
-def _field_objects(h: int, k: int) -> list[FundamentalDiscriminant]:
-    """The fields of the first k m in _fields_by_h[h], each validated once.
+def _cap_index(h_max: int) -> tuple[tuple[int, ...], tuple[FundamentalDiscriminant, ...]]:
+    """The fields of the retained sweep with h_K <= h_max in ascending
+    |Delta_K|: their m = -Delta_K, and their field objects.
 
-    They are made when first asked for, not by the sweep: the sweep to 10^5
-    holds about 30,000 fields, which would take ~1 s and 4 MiB to validate,
-    while a census asks for a few hundred."""
-    objects = _field_objects_by_h.setdefault(h, [])
-    if len(objects) < k:
-        objects += [FundamentalDiscriminant(-m) for m in _fields_by_h[h][len(objects):k]]
-    return objects[:k]
+    Each cap's index is merged from the runs of _fields_by_h once per sweep,
+    and the last INDEX_CAPS caps merged are kept, the oldest dropped first.  A
+    run's fields are validated when the first index that reaches it is
+    merged, once per sweep, and every index holding a field shares its object."""
+    index = _index.get(h_max)
+    if index is None:
+        ms, fields = [], []
+        for h, run in _fields_by_h.items():
+            if h > h_max:
+                break
+            objects = _field_objects_by_h.get(h)
+            if objects is None:
+                objects = _field_objects_by_h[h] = [FundamentalDiscriminant(-m) for m in run]
+            ms += run
+            fields += objects
+        # each run ascends, so the sort only merges them
+        order = sorted(range(len(ms)), key=ms.__getitem__)
+        index = tuple(map(ms.__getitem__, order)), tuple(map(fields.__getitem__, order))
+        if len(_index) >= INDEX_CAPS:
+            del _index[next(iter(_index))]
+        _index[h_max] = index
+    return index
 
 
 class FormClassCounts(MutableMapping):
@@ -426,20 +454,12 @@ class FieldSearch(Frozen):
         _set(self, "certified_complete", certified_complete)
 
 
-_value = attrgetter("value")
-
-
 def enumerate_fields_by_class_number(h_max: int, disc_search_bound: int) -> FieldSearch:
     """All fundamental Delta_K with |Delta_K| <= disc_search_bound and h_K <= h_max,
-    in ascending |Delta_K|, read from the retained sweep."""
+    in ascending |Delta_K|: a slice of the cap's index of the retained sweep."""
     _swept(disc_search_bound)
-    found = []
-    for h, ms in _fields_by_h.items():
-        if h > h_max:
-            break
-        found += _field_objects(h, bisect_right(ms, disc_search_bound))
-    # each run ascends in |Delta_K|, so the sort only merges the runs
-    return FieldSearch(tuple(sorted(found, key=_value, reverse=True)), h_max, disc_search_bound)
+    ms, fields = _cap_index(h_max)
+    return FieldSearch(fields[:bisect_right(ms, disc_search_bound)], h_max, disc_search_bound)
 
 
 # the runners that cli.TABLE names

@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import cache
 from itertools import count
 from unittest import mock
 
@@ -396,7 +397,7 @@ for n in json.loads(sys.argv[1]):
     out.append({
         "fcc": list(counts.items()),
         "fields": [[f.value for f in quadratic.enumerate_fields_by_class_number(h, n).fields]
-                   for h in (1, 2, 3, 4, 10)],
+                   for h in (*range(1, 13), 10 ** 9)],
         "cm_count": [cm_census.cm_count_total(d, n).per_field_counts for d in (1, 2, 3)],
         "refined": [cm_census.singular_k3_refined_sum(d, n) for d in (1, 2, 3)],
         "h": [quadratic.class_number_field(d) for d in (-3, -23, -3299, -4003, -99995)],
@@ -416,6 +417,107 @@ def test_large_sweep_then_smaller_bounds_match_cold_processes():
     warm = _sweep_answers([20000, *small])[1:]
     cold = [_sweep_answers([n])[0] for n in small]
     assert warm == cold
+
+
+@cache
+def _class_numbers_by_field():
+    # (m, h_K) for every fundamental m = -Delta_K up to MAX_DISC_BOUND, each
+    # read off its factors and counted field by field: no sweep, no index
+    return [(m, _count_forms_by_a.__wrapped__(-m))
+            for m in range(3, MAX_DISC_BOUND + 1) if is_fundamental_discriminant.__wrapped__(-m)]
+
+
+def _fields_up_to(cap, n):
+    return [-m for m, h in _class_numbers_by_field() if m <= n and h <= cap]
+
+
+def test_field_index_matches_an_independent_list_at_every_cap():
+    top = max(h for _, h in _class_numbers_by_field())
+    bounds = sorted({3, 4, 162, 163, *_SQUARE_EDGES, *range(1000, MAX_DISC_BOUND + 1, 4999), MAX_DISC_BOUND})
+    for cap in (*range(1, 13), top + 1):
+        expected = _fields_up_to(cap, MAX_DISC_BOUND)
+        for n in bounds:
+            search = enumerate_fields_by_class_number(cap, n)
+            assert [f.value for f in search.fields] == [d for d in expected if -d <= n], (cap, n)
+            assert (search.h_max, search.search_bound, search.certified_complete) == (cap, n, False)
+
+
+def test_a_warm_enumeration_validates_and_sorts_nothing():
+    big = enumerate_fields_by_class_number(4, 16500)
+    init = FundamentalDiscriminant.__init__.__code__
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "c_call":
+            calls.append(arg.__name__)
+        elif event == "call" and frame.f_code is init:
+            calls.append("FundamentalDiscriminant")
+
+    sys.setprofile(profile)
+    try:
+        again = enumerate_fields_by_class_number(4, 16500)
+        small = enumerate_fields_by_class_number(4, 300)
+    finally:
+        sys.setprofile(None)
+    assert calls and not {"FundamentalDiscriminant", "is_fundamental_discriminant", "sorted", "sort"} & set(calls)
+    # both answers are slices of the one index: the same objects
+    assert again.fields == big.fields and all(a is b for a, b in zip(again.fields, big.fields))
+    assert all(a is b for a, b in zip(small.fields, big.fields))
+    assert [f.value for f in small.fields] == _fields_up_to(4, 300)
+
+
+def test_caps_share_their_field_objects():
+    assert enumerate_fields_by_class_number(1, 20000).fields[0] is enumerate_fields_by_class_number(4, 20000).fields[0]
+    widest = {f.value: f for f in enumerate_fields_by_class_number(10 ** 9, 20000).fields}
+    for cap in (1, 2, 4, 12):
+        fields = enumerate_fields_by_class_number(cap, 20000).fields
+        assert fields and all(widest[f.value] is f for f in fields), cap
+
+
+def test_the_field_index_keeps_at_most_its_cap_count(fresh_session):
+    quadratic._retained(3000)
+    fields = sum(map(len, quadratic._fields_by_h.values()))
+    asked = [*range(1, 3 * quadratic.INDEX_CAPS), *range(10 ** 6, 10 ** 6 + 100)]
+    for cap in asked:
+        assert [f.value for f in enumerate_fields_by_class_number(cap, 3000).fields] == _fields_up_to(cap, 3000)
+        assert len(quadratic._index) <= quadratic.INDEX_CAPS
+    # the last caps asked are the ones kept, and one object per field of the sweep
+    assert list(quadratic._index) == asked[-quadratic.INDEX_CAPS:]
+    assert sum(map(len, quadratic._field_objects_by_h.values())) == fields
+    # a cap dropped from the index answers the same when asked again
+    assert [f.value for f in enumerate_fields_by_class_number(2, 3000).fields] == _fields_up_to(2, 3000)
+
+
+def test_the_field_index_stays_under_its_stated_ceiling(fresh_session):
+    # the module docstring's 9.8 MiB: INDEX_CAPS caps that hold nearly every
+    # field of the sweep at MAX_DISC_BOUND, and the field objects they share
+    quadratic._retained(MAX_DISC_BOUND)
+    top = max(quadratic._fields_by_h)
+    code = quadratic._cap_index.__code__
+    lines = range(code.co_firstlineno, max(line for *_, line in code.co_lines() if line) + 1)
+    tracemalloc.start()
+    try:
+        for cap in (*range(top - quadratic.INDEX_CAPS - 3, top + 1), *range(10 ** 9, 10 ** 9 + 4)):
+            enumerate_fields_by_class_number(cap, MAX_DISC_BOUND)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    kept = sum(stat.size for stat in snapshot.statistics("lineno")
+               if stat.traceback[0].filename == quadratic.__file__ and stat.traceback[0].lineno in lines)
+    assert len(quadratic._index) == quadratic.INDEX_CAPS
+    assert 2 ** 20 < kept < 10 * 2 ** 20, kept
+
+
+def test_an_enumeration_outlives_a_resweep(fresh_session):
+    before = enumerate_fields_by_class_number(3, 300)
+    values = [f.value for f in before.fields]
+    assert values == _fields_up_to(3, 300)
+    index = quadratic._index[3]
+    # a re-sweep merges the cap again: the wider answer is not read off the old index
+    wider = enumerate_fields_by_class_number(3, 3000)
+    assert quadratic._index[3] is not index and [f.value for f in wider.fields] == _fields_up_to(3, 3000)
+    assert [f.value for f in before.fields] == values
+    assert [f.value for f in enumerate_fields_by_class_number(3, 300).fields] == values
 
 
 def test_past_sweep_memo_stays_bounded(fresh_session):
