@@ -13,13 +13,20 @@ odd split primes with their Cornacchia data (_SplitPrimes), grown on demand
 and retained for the life of the process.  The residue symbol depends on the
 curve and the prime alone, so each curve keeps a column of its |t| at the
 primes of its field's table (_CurveColumn), picked once by _curve_ts and
-filled only as far as scans read; the columns of the last 64 curves scanned
-are kept.  A scan reads the first 32 entries of a column, then all the
-column holds up to the budget in one more read, and past that in reads that
-double.  A read takes the column in runs between the primes it skips: the
-least ord_ell(|t|) over a run is ord_ell of their gcd, so a run costs one
-gcd and one valuation.  Results depend neither on which columns are kept nor
-on the order of calls.
+filled only as far as walks read; the columns of the last 64 curves scanned
+are kept.  The answer for (curve, ell, budget) depends on the column's prefix
+up to the budget alone, so each column keeps one profile per ell (_Profile,
+the last 8 ell asked): how far it has been walked, and the steps of the
+running minimum of ord_ell(|t|) down to the first |t| that ell does not
+divide.  A scan within the profile is a read: four bisections, two of the
+table and one each of the steps and the bad primes, and no column entry.  A scan past it
+walks the new entries alone, the first 32 of a column, then in reads that
+double; a read takes the column in runs between the primes it skips, and
+the least ord_ell(|t|) over a run is ord_ell of their gcd, so a run costs
+one gcd and one valuation unless the minimum falls inside it.  By
+tracemalloc the profiles of all 64 columns hold at most 494 KiB.  Results
+depend neither on which columns and profiles are kept nor on the order of
+calls.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Iterator
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, inf, isqrt
 
 from .errors import DIGIT_LIMIT, MAX_DIGITS, BudgetError, Frozen, InternalCheckError
 from .primes import _ord, isprime, primerange, sqrt_mod
@@ -261,43 +268,75 @@ def _split_primes(delta_k: int) -> _SplitPrimes:
     return table
 
 
-# the first read of a scan covers this many entries of the curve's column; each
-# later read covers as many as all the reads before it, or all the column
-# holds when that is more
+# the first read of a walk from the column's start covers this many entries;
+# each later read covers as many as all the reads before it, or all the
+# column holds when that is more
 _FIRST_READ = 32
 # the curves whose columns are kept, chosen by memory: at the cap a column has
 # at most 39,298 entries (39,175 for Q(i)) of 2 bytes, 77 KiB, so all 64
 # columns together hold about 5 MiB
 _CURVE_COLUMNS = 64
+# the profiles each column keeps, the oldest dropped first, since ell can be
+# any prime: a profile has at most 16 steps (|t| < 2^16, so ord_ell(|t|) <= 15),
+# and by tracemalloc the 64 columns' 512 profiles hold 151 KiB when each has one
+# step, as nearly all do, and 494 KiB when each has 16
+_PROFILES = 8
+
+
+class _Profile:
+    """One ell's walk of a curve column: how far it has walked (walked), and
+    the steps of the least ord_ell(|t|) over the good entries walked, as the
+    indices where it falls (at) and the values it falls to (levels).  A fall
+    to 0 is the first |t| that ell does not divide, where every scan past it
+    ends, so that walk is complete: walked is then infinite.  A walk stops
+    before a zero |t|, so every scan that reaches one reads it again."""
+
+    __slots__ = ("walked", "at", "levels")
+
+    def __init__(self):
+        self.walked = 0
+        self.at: list[int] = []
+        self.levels: list[int] = []
 
 
 class _CurveColumn:
     """The curve's |t| (_curve_ts) at each prime of its field's split-prime
-    table, in table order, as far as scans have read, and the indices of the
-    primes dividing the model's discriminant.  Those hold 0, which no scan
-    reads: scans skip them by index.  Below the cap |t| <= 2 sqrt(q/3) < 2^16."""
+    table, in table order, as far as walks have read, the indices of the
+    primes dividing the model's discriminant, and the walks' profiles by ell.
+    The bad indices hold 0, which no walk reads: walks skip them by index.
+    Below the cap |t| <= 2 sqrt(q/3) < 2^16."""
 
-    __slots__ = ("ts", "bad")
+    __slots__ = ("ts", "bad", "profiles")
 
     def __init__(self):
         self.ts = array("H")
         self.bad: list[int] = []
+        self.profiles: dict[int, _Profile] = {}
 
-    def fill(self, curve: CurveOverQ, table: _SplitPrimes, k: int) -> None:
-        """Extend the column to the first k primes of the table.  Like a table
-        chunk, the entries are built aside and committed only once all are
-        formed.  Two threads must not fill one column at once (the package
-        starts none)."""
+    def fill(self, curve: CurveOverQ, table: _SplitPrimes, k: int, disc: int) -> None:
+        """Extend the column to the first k primes of the table, for the
+        curve's discriminant disc.  Like a table chunk, the entries are built
+        aside and committed only once all are formed.  Two threads must not
+        fill one column at once (the package starts none)."""
         n = len(self.ts)
         if n >= k:
             return
-        disc = curve.weierstrass_disc
         bad = [x for x, q in enumerate(table.primes[n:k], n) if not disc % q]
         ts = array("H", _curve_ts(curve, table.primes, table.data, n, k, disc))
         for x in bad:
             ts.insert(x - n, 0)
         self.ts.extend(ts)
         self.bad.extend(bad)
+
+    def profile(self, ell: int) -> _Profile:
+        """ell's profile, new and unwalked if the column holds none; the
+        column keeps the last _PROFILES made."""
+        profile = self.profiles.get(ell)
+        if profile is None:
+            if len(self.profiles) >= _PROFILES:
+                del self.profiles[next(iter(self.profiles))]
+            profile = self.profiles[ell] = _Profile()
+        return profile
 
 
 @lru_cache(maxsize=_CURVE_COLUMNS)
@@ -329,14 +368,60 @@ def _first_zero(run: array) -> int:
     return run.index(0) if b"\0\0" in run.tobytes() and 0 in run else len(run)
 
 
-def _check_cm(curve: CurveOverQ) -> None:
-    """Reject a model whose j-invariant 1728*4a4^3/(4a4^3 + 27a6^2) is not the
-    j-invariant of the asserted maximal order."""
+def _walk(curve: CurveOverQ, disc: int, table: _SplitPrimes, column: _CurveColumn, profile: _Profile,
+          ell: int, j: int) -> None:
+    """Extend ell's profile of the curve's column to the first j primes of
+    the table, filling the column first as far as each read goes.  A read
+    skips q = ell and the bad primes by index and takes each run between
+    them in one gcd: ord_ell of the gcd is the least ord_ell(|t|) of the run.
+    Only a run whose least value lies below the profile's last level is
+    walked entry by entry, as far as the entry where it reaches that value,
+    recording every level it passes through."""
+    primes, at, levels = table.primes, profile.at, profile.levels
+    i = profile.walked
+    while i < j:
+        k = min(j, max(2 * i, _FIRST_READ, len(column.ts) if i else 0))
+        column.fill(curve, table, k, disc)
+        for start, run in _good_runs(column, primes, i, k, ell):
+            # gcd(0, t) = t would pass over a zero |t|, so a zero ends the
+            # run the gcd sees and is refused once the run is read
+            stop = _first_zero(run)
+            head = run if stop == len(run) else run[:stop]
+            if head:
+                v = _ord(ell, gcd(*head))
+                if not levels or v < levels[-1]:
+                    # the minimum falls in this run, perhaps through several
+                    # levels before it reaches v: each is a step
+                    for x, t in enumerate(head, start):
+                        if not levels or t % ell ** levels[-1]:
+                            at.append(x)
+                            levels.append(_ord(ell, t))
+                            if levels[-1] == v:
+                                break
+                    if not v:
+                        profile.walked = inf
+                        return
+            if stop < len(run):
+                profile.walked = start + stop
+                raise InternalCheckError(f"ord_{ell}(0) is not finite: |t| = 0 at q = {primes[start + stop]}")
+        i = profile.walked = k
+
+
+def _samples(column: _CurveColumn, primes: array, j: int, ell: int, disc: int) -> int:
+    """The good indices below j of a column filled that far: j less the bad
+    ones and the index of q = ell, which is bad too when ell divides disc."""
+    e = bisect_left(primes, ell, 0, j)
+    return j - bisect_left(column.bad, j) - (e < j and primes[e] == ell and disc % ell != 0)
+
+
+def _check_cm(curve: CurveOverQ, disc: int) -> None:
+    """Reject a model, of discriminant disc = 4a4^3 + 27a6^2, whose j-invariant
+    1728*4a4^3/disc is not the j-invariant of the asserted maximal order."""
     j_k = _CM_J_INVARIANTS.get(curve.cm_disc)
     num = 1728 * 4 * curve.a4 ** 3
-    if j_k is None or num != j_k * curve.weierstrass_disc:
+    if j_k is None or num != j_k * disc:
         from fractions import Fraction
-        j = Fraction(num, curve.weierstrass_disc)
+        j = Fraction(num, disc)
         if max(abs(j.numerator), j.denominator) >= DIGIT_LIMIT:
             j = f"a fraction past {MAX_DIGITS} digits"
         raise ValueError(f"y^2 = x^3 + {curve.a4}x + {curve.a6} (j = {j}) does not have CM by "
@@ -362,85 +447,75 @@ def estimate_m(curve: CurveOverQ, ell: int, prime_budget: int) -> MEstimate:
     the j-invariant of the asserted order, and the scan stops with an error at
     a good prime above 10^6.
 
-    The scan walks the retained table of the odd primes split in K, in
+    The scan reads the retained table of the odd primes split in K, in
     ascending order, each with its field entry: |t|, or for Q(i) the even and
     the odd member of {u, t} in q = u^2 + t^2, or for Q(zeta_3) the cube root
     of unity w mod q and the |B| of the three rotations of the primary pi.
     The curve's part is its retained column: the |t| picked at each prime of
     the table by one Legendre symbol of -a4 (Q(i)) or a comparison of
-    (4 a6)^((q-1)/3) with 1, w, w^2 (Q(zeta_3)), and the indices of the
-    primes dividing its discriminant.  The scan's first read covers
-    _FIRST_READ entries of the column, so an early exit stays cheap; each
-    later read covers as many as all earlier reads or, when the column
-    holds more, all it holds, up to the budget's index, filling it first as
-    far as the read goes.  A warm scan is thus two reads, and a cold one
-    fills the column in reads that double.  A read skips q = ell and the bad
-    primes by index and takes each run between them in one gcd: ord_ell of
-    the gcd is the least ord_ell(|t|) of the run, and when it is 0 a short
-    walk finds the first |t| that ell does not divide, which ends the scan.
-    A zero |t| reached before that is refused as an internal error.  The
-    scan takes the primes up to the budget from the table in one bisection
-    per chunk; one that reaches the end of the table extends it by one
-    chunk, to twice its reach (at least _FIRST_REACH), never past
-    min(prime_budget, 10^6); a chunk is committed only once all of it is
-    built.  The table columns are 32-bit arrays: at the 10^6 cap the Q(i)
-    table holds 39,175 primes in 0.5 MiB, and all nine tables together
-    3.5 MiB.  A curve column is a 16-bit array, 77 KiB at most at the cap,
-    and the 64 kept columns about 5 MiB; which columns are kept and the
-    order of calls do not change any result.
+    (4 a6)^((q-1)/3) with 1, w, w^2 (Q(zeta_3)), the indices of the primes
+    dividing its discriminant, and one profile per ell: how far the column
+    has been walked for ell, and the steps of the running minimum of
+    ord_ell(|t|) over the good primes, down to the first |t| that ell does
+    not divide, where every scan ends.  The answer at a budget the profile
+    covers is a read: one bisection of the table for the budget's index j,
+    one of the steps for the minimum before j, and the count of good
+    indices below j.  A scan past the profile walks the new entries alone,
+    in reads whose first covers _FIRST_READ entries, so an early exit stays
+    cheap, and each later one as many as all earlier reads or, when the
+    column holds more, all it holds; the column fills only as far as a read
+    goes.  A read takes each run between ell and the bad primes in one gcd
+    and walks entry by entry only a run whose least valuation lies below the
+    profile's last step, up to where it is reached.  A zero |t| reached
+    before the scan ends is refused as an internal error.  The scan takes
+    the primes up to the budget from the table in one bisection per chunk;
+    one that reaches the end of the table extends it by one chunk, to twice
+    its reach (at least _FIRST_REACH), never past min(prime_budget, 10^6); a
+    chunk is committed only once all of it is built.  The table columns are
+    32-bit arrays: at the 10^6 cap the Q(i) table holds 39,175 primes in
+    0.5 MiB, and all nine tables together 3.5 MiB.  A curve column is a
+    16-bit array, 77 KiB at most at the cap, and the 64 kept columns about
+    5 MiB; each keeps the profiles of its last _PROFILES ell, and the 64
+    columns' profiles together hold at most 494 KiB.  Which columns and
+    profiles are kept and the order of calls do not change any result.
     """
     if not isprime(ell):
         raise ValueError(f"ell must be prime, got {ell}")
     if prime_budget < 1:
         raise ValueError(f"prime budget must be positive, got {prime_budget}")
-    FundamentalDiscriminant(curve.cm_disc)
-    _check_cm(curve)
+    if curve.cm_disc not in _CM_J_INVARIANTS:
+        # every key is fundamental; another discriminant gets its own message
+        FundamentalDiscriminant(curve.cm_disc)
+    disc = curve.weierstrass_disc
+    _check_cm(curve, disc)
     limit = min(prime_budget, _POINT_COUNT_CAP)
     table = _split_primes(curve.cm_disc)
     primes = table.primes
     column = _curve_column(curve.a4, curve.a6, curve.cm_disc)
-    best: int | None = None
-    samples = 0
-    i = 0
+    profile = column.profile(ell)
+    at, levels = profile.at, profile.levels
     while True:
-        j = bisect_right(primes, limit, i)
-        while i < j:
-            # a later read takes all the column already holds to j, so a warm
-            # scan pays the per-read and per-run costs twice
-            k = min(j, max(2 * i, _FIRST_READ, len(column.ts) if i else 0))
-            column.fill(curve, table, k)
-            for start, run in _good_runs(column, primes, i, k, ell):
-                # gcd(0, t) = t would pass over a zero |t|, so a zero ends the
-                # run the gcd sees and is refused once the run is read
-                stop = _first_zero(run)
-                head = run if stop == len(run) else run[:stop]
-                g = gcd(*head)
-                if g % ell:
-                    # ord_ell(g) is the least ord_ell(t) over the run: 0 ends
-                    # the scan at the first t that ell does not divide
-                    return MEstimate(0, samples + next(n for n, t in enumerate(head, 1) if t % ell))
-                if head:
-                    samples += len(head)
-                    v = _ord(ell, g)
-                    best = v if best is None else min(best, v)
-                if stop < len(run):
-                    raise InternalCheckError(f"ord_{ell}(0) is not finite: |t| = 0 at q = {primes[start + stop]}")
-            i = k
+        j = bisect_right(primes, limit)
+        if profile.walked < j:
+            _walk(curve, disc, table, column, profile, ell, j)
+        s = bisect_left(at, j)
+        if s and not levels[s - 1]:
+            # the scan ends at the first |t| that ell does not divide
+            return MEstimate(0, _samples(column, primes, at[s - 1] + 1, ell, disc))
         if j < len(primes) or table.reach >= limit:
             break
         table.grow(limit)
-    disc = curve.weierstrass_disc
     if prime_budget > _POINT_COUNT_CAP:
         # bounds the scan's time; the message is the point count's own, at the
         # first good prime q != ell past the cap, split in K or not
         for q in primerange(_POINT_COUNT_CAP + 1, prime_budget + 1):
             if q != ell and disc % q:
                 raise BudgetError(f"point-count budget is p <= {_POINT_COUNT_CAP}, got {q}")
-    if best is None:
+    if not s:
         raise ValueError(
             f"no ordinary good prime <= {prime_budget} for y^2 = x^3 + {curve.a4}x + {curve.a6}"
         )
-    return MEstimate(m_hat=best, samples_used=samples)
+    return MEstimate(levels[s - 1], _samples(column, primes, j, ell, disc))
 
 
 def _cli_mell_estimate(a4, a6, cm_disc, ell, budget):

@@ -23,8 +23,9 @@ keeps its sweep's list alive.
 enumerate_fields_by_class_number reads an index per class-number cap: the
 sweep's fields with h_K <= cap in ascending |Delta_K|, merged once per sweep,
 so a warm call is one bisect and one tuple slice.  Each field is validated
-once per sweep and all caps share its object.  The last INDEX_CAPS caps merged
-are kept; by tracemalloc at MAX_DISC_BOUND the index holds 106 KiB with caps
+once per sweep and all caps share its object.  A cap past the sweep's largest
+class number (533 at MAX_DISC_BOUND) is read as that largest one, so all such
+caps share one index.  The last INDEX_CAPS caps merged are kept; by tracemalloc at MAX_DISC_BOUND the index holds 106 KiB with caps
 1-12 (703 fields), 2.9 MiB for a cap holding all 30,392 fields (0.05-0.06 s
 to merge), and at most 9.8 MiB with 16 caps that hold nearly all of them.
 """
@@ -282,8 +283,14 @@ def _cap_index(h_max: int) -> tuple[tuple[int, ...], tuple[FundamentalDiscrimina
 
     Each cap's index is merged from the runs of _fields_by_h once per sweep,
     and the last INDEX_CAPS caps merged are kept, the oldest dropped first.  A
-    run's fields are validated when the first index that reaches it is
-    merged, once per sweep, and every index holding a field shares its object."""
+    cap past the sweep's largest class number holds every field, so all such
+    caps share the index of that largest one.  A run's fields are validated
+    when the first index that reaches it is merged, once per sweep, and every
+    index holding a field shares its object."""
+    index = _index.get(h_max)
+    if index is not None:
+        return index
+    h_max = min(h_max, next(reversed(_fields_by_h), h_max))
     index = _index.get(h_max)
     if index is None:
         ms, fields = [], []

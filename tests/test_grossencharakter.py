@@ -321,12 +321,20 @@ def test_scan_skips_an_ell_that_splits(fresh_tables, curve, ell):
     assert estimate_m(CurveOverQ(5, 0, -4), 13, 17) == MEstimate(m_hat=0, samples_used=1)
 
 
+def _forge(curve, k, t, ell):
+    # the curve's |t| at index k is forged to t, and ell's profile, which has
+    # walked past it, is dropped so that the next scan at ell walks it again
+    column = grossencharakter._curve_column(curve.a4, curve.a6, curve.cm_disc)
+    column.ts[k] = t
+    del column.profiles[ell]
+
+
 def test_a_zero_t_past_the_first_sample_is_refused(fresh_tables):
     # y^2 = x^3 - x at ell = 2: the first sample, q = 5 with |t| = 2, sets
     # best = 1; then the curve's |t| at q = 13 is forged to 0
     assert estimate_m(EI, 2, 256).m_hat == 1
     k = list(fresh_tables[-4].primes).index(13)
-    grossencharakter._curve_column(EI.a4, EI.a6, EI.cm_disc).ts[k] = 0
+    _forge(EI, k, 0, 2)
     with pytest.raises(InternalCheckError, match=r"ord_2\(0\) is not finite"):
         estimate_m(EI, 2, 256)
     # at ell = 3 the first sample, |t| = 2 at q = 5, ends the scan before q = 13
@@ -339,19 +347,18 @@ def test_a_zero_t_past_the_first_read_is_refused(fresh_tables):
     assert estimate_m(EI, 2, 5000) == MEstimate(m_hat=1, samples_used=329)
     primes = fresh_tables[-4].primes
     k = 3 * grossencharakter._FIRST_READ
-    ts = grossencharakter._curve_column(EI.a4, EI.a6, EI.cm_disc).ts
-    ts[k] = 0
+    _forge(EI, k, 0, 2)
     with pytest.raises(InternalCheckError, match=rf"ord_2\(0\) is not finite: \|t\| = 0 at q = {primes[k]}\b"):
         estimate_m(EI, 2, 5000)
     # a budget that ends before the 0 does not reach it
     assert estimate_m(EI, 2, primes[k] - 1) == MEstimate(m_hat=1, samples_used=k)
     # an odd |t|, also forged, past the 0 in the same read does not hide it
-    ts[k + 8] = 1
+    _forge(EI, k + 8, 1, 2)
     with pytest.raises(InternalCheckError, match=r"ord_2\(0\) is not finite"):
         estimate_m(EI, 2, 5000)
     # but an exit at one before the 0 does not reach it
     odd = 2 * grossencharakter._FIRST_READ + 8
-    ts[odd] = 1
+    _forge(EI, odd, 1, 2)
     assert estimate_m(EI, 2, 5000) == MEstimate(m_hat=0, samples_used=odd + 1)
     # nor an exit at the first sample, q = 5 with |t| = 2 at ell = 3
     assert estimate_m(EI, 3, 5000) == MEstimate(m_hat=0, samples_used=1)
@@ -370,7 +377,7 @@ def test_zero_screen_is_exact(values):
     assert grossencharakter._first_zero(run) == (run.index(0) if 0 in run else len(run))
 
 
-def test_a_warm_scan_reads_its_column_in_two_reads(fresh_tables, monkeypatch):
+def test_a_warm_scan_reads_no_run_of_its_column(fresh_tables, monkeypatch):
     first_read = grossencharakter._FIRST_READ
     good_runs = grossencharakter._good_runs
     reads = []
@@ -380,13 +387,17 @@ def test_a_warm_scan_reads_its_column_in_two_reads(fresh_tables, monkeypatch):
         return good_runs(column, primes, i, k, ell)
 
     monkeypatch.setattr(grossencharakter, "_good_runs", counted)
-    # y^2 = x^3 - x at ell = 2 reads every prime to the budget; the first
-    # scan warms the table and the column
+    # y^2 = x^3 - x at ell = 2 reads every prime to the budget, and at
+    # ell = 3 ends at its first sample; the first scans warm the table, the
+    # column and the two profiles
     estimate_m(EI, 2, 5000)
+    estimate_m(EI, 3, 5000)
     j = len(fresh_tables[-4].primes)
     reads.clear()
     assert estimate_m(EI, 2, 5000) == MEstimate(m_hat=1, samples_used=329)
-    assert reads == [(0, first_read), (first_read, j)]
+    assert estimate_m(EI, 2, 700) == _reference_estimate_m(EI, 2, 700)
+    assert estimate_m(EI, 3, 5000) == estimate_m(EI, 3, 20000) == MEstimate(m_hat=0, samples_used=1)
+    assert reads == []
     # a cold column on the warm table fills in reads that double
     grossencharakter._curve_column.cache_clear()
     reads.clear()
@@ -396,14 +407,20 @@ def test_a_warm_scan_reads_its_column_in_two_reads(fresh_tables, monkeypatch):
         i = doubling[-1][1]
         doubling.append((i, min(j, 2 * i)))
     assert reads == doubling and len(doubling) > 2
-    # a partly filled column: one read to all it holds, then reads that
-    # double past it as the table grows
+    # a profile walked part of the way: the walk goes on from where it
+    # stopped, in reads that double as the table grows
     reads.clear()
     estimate_m(EI, 2, 20000)
-    assert reads[:2] == [(0, first_read), (first_read, j)]
+    assert reads[0][0] == j
     assert all(a[1] == b[0] for a, b in zip(reads, reads[1:]))
-    assert reads[-1][1] == len(fresh_tables[-4].primes) > 2 * j
-    assert all(k <= 2 * i for i, k in reads[2:])
+    n = len(fresh_tables[-4].primes)
+    assert reads[-1][1] == n > 2 * j
+    assert all(k <= 2 * i for i, k in reads)
+    # a new profile on a filled column: one read to all it holds
+    del grossencharakter._curve_column(EI.a4, EI.a6, EI.cm_disc).profiles[2]
+    reads.clear()
+    assert estimate_m(EI, 2, 20000) == MEstimate(m_hat=1, samples_used=1125)
+    assert reads == [(0, first_read), (first_read, n)]
 
 
 _COHERENCE_CURVES = (EI, EZ, E7, CurveOverQ(0, -432, -3), CurveOverQ(-8697680, 9873093538, -163))
@@ -433,6 +450,13 @@ _FRESH_OUTCOMES = textwrap.dedent("""
 """)
 
 
+def _fresh_outcomes(cases):
+    # each case alone on empty tables and columns, in a fresh interpreter
+    payload = json.dumps([(c.a4, c.a6, c.cm_disc, ell, budget) for c, ell, budget in cases])
+    return json.loads(subprocess.run([sys.executable, "-c", _FRESH_OUTCOMES], input=payload,
+                                     capture_output=True, text=True, check=True).stdout)
+
+
 def test_table_order_does_not_change_results(fresh_tables):
     # in one process: budgets descending then ascending at ell = 3, where most
     # scans end early, then the other way round at ell = 2, where none do, so
@@ -441,11 +465,7 @@ def test_table_order_does_not_change_results(fresh_tables):
     cases = ([(curve, 3, budget) for curve in _COHERENCE_CURVES for budget in down_up]
              + [(curve, 2, budget) for curve in _COHERENCE_CURVES for budget in down_up[::-1]])
     warm = [_outcome(*case) for case in cases]
-    # each case alone on empty tables, in a fresh interpreter
-    payload = json.dumps([(c.a4, c.a6, c.cm_disc, ell, budget) for c, ell, budget in cases])
-    fresh = json.loads(subprocess.run([sys.executable, "-c", _FRESH_OUTCOMES], input=payload,
-                                      capture_output=True, text=True, check=True).stdout)
-    assert warm == fresh
+    assert warm == _fresh_outcomes(cases)
     for case, got in zip(cases, warm):
         try:
             expected = list(_reference_estimate_m(*case))
@@ -453,6 +473,98 @@ def test_table_order_does_not_change_results(fresh_tables):
             assert got[0] == "ValueError" and got[1].startswith("no ordinary good prime"), case
         else:
             assert got == expected, case
+
+
+def test_profiles_match_the_oracle_at_every_step_boundary(fresh_tables):
+    # each side of each of the first 100 split primes q_k of three fields,
+    # where a profile's steps and its count of good indices can change
+    cases = []
+    for curve in (EI, EZ, E7):
+        split = _split_in_k(curve.cm_disc, 2000)[:100]
+        assert len(split) == 100
+        cases += [(curve, ell, b) for ell in (2, 3, 5, 7) for q in split for b in (q - 1, q)]
+    ascending = sorted(cases, key=lambda case: case[2])
+    shuffled = list(cases)
+    random.Random(37).shuffle(shuffled)
+    # in one process, each order on empty tables and columns: ascending walks
+    # the profiles a prime at a time, descending walks each once and reads it
+    outcomes = []
+    for order in (ascending, ascending[::-1], shuffled):
+        fresh_tables.clear()
+        grossencharakter._curve_column.cache_clear()
+        outcomes.append({case: _outcome(*case) for case in order})
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert [outcomes[0][case] for case in cases] == _fresh_outcomes(cases)
+    for case in cases:
+        got = outcomes[0][case]
+        try:
+            expected = list(_reference_estimate_m(*case))
+        except ValueError:
+            assert got[0] == "ValueError" and got[1].startswith("no ordinary good prime"), case
+        else:
+            assert got == expected, case
+
+
+def test_a_fall_through_several_levels_in_one_run_records_each(fresh_tables):
+    # y^2 = x^3 - x at ell = 2: every |t| is even and no split prime divides
+    # the discriminant, so the first read is one run.  Forged, its ord_2(|t|)
+    # falls 3 -> 2 -> 1 at indices 0, 3 and 6, and to 0 at index 12, which
+    # ends the scan; a descending scan walks the run once, and each smaller
+    # budget reads the steps it recorded
+    estimate_m(EI, 2, 2000)
+    primes = fresh_tables[-4].primes
+    column = grossencharakter._curve_column(EI.a4, EI.a6, EI.cm_disc)
+    column.ts[:14] = array("H", (8, 24, 40, 12, 56, 8, 6, 8, 24, 8, 40, 2, 3, 4))
+    del column.profiles[2]
+    ords = [_ord(2, t) for t in column.ts[:13]]
+    for k in range(40, -1, -1):
+        for budget in (primes[k], primes[k] - 1):
+            j = k + 1 if budget == primes[k] else k
+            if j > 12:
+                assert estimate_m(EI, 2, budget) == MEstimate(0, 13), budget
+            elif j:
+                assert estimate_m(EI, 2, budget) == MEstimate(min(ords[:j]), j), budget
+            else:
+                with pytest.raises(ValueError, match="no ordinary good prime"):
+                    estimate_m(EI, 2, budget)
+    assert (column.profiles[2].at, column.profiles[2].levels) == ([0, 3, 6, 12], [3, 2, 1, 0])
+
+
+# the profiles of 64 columns at the cap of 8 each, by tracemalloc: about
+# 151 KiB with one step each, 494 KiB when all have the most steps, 16
+_PROFILE_BYTES_CEILING = 512 * 2 ** 10
+
+
+def test_profiles_stay_under_their_cap(fresh_tables):
+    cap, budget = grossencharakter._PROFILES, 20000
+    curves = ([CurveOverQ(a4, 0, -4) for a4 in range(1, 33)]
+              + [CurveOverQ(0, a6, -3) for a6 in range(1, 33)])
+    assert len(curves) == grossencharakter._CURVE_COLUMNS
+    for curve in curves:
+        table = grossencharakter._split_primes(curve.cm_disc)
+        while table.reach < budget:
+            table.grow(budget)
+        grossencharakter._curve_column(curve.a4, curve.a6, curve.cm_disc).fill(
+            curve, table, len(table.primes), curve.weierstrass_disc)
+    # many distinct ell on every column, the columns and tables filled first,
+    # so what the scans retain is their profiles
+    ells = list(primerange(2, 600))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for curve in curves:
+            for ell in ells:
+                _outcome(curve, ell, budget)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained <= _PROFILE_BYTES_CEILING
+    for curve in curves:
+        profiles = grossencharakter._curve_column(curve.a4, curve.a6, curve.cm_disc).profiles
+        assert list(profiles) == ells[-cap:]
+    # dropped profiles are walked again, to the answers of a fresh interpreter
+    cases = [(curve, ell, budget) for curve in curves[::9] for ell in (2, 3, 5, 7)]
+    assert [_outcome(*case) for case in cases] == _fresh_outcomes(cases)
 
 
 def test_evicted_columns_do_not_change_results(fresh_tables):
@@ -473,11 +585,7 @@ def test_evicted_columns_do_not_change_results(fresh_tables):
         assert grossencharakter._curve_column.cache_info().currsize <= bound
     info = grossencharakter._curve_column.cache_info()
     assert info.currsize == bound and info.misses > len(curves)
-    # each case alone on empty tables and columns, in a fresh interpreter
-    payload = json.dumps([(c.a4, c.a6, c.cm_disc, ell, budget) for c, ell, budget in cases])
-    fresh = json.loads(subprocess.run([sys.executable, "-c", _FRESH_OUTCOMES], input=payload,
-                                      capture_output=True, text=True, check=True).stdout)
-    assert warm == fresh
+    assert warm == _fresh_outcomes(cases)
 
 
 def test_a_cold_column_fills_only_as_far_as_the_scan_reads(fresh_tables):
@@ -577,7 +685,10 @@ _BROKEN_IDENTITIES = textwrap.dedent("""
         ei = grossencharakter.CurveOverQ(-1, 0, -4)
         grossencharakter.estimate_m(ei, 2, 256)
         k = list(grossencharakter._SPLIT_PRIMES[-4].primes).index(13)
-        grossencharakter._curve_column(-1, 0, -4).ts[k] = 0
+        column = grossencharakter._curve_column(-1, 0, -4)
+        column.ts[k] = 0
+        # the profile at ell = 2 has walked past it: dropped, it walks again
+        del column.profiles[2]
         grossencharakter.estimate_m(ei, 2, 256)
 
     def scan_past_a_forged_zero_t_past_the_first_read():
@@ -586,7 +697,9 @@ _BROKEN_IDENTITIES = textwrap.dedent("""
         grossencharakter._curve_column.cache_clear()
         ei = grossencharakter.CurveOverQ(-1, 0, -4)
         grossencharakter.estimate_m(ei, 2, 5000)
-        grossencharakter._curve_column(-1, 0, -4).ts[3 * grossencharakter._FIRST_READ] = 0
+        column = grossencharakter._curve_column(-1, 0, -4)
+        column.ts[3 * grossencharakter._FIRST_READ] = 0
+        del column.profiles[2]
         grossencharakter.estimate_m(ei, 2, 5000)
 
     checks = [

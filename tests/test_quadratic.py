@@ -481,8 +481,11 @@ def test_the_field_index_keeps_at_most_its_cap_count(fresh_session):
     for cap in asked:
         assert [f.value for f in enumerate_fields_by_class_number(cap, 3000).fields] == _fields_up_to(cap, 3000)
         assert len(quadratic._index) <= quadratic.INDEX_CAPS
-    # the last caps asked are the ones kept, and one object per field of the sweep
-    assert list(quadratic._index) == asked[-quadratic.INDEX_CAPS:]
+    # the last caps asked are the ones kept, a cap past the sweep's largest
+    # class number read as that one, and one object per field of the sweep
+    top = max(quadratic._fields_by_h)
+    assert top < asked[-1]
+    assert list(quadratic._index) == list(dict.fromkeys(min(cap, top) for cap in asked))[-quadratic.INDEX_CAPS:]
     assert sum(map(len, quadratic._field_objects_by_h.values())) == fields
     # a cap dropped from the index answers the same when asked again
     assert [f.value for f in enumerate_fields_by_class_number(2, 3000).fields] == _fields_up_to(2, 3000)
@@ -506,6 +509,19 @@ def test_the_field_index_stays_under_its_stated_ceiling(fresh_session):
                if stat.traceback[0].filename == quadratic.__file__ and stat.traceback[0].lineno in lines)
     assert len(quadratic._index) == quadratic.INDEX_CAPS
     assert 2 ** 20 < kept < 10 * 2 ** 20, kept
+
+
+def test_caps_past_the_largest_class_number_share_one_index(fresh_session):
+    quadratic._retained(MAX_DISC_BOUND)
+    top = max(quadratic._fields_by_h)
+    assert top == 533
+    index = quadratic._cap_index(600)
+    assert quadratic._cap_index(1000) is index and quadratic._cap_index(10 ** 9) is index
+    assert len(index[0]) == sum(map(len, quadratic._fields_by_h.values()))
+    for cap in range(10 ** 6, 10 ** 6 + quadratic.INDEX_CAPS):
+        assert enumerate_fields_by_class_number(cap, MAX_DISC_BOUND).fields == index[1]
+    assert list(quadratic._index) == [top] and quadratic._index[top] is index
+    assert quadratic._cap_index(top) is index
 
 
 def test_an_enumeration_outlives_a_resweep(fresh_session):
